@@ -1,51 +1,19 @@
-//! The sharded replica cluster.
-//!
-//! # Life of a request
-//!
-//! 1. [`ClusterService::submit`] locates every seed, routes it to the
-//!    replica owning its block on the consistent-hash [`Ring`], and reserves
-//!    an admission seat on that replica — any replica over capacity rejects
-//!    the whole request with the same typed
-//!    [`SubmitError::Overloaded`] the single service uses.
-//! 2. Each replica runs its own serve stack — shared LRU block cache,
-//!    per-block circuit breakers, retry schedule, per-block batch former —
-//!    and one worker thread advancing parked streamlines through the same
-//!    batch kernel as the single service, so results are bit-identical.
-//! 3. When a trajectory exits the blocks a replica owns, the partial
-//!    streamline is handed to the owner replica (the serving analogue of
-//!    the paper's rank hand-off; wire bytes are geometry-dominated, modelled
-//!    by [`ReplicaMsg::wire_bytes`]). Blocks globally hot (top-k by access
-//!    count) may instead be advanced by up to `replication` ring successors
-//!    locally, trading cache residency for hand-off traffic.
-//! 4. Replica death is fail-stop: a killed replica stops heartbeating, the
-//!    monitor declares it dead after `suspect_after`, re-routes its shard to
-//!    ring successors, and re-dispatches its parked streamlines intact —
-//!    in-flight tickets resolve typed ([`streamline_serve::ServiceGone`] or
-//!    re-dispatched), never a hang, and `completed + gone == admitted`
-//!    stays exact.
+//! The cluster front: the serving [`Engine`] run as N replicas of one
+//! worker each behind the consistent-hash [`Ring`], plus the monitor thread
+//! (kill detection, hot-set upkeep), shard bootstrap and the
+//! `streamline_cluster_*` metric namespace. See the [crate docs](crate).
 
-use crate::ring::Ring;
-use crossbeam::channel::{bounded, Sender};
-use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use streamline_core::advance::advance_batch_in_block;
-use streamline_core::msg::ReplicaMsg;
-use streamline_core::workspace::BlockExit;
-use streamline_field::block::{Block, BlockId};
+use std::time::Duration;
+use streamline_field::block::BlockId;
 use streamline_field::decomp::BlockDecomposition;
-use streamline_integrate::{StepLimits, Streamline, StreamlineBatch, StreamlineId, Termination};
 use streamline_iosim::BlockStore;
-use streamline_obs::{
-    names, Counter, MetricsRegistry, Phase, ScheduleTrace, TraceFile, WallTimeline,
-};
-use streamline_serve::breaker::{Admit, BlockBreakers, BreakerConfig, RetryPolicy};
-use streamline_serve::cache::SharedBlockCache;
+use streamline_obs::{names, MetricsRegistry, ScheduleTrace, TraceFile};
+use streamline_serve::breaker::{BreakerConfig, RetryPolicy};
+use streamline_serve::engine::{Counters, Engine, EngineHandle, ReplicaCounters, Routing};
 use streamline_serve::metrics::LatencyHistogram;
 use streamline_serve::warm::WarmStartManifest;
-use streamline_serve::{Outcome, Request, Response, SubmitError, Ticket};
+use streamline_serve::{Request, Ring, ServiceConfig, SubmitError, Ticket};
 
 /// Tuning knobs for [`ClusterService::start`]. Per-replica knobs mirror
 /// [`streamline_serve::ServiceConfig`]; each replica runs one worker thread
@@ -73,9 +41,10 @@ pub struct ClusterConfig {
     pub batch: usize,
     /// Record a wall-clock per-replica phase timeline at this resolution.
     pub trace_bucket: Option<Duration>,
-    /// Heartbeat cadence of each replica's liveness beat.
+    /// Period of the monitor: how often it checks for killed replicas and
+    /// recomputes the hot set.
     pub heartbeat_every: Duration,
-    /// Heartbeat staleness after which the monitor declares a replica dead.
+    /// Time from a replica's kill until the monitor declares it dead.
     pub suspect_after: Duration,
     /// Fault injection for tests: the first worker batch claiming this
     /// block panics, exercising the panic-containment path. Fires once.
@@ -98,127 +67,15 @@ impl Default for ClusterConfig {
             batch: 16,
             trace_bucket: None,
             heartbeat_every: Duration::from_millis(5),
-            // Generous by default: on a loaded single-core host the beat
-            // thread can starve for tens of milliseconds without the
-            // replica being dead.
             suspect_after: Duration::from_millis(250),
             panic_on_block: None,
         }
     }
 }
 
-/// One streamline parked on a replica, plus its parent request and the
-/// replica holding its admission seat (seats stay home even when the
-/// trajectory is handed off, so conservation is exact per replica).
-struct ClusterItem {
-    sl: Streamline,
-    req: Arc<RequestState>,
-    home: usize,
-}
-
-/// Shared, mostly-atomic state of one in-flight request (the cluster twin
-/// of the single service's request state; responses go out as the same
-/// [`Response`] type, so clients cannot tell the difference).
-struct RequestState {
-    id: u64,
-    limits: StepLimits,
-    deadline: Option<Instant>,
-    submitted: Instant,
-    /// Replica charged with this request's latency sample (owner of the
-    /// first in-domain seed).
-    home: usize,
-    expired: AtomicBool,
-    poisoned: AtomicBool,
-    remaining: AtomicUsize,
-    dropped: AtomicUsize,
-    unavailable: AtomicUsize,
-    finished: Mutex<Vec<Streamline>>,
-    tx: Sender<Response>,
-}
-
-/// The per-replica batch former.
-#[derive(Default)]
-struct ReplicaSched {
-    queues: BTreeMap<BlockId, Vec<ClusterItem>>,
-    /// Items checked out by this replica's worker.
-    in_flight: usize,
-    /// Set by the monitor when this replica is declared dead; nothing may
-    /// park here afterwards (parkers re-route to the ring successor).
-    dead: bool,
-}
-
-struct Replica {
-    cache: SharedBlockCache,
-    breakers: BlockBreakers,
-    sched: Mutex<ReplicaSched>,
-    work_ready: Condvar,
-    /// Admission seats taken on this replica (seeds admitted, unresolved).
-    pending_seeds: AtomicUsize,
-    /// Fail-stop injection flag: the replica's worker and heartbeat stop
-    /// cooperating at their next safe point.
-    killed: AtomicBool,
-    /// Nanoseconds since cluster start of the last heartbeat.
-    heartbeat: AtomicU64,
-    streamlines_completed: Counter,
-    handoffs_out: Counter,
-    latency: LatencyHistogram,
-}
-
-struct ClusterInner {
-    decomp: BlockDecomposition,
-    store: Arc<dyn BlockStore>,
-    ring: Ring,
-    replicas: Vec<Replica>,
-    alive: Vec<AtomicBool>,
-    replication: usize,
-    retry: RetryPolicy,
-    batch: usize,
-    hot_k: usize,
-    queue_capacity: usize,
-    heartbeat_every: Duration,
-    suspect_after: Duration,
-    shutting_down: AtomicBool,
-    /// Streamlines parked or checked out anywhere in the cluster; workers
-    /// may exit only when shutting down *and* this is globally zero (a
-    /// hand-off can land on any replica until the last item resolves).
-    outstanding: AtomicUsize,
-    next_request_id: AtomicU64,
-    started: Instant,
-    /// Per-block access counts feeding the hot-set selection.
-    access: Vec<AtomicU64>,
-    /// Per-block "currently replicated" flags, recomputed by the monitor.
-    hot: RwLock<Vec<bool>>,
-    registry: Arc<MetricsRegistry>,
-    submitted: Counter,
-    completed: Counter,
-    rejected: Counter,
-    requests_gone: Counter,
-    streamlines_completed: Counter,
-    streamlines_unavailable: Counter,
-    total_steps: Counter,
-    handoffs: Counter,
-    handoff_bytes: Counter,
-    redispatches: Counter,
-    redispatch_bytes: Counter,
-    replica_deaths: Counter,
-    hot_local_hits: Counter,
-    worker_panics: Counter,
-    latency: LatencyHistogram,
-    trace: Option<WallTimeline>,
-    /// Hand-off wall times (secs since start) — the schedule trace's
-    /// ping-pong series. Only collected while tracing.
-    handoff_times: Mutex<Vec<f64>>,
-    /// Detected replica deaths as `(replica, secs since start)`.
-    deaths: Mutex<Vec<(usize, f64)>>,
-    panic_on_block: Option<BlockId>,
-    panic_fired: AtomicBool,
-}
-
 /// A running sharded serve cluster. See the [module docs](self).
 pub struct ClusterService {
-    inner: Arc<ClusterInner>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    aux: Vec<std::thread::JoinHandle<()>>,
+    inner: EngineHandle,
 }
 
 /// Point-in-time health snapshot of one replica.
@@ -273,56 +130,15 @@ impl ClusterMetrics {
 }
 
 impl ClusterService {
-    /// Spawn `cfg.replicas` replicas (one worker, one heartbeat each) plus
-    /// the failure-detection monitor, and start routing requests.
+    /// Spawn `cfg.replicas` replicas of one worker each plus the monitor,
+    /// and start routing requests.
     pub fn start(
         decomp: BlockDecomposition,
         store: Arc<dyn BlockStore>,
         cfg: ClusterConfig,
     ) -> Self {
-        let n = cfg.replicas.max(1);
         let registry = Arc::new(MetricsRegistry::new());
-        let n_blocks = decomp.num_blocks();
-        let replicas = (0..n)
-            .map(|r| Replica {
-                cache: SharedBlockCache::new(cfg.cache_blocks, cfg.cache_shards),
-                breakers: BlockBreakers::new(cfg.breaker),
-                sched: Mutex::new(ReplicaSched::default()),
-                work_ready: Condvar::new(),
-                pending_seeds: AtomicUsize::new(0),
-                killed: AtomicBool::new(false),
-                heartbeat: AtomicU64::new(0),
-                streamlines_completed: registry.counter(&names::per_replica(
-                    names::CLUSTER_REPLICA_STREAMLINES_COMPLETED_TOTAL,
-                    r,
-                )),
-                handoffs_out: registry
-                    .counter(&names::per_replica(names::CLUSTER_REPLICA_HANDOFFS_OUT_TOTAL, r)),
-                latency: LatencyHistogram::in_registry(
-                    &registry,
-                    &names::per_replica(names::CLUSTER_REPLICA_LATENCY_NANOSECONDS, r),
-                ),
-            })
-            .collect();
-        let inner = Arc::new(ClusterInner {
-            decomp,
-            store,
-            ring: Ring::new(n, cfg.vnodes),
-            replicas,
-            alive: (0..n).map(|_| AtomicBool::new(true)).collect(),
-            replication: cfg.replication.max(1),
-            retry: cfg.retry,
-            batch: cfg.batch.max(1),
-            hot_k: cfg.hot_k,
-            queue_capacity: cfg.queue_capacity.max(1),
-            heartbeat_every: cfg.heartbeat_every.max(Duration::from_micros(100)),
-            suspect_after: cfg.suspect_after.max(cfg.heartbeat_every * 4),
-            shutting_down: AtomicBool::new(false),
-            outstanding: AtomicUsize::new(0),
-            next_request_id: AtomicU64::new(0),
-            started: Instant::now(),
-            access: (0..n_blocks).map(|_| AtomicU64::new(0)).collect(),
-            hot: RwLock::new(vec![false; n_blocks]),
+        let counters = Counters {
             submitted: registry.counter(names::CLUSTER_SUBMITTED_TOTAL),
             completed: registry.counter(names::CLUSTER_COMPLETED_TOTAL),
             rejected: registry.counter(names::CLUSTER_REJECTED_TOTAL),
@@ -338,163 +154,58 @@ impl ClusterService {
             hot_local_hits: registry.counter(names::CLUSTER_HOT_LOCAL_HITS_TOTAL),
             worker_panics: registry.counter(names::CLUSTER_WORKER_PANICS_TOTAL),
             latency: LatencyHistogram::in_registry(&registry, names::CLUSTER_LATENCY_NANOSECONDS),
-            trace: cfg.trace_bucket.map(|w| WallTimeline::new(n, w)),
-            handoff_times: Mutex::new(Vec::new()),
-            deaths: Mutex::new(Vec::new()),
+            ..Counters::default()
+        };
+        let reg = Arc::clone(&registry);
+        let replica_counters = move |r| ReplicaCounters {
+            streamlines_completed: reg.counter(&names::per_replica(
+                names::CLUSTER_REPLICA_STREAMLINES_COMPLETED_TOTAL,
+                r,
+            )),
+            handoffs_out: reg
+                .counter(&names::per_replica(names::CLUSTER_REPLICA_HANDOFFS_OUT_TOTAL, r)),
+            latency: LatencyHistogram::in_registry(
+                &reg,
+                &names::per_replica(names::CLUSTER_REPLICA_LATENCY_NANOSECONDS, r),
+            ),
+        };
+        let per_replica = ServiceConfig {
+            workers: 1,
+            cache_blocks: cfg.cache_blocks,
+            cache_shards: cfg.cache_shards,
+            queue_capacity: cfg.queue_capacity,
+            retry: cfg.retry,
+            breaker: cfg.breaker,
+            trace_bucket: cfg.trace_bucket,
+            batch: cfg.batch,
             panic_on_block: cfg.panic_on_block,
-            panic_fired: AtomicBool::new(false),
-            registry,
-        });
-        let workers = (0..n)
-            .map(|r| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("cluster-replica-{r}"))
-                    .spawn(move || worker_loop(&inner, r))
-                    .expect("spawn cluster replica worker")
-            })
-            .collect();
-        let mut aux: Vec<std::thread::JoinHandle<()>> = (0..n)
-            .map(|r| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("cluster-heartbeat-{r}"))
-                    .spawn(move || heartbeat_loop(&inner, r))
-                    .expect("spawn cluster heartbeat")
-            })
-            .collect();
-        {
-            let inner = Arc::clone(&inner);
-            aux.push(
-                std::thread::Builder::new()
-                    .name("cluster-monitor".into())
-                    .spawn(move || monitor_loop(&inner))
-                    .expect("spawn cluster monitor"),
-            );
-        }
-        ClusterService { inner, workers, aux }
+        };
+        let routing = Routing {
+            ring: Ring::new(cfg.replicas.max(1), cfg.vnodes),
+            replication: cfg.replication.max(1),
+            hot_k: cfg.hot_k,
+        };
+        let engine =
+            Engine::new(decomp, store, &per_replica, routing, registry, counters, replica_counters);
+        let mut inner = EngineHandle::start(engine);
+        let period = cfg.heartbeat_every.max(Duration::from_micros(100));
+        let suspect_after = cfg.suspect_after;
+        inner.spawn("cluster-monitor", move |engine| monitor_loop(engine, period, suspect_after));
+        ClusterService { inner }
     }
 
     /// Submit a request: seeds are routed to their owner replicas, one
     /// admission seat each. Any target replica over capacity rejects the
     /// whole request (typed, without enqueuing anything anywhere).
     pub fn submit(&self, req: Request) -> Result<Ticket, SubmitError> {
-        let inner = &self.inner;
-        let n = req.seeds.len();
-        if n == 0 {
-            return Err(SubmitError::Empty);
-        }
-        if inner.shutting_down.load(Ordering::SeqCst) {
-            return Err(SubmitError::ShuttingDown);
-        }
-        let alive = alive_mask(inner);
-
-        // Route every seed before touching any shared state.
-        let mut routed: Vec<(usize, BlockId, usize)> = Vec::with_capacity(n); // (seed, block, replica)
-        let mut out_of_domain: Vec<usize> = Vec::new();
-        for (i, &p) in req.seeds.iter().enumerate() {
-            match inner.decomp.locate(p).and_then(|b| inner.ring.owner(b, &alive).map(|r| (b, r))) {
-                Some((b, r)) => routed.push((i, b, r)),
-                None => out_of_domain.push(i),
-            }
-        }
-
-        // Optimistic per-replica admission: reserve seats in replica order,
-        // roll back everything on the first refusal.
-        let mut want = vec![0usize; inner.replicas.len()];
-        for &(_, _, r) in &routed {
-            want[r] += 1;
-        }
-        let mut reserved: Vec<(usize, usize)> = Vec::new();
-        for (r, &k) in want.iter().enumerate() {
-            if k == 0 {
-                continue;
-            }
-            let prev = inner.replicas[r].pending_seeds.fetch_add(k, Ordering::AcqRel);
-            reserved.push((r, k));
-            if prev + k > inner.queue_capacity {
-                for &(rr, kk) in &reserved {
-                    inner.replicas[rr].pending_seeds.fetch_sub(kk, Ordering::AcqRel);
-                }
-                inner.rejected.inc();
-                return Err(SubmitError::Overloaded {
-                    queue_depth: prev,
-                    capacity: inner.queue_capacity,
-                    requested: n,
-                });
-            }
-        }
-
-        // Claim the cluster-wide outstanding slots, then re-check the drain
-        // flag: workers exit only when `shutting_down && outstanding == 0`,
-        // so once this add is visible no worker exits under us — and if the
-        // drain began first, we roll everything back untouched.
-        inner.outstanding.fetch_add(routed.len(), Ordering::SeqCst);
-        if inner.shutting_down.load(Ordering::SeqCst) {
-            for &(rr, kk) in &reserved {
-                inner.replicas[rr].pending_seeds.fetch_sub(kk, Ordering::AcqRel);
-            }
-            release_outstanding_n(inner, routed.len());
-            return Err(SubmitError::ShuttingDown);
-        }
-
-        let id = inner.next_request_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
-        let home = routed.first().map(|&(_, _, r)| r).unwrap_or(0);
-        let state = Arc::new(RequestState {
-            id,
-            limits: req.limits,
-            deadline: req.deadline,
-            submitted: Instant::now(),
-            home,
-            expired: AtomicBool::new(false),
-            poisoned: AtomicBool::new(false),
-            remaining: AtomicUsize::new(n),
-            dropped: AtomicUsize::new(0),
-            unavailable: AtomicUsize::new(0),
-            finished: Mutex::new(Vec::with_capacity(n)),
-            tx,
-        });
-
-        // Seed-order ids, exactly like the single service and the batch
-        // drivers — the invariant every bit-identity test leans on.
-        let mut per_replica: BTreeMap<usize, BTreeMap<BlockId, Vec<ClusterItem>>> = BTreeMap::new();
-        for (i, block, r) in routed {
-            let sl = Streamline::new_lean(StreamlineId(i as u32), req.seeds[i], req.limits.h0);
-            per_replica.entry(r).or_default().entry(block).or_default().push(ClusterItem {
-                sl,
-                req: Arc::clone(&state),
-                home: r,
-            });
-        }
-        inner.submitted.inc();
-        for (r, blocks) in per_replica {
-            for (block, items) in blocks {
-                park(inner, r, block, items);
-            }
-        }
-
-        // Out-of-domain seeds terminate instantly on the client thread.
-        for i in out_of_domain {
-            let mut sl = Streamline::new_lean(StreamlineId(i as u32), req.seeds[i], req.limits.h0);
-            sl.terminate(Termination::ExitedDomain);
-            finish_item(inner, home, &state, Some(sl), false);
-        }
-
-        Ok(Ticket::from_parts(id, rx))
+        self.inner.submit(req)
     }
 
-    /// Fail-stop injection: replica `r` stops heartbeating and cooperating.
-    /// The monitor will declare it dead after `suspect_after` and re-route
-    /// its shard. Returns `false` if `r` was already killed or out of range.
+    /// Fail-stop injection: replica `r` stops cooperating. The monitor
+    /// declares it dead `suspect_after` later and re-routes its shard.
+    /// Returns `false` if `r` was already killed or out of range.
     pub fn kill_replica(&self, r: usize) -> bool {
-        let Some(rep) = self.inner.replicas.get(r) else { return false };
-        if rep.killed.swap(true, Ordering::AcqRel) {
-            return false;
-        }
-        // Wake the worker so it observes the kill instead of idling.
-        rep.work_ready.notify_all();
-        true
+        self.inner.kill(r)
     }
 
     /// Bootstrap every replica's cache from its shard: each replica
@@ -502,17 +213,14 @@ impl ClusterService {
     /// a [`WarmStartManifest`] — the same warm-start path the single
     /// service uses on restart. Returns total blocks prefetched.
     pub fn bootstrap(&self) -> usize {
-        let inner = &self.inner;
-        let alive = alive_mask(inner);
+        let engine = &self.inner;
+        let alive = engine.alive_mask();
         let mut total = 0;
-        for (r, rep) in inner.replicas.iter().enumerate() {
-            if !alive[r] {
-                continue;
-            }
-            let mut blocks = inner.ring.shard(r, &alive, inner.decomp.num_blocks());
+        for (r, rep) in engine.replicas.iter().enumerate().filter(|&(r, _)| alive[r]) {
+            let mut blocks = engine.routing.ring.shard(r, &alive, engine.decomp.num_blocks());
             blocks.truncate(rep.cache.capacity());
             let manifest = WarmStartManifest { blocks, shards: rep.cache.shard_count() };
-            total += manifest.prefetch(&rep.cache, inner.store.as_ref());
+            total += manifest.prefetch(&rep.cache, engine.store.as_ref());
         }
         total
     }
@@ -544,11 +252,9 @@ impl ClusterService {
     /// (hand-offs as the ping-pong series, replica deaths marked), or
     /// `None` when started without [`ClusterConfig::trace_bucket`].
     pub fn timeline(&self) -> Option<TraceFile> {
-        let tl = self.inner.trace.as_ref()?;
-        let snap = tl.snapshot();
+        let snap = self.inner.trace.as_ref()?.snapshot();
         let mut tf = snap.to_trace("wall");
-        let pingpong = self.inner.handoff_times.lock().clone();
-        let deaths = self.inner.deaths.lock().clone();
+        let (pingpong, deaths) = self.inner.schedule_marks();
         tf.schedule =
             Some(ScheduleTrace::from_timeline(&snap, &pingpong).with_rank_deaths(&snap, &deaths));
         Some(tf)
@@ -558,574 +264,50 @@ impl ClusterService {
     /// all replicas (hand-offs included), join every thread, and return the
     /// final metrics. Every pending ticket resolves before this returns.
     pub fn shutdown(mut self) -> ClusterMetrics {
-        self.begin_shutdown();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        for h in self.aux.drain(..) {
-            let _ = h.join();
-        }
+        self.inner.shutdown();
         snapshot(&self.inner)
     }
-
-    fn begin_shutdown(&self) {
-        self.inner.shutting_down.store(true, Ordering::SeqCst);
-        for rep in &self.inner.replicas {
-            let _st = rep.sched.lock();
-            rep.work_ready.notify_all();
-        }
-    }
 }
 
-impl Drop for ClusterService {
-    fn drop(&mut self) {
-        if !self.workers.is_empty() {
-            self.begin_shutdown();
-            for h in self.workers.drain(..) {
-                let _ = h.join();
-            }
-            for h in self.aux.drain(..) {
-                let _ = h.join();
+/// The failure detector and hot-set maintainer. A killed replica is
+/// declared dead once `suspect_after` has passed since its kill — death
+/// follows from the kill alone, never from a live replica's thread being
+/// starved of a core. The monitor outlives the drain start: if a killed
+/// replica still holds parked work when shutdown begins, only its
+/// re-dispatch can resolve it.
+fn monitor_loop(engine: &Engine, period: Duration, suspect_after: Duration) {
+    while !engine.drained() {
+        for (r, rep) in engine.replicas.iter().enumerate() {
+            if rep.is_alive() && rep.killed_at().is_some_and(|t| t.elapsed() >= suspect_after) {
+                engine.declare_dead(r);
             }
         }
+        if engine.routing.replication > 1 {
+            engine.refresh_hot_set();
+        }
+        std::thread::sleep(period);
     }
 }
 
-fn alive_mask(inner: &ClusterInner) -> Vec<bool> {
-    inner.alive.iter().map(|a| a.load(Ordering::Acquire)).collect()
-}
-
-fn secs_since_start(inner: &ClusterInner) -> f64 {
-    inner.started.elapsed().as_secs_f64()
-}
-
-/// Park `items` in `target`'s queue for `block`. If `target` was declared
-/// dead in the meantime, re-route to the block's current owner; if no
-/// replica is alive at all, the items terminate `BlockUnavailable` — typed,
-/// never a hang.
-fn park(inner: &ClusterInner, mut target: usize, block: BlockId, mut items: Vec<ClusterItem>) {
-    loop {
-        let rep = &inner.replicas[target];
-        let mut st = rep.sched.lock();
-        if !st.dead {
-            st.queues.entry(block).or_default().append(&mut items);
-            rep.work_ready.notify_one();
-            return;
-        }
-        drop(st);
-        let alive = alive_mask(inner);
-        match inner.ring.owner(block, &alive) {
-            Some(next) if next != target => target = next,
-            _ => {
-                // No live owner: resolve every item typed instead of
-                // leaking its seat.
-                for mut item in items {
-                    item.sl.terminate(Termination::BlockUnavailable);
-                    item.req.unavailable.fetch_add(1, Ordering::Relaxed);
-                    inner.streamlines_unavailable.inc();
-                    let home = item.home;
-                    finish_item(inner, home, &item.req, Some(item.sl), true);
-                }
-                return;
-            }
-        }
-    }
-}
-
-/// Resolve one seed: record the streamline (unless dropped), release its
-/// `home` admission seat and outstanding slot (skipped for out-of-domain
-/// seeds, which reserved neither), and complete the request if it was the
-/// last. `home` is also the replica credited with the completion.
-fn finish_item(
-    inner: &ClusterInner,
-    home: usize,
-    req: &Arc<RequestState>,
-    sl: Option<Streamline>,
-    parked: bool,
-) {
-    match sl {
-        Some(sl) => {
-            inner.streamlines_completed.inc();
-            inner.replicas[home].streamlines_completed.inc();
-            req.finished.lock().push(sl);
-        }
-        None => {
-            req.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    if parked {
-        inner.replicas[home].pending_seeds.fetch_sub(1, Ordering::AcqRel);
-        release_outstanding_n(inner, 1);
-    }
-    if req.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        complete_request(inner, req);
-    }
-}
-
-/// Resolve one seed destroyed by a worker panic: poison the request (its
-/// ticket resolves [`ServiceGone`]), release the seat, complete if last.
-fn abandon_item(inner: &ClusterInner, home: usize, req: &Arc<RequestState>) {
-    req.poisoned.store(true, Ordering::Release);
-    inner.replicas[home].pending_seeds.fetch_sub(1, Ordering::AcqRel);
-    release_outstanding_n(inner, 1);
-    if req.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        complete_request(inner, req);
-    }
-}
-
-fn release_outstanding_n(inner: &ClusterInner, n: usize) {
-    if inner.outstanding.fetch_sub(n, Ordering::SeqCst) == n
-        && inner.shutting_down.load(Ordering::SeqCst)
-    {
-        // Global drain: wake every replica's worker so it can exit.
-        for rep in &inner.replicas {
-            let _st = rep.sched.lock();
-            rep.work_ready.notify_all();
-        }
-    }
-}
-
-fn complete_request(inner: &ClusterInner, req: &Arc<RequestState>) {
-    if req.poisoned.load(Ordering::Acquire) {
-        // Same contract as the single service: part of the request's state
-        // was destroyed, so dropping the sender resolves the ticket as the
-        // typed `ServiceGone` — never a hang, never a partial lie.
-        inner.requests_gone.inc();
-        return;
-    }
-    let latency = req.submitted.elapsed();
-    let dropped = req.dropped.load(Ordering::Relaxed);
-    let unavailable = req.unavailable.load(Ordering::Relaxed);
-    let outcome = if dropped > 0 || req.expired.load(Ordering::Relaxed) {
-        Outcome::DeadlineExceeded { dropped }
-    } else if unavailable > 0 {
-        Outcome::Partial { unavailable }
-    } else {
-        Outcome::Completed
-    };
-    let mut streamlines = std::mem::take(&mut *req.finished.lock());
-    streamlines.sort_by_key(|sl| sl.id);
-    inner.latency.record(latency);
-    inner.replicas[req.home].latency.record(latency);
-    inner.completed.inc();
-    let _ = req.tx.send(Response { request_id: req.id, outcome, streamlines, latency });
-}
-
-/// Claim the fullest queue of `replica` (ties toward the lowest block id).
-/// Returns `None` when the replica is killed, or when shutting down and the
-/// *cluster* is fully drained.
-fn claim_batch(inner: &ClusterInner, replica: usize) -> Option<(BlockId, Vec<ClusterItem>)> {
-    let rep = &inner.replicas[replica];
-    let mut st = rep.sched.lock();
-    loop {
-        if rep.killed.load(Ordering::Acquire) {
-            return None;
-        }
-        if let Some(block) = st
-            .queues
-            .iter()
-            .min_by_key(|(id, items)| (std::cmp::Reverse(items.len()), **id))
-            .map(|(id, _)| *id)
-        {
-            let items = st.queues.remove(&block).expect("queue just observed");
-            st.in_flight += items.len();
-            return Some((block, items));
-        }
-        if inner.shutting_down.load(Ordering::SeqCst)
-            && inner.outstanding.load(Ordering::SeqCst) == 0
-        {
-            rep.work_ready.notify_all();
-            return None;
-        }
-        rep.work_ready.wait(&mut st);
-    }
-}
-
-fn maybe_inject_panic(inner: &ClusterInner, block_id: BlockId) {
-    if inner.panic_on_block == Some(block_id) && !inner.panic_fired.swap(true, Ordering::AcqRel) {
-        panic!("injected cluster worker panic on {block_id:?}");
-    }
-}
-
-fn worker_loop(inner: &ClusterInner, replica: usize) {
-    let mut scratch = StreamlineBatch::new();
-    loop {
-        let wait_start = inner.trace.as_ref().map(|_| Instant::now());
-        let claimed = claim_batch(inner, replica);
-        if let (Some(tl), Some(ws)) = (inner.trace.as_ref(), wait_start) {
-            tl.record(replica, Phase::Idle, ws, ws.elapsed());
-        }
-        let Some((block_id, items)) = claimed else { break };
-        process_batch(inner, replica, block_id, items, &mut scratch);
-    }
-}
-
-fn load_with_retry(
-    inner: &ClusterInner,
-    replica: usize,
-    block_id: BlockId,
-    probe: bool,
-) -> Option<Arc<Block>> {
-    let rep = &inner.replicas[replica];
-    let attempts = if probe { 1 } else { inner.retry.max_attempts.max(1) };
-    for attempt in 1..=attempts {
-        match rep.cache.get_or_load(block_id, inner.store.as_ref()) {
-            Ok((b, _hit)) => return Some(b),
-            Err(_) if attempt < attempts => {
-                std::thread::sleep(inner.retry.backoff(attempt, u64::from(block_id.0)));
-            }
-            Err(_) => {}
-        }
-    }
-    None
-}
-
-fn process_batch(
-    inner: &ClusterInner,
-    replica: usize,
-    block_id: BlockId,
-    items: Vec<ClusterItem>,
-    scratch: &mut StreamlineBatch,
-) {
-    let rep = &inner.replicas[replica];
-    let trace = inner.trace.as_ref();
-    let n_claimed = items.len();
-    if let Some(a) = inner.access.get(block_id.0 as usize) {
-        a.fetch_add(n_claimed as u64, Ordering::Relaxed);
-    }
-
-    // A kill between claim and processing is the fail-stop window: the
-    // claimed items were checked out by a worker that died with them. They
-    // resolve typed as `ServiceGone` — conservation stays exact.
-    if rep.killed.load(Ordering::Acquire) {
-        settle_in_flight(inner, replica, n_claimed);
-        for item in items {
-            abandon_item(inner, item.home, &item.req);
-        }
-        return;
-    }
-
-    let io_start = trace.map(|_| Instant::now());
-    let block = match rep.breakers.admit(block_id) {
-        Admit::FastFail => None,
-        admit => {
-            let b = load_with_retry(inner, replica, block_id, admit == Admit::Probe);
-            match &b {
-                Some(_) => rep.breakers.on_success(block_id),
-                None => {
-                    rep.breakers.on_failure(block_id);
-                }
-            }
-            b
-        }
-    };
-    if let (Some(tl), Some(t0)) = (trace, io_start) {
-        tl.record(replica, Phase::Io, t0, t0.elapsed());
-    }
-    let Some(block) = block else {
-        settle_in_flight(inner, replica, n_claimed);
-        for mut item in items {
-            if item.req.expired.load(Ordering::Relaxed) {
-                finish_item(inner, replica, &item.req, None, true);
-            } else {
-                item.sl.terminate(Termination::BlockUnavailable);
-                item.req.unavailable.fetch_add(1, Ordering::Relaxed);
-                inner.streamlines_unavailable.inc();
-                let home = item.home;
-                finish_item(inner, home, &item.req, Some(item.sl), true);
-            }
-        }
-        return;
-    };
-
-    let mut finished: Vec<(usize, Arc<RequestState>, Option<Streamline>)> = Vec::new();
-    let compute_start = trace.map(|_| Instant::now());
-    let now = Instant::now();
-    let mut live: Vec<ClusterItem> = Vec::with_capacity(items.len());
-    for item in items {
-        let expired = item.req.expired.load(Ordering::Relaxed)
-            || item.req.deadline.is_some_and(|d| {
-                let hit = now >= d;
-                if hit {
-                    item.req.expired.store(true, Ordering::Relaxed);
-                }
-                hit
-            });
-        if expired {
-            finished.push((item.home, item.req, None));
-        } else {
-            live.push(item);
-        }
-    }
-    // Same batched advance as the single service: runs of equal limits,
-    // chunked to the batch width, bit-identical at any width — and
-    // regardless of *which replica* does the advancing, which is why
-    // hand-off and replication placement never show up in the answers.
-    let homes_reqs: Vec<(usize, Arc<RequestState>)> =
-        live.iter().map(|it| (it.home, Arc::clone(&it.req))).collect();
-    let advanced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        maybe_inject_panic(inner, block_id);
-        let mut cmoved: BTreeMap<BlockId, Vec<ClusterItem>> = BTreeMap::new();
-        let mut cdone: Vec<(usize, Arc<RequestState>, Option<Streamline>)> = Vec::new();
-        let mut rest = live;
-        while !rest.is_empty() {
-            let limits = rest[0].req.limits;
-            let run_len = rest.iter().take_while(|it| it.req.limits == limits).count();
-            let tail = rest.split_off(run_len);
-            let (mut sls, tags): (Vec<Streamline>, Vec<(usize, Arc<RequestState>)>) =
-                rest.into_iter().map(|it| (it.sl, (it.home, it.req))).unzip();
-            let mut exits = Vec::with_capacity(sls.len());
-            for chunk in sls.chunks_mut(inner.batch) {
-                let (ex, stats) =
-                    advance_batch_in_block(chunk, &block, &inner.decomp, &limits, scratch);
-                inner.total_steps.add(stats.steps);
-                exits.extend(ex);
-            }
-            for ((sl, (home, req)), exit) in sls.into_iter().zip(tags).zip(exits) {
-                match exit {
-                    BlockExit::MovedTo(next) => {
-                        cmoved.entry(next).or_default().push(ClusterItem { sl, req, home })
-                    }
-                    BlockExit::Done(_) => cdone.push((home, req, Some(sl))),
-                }
-            }
-            rest = tail;
-        }
-        (cmoved, cdone)
-    }));
-    if let (Some(tl), Some(t0)) = (trace, compute_start) {
-        tl.record(replica, Phase::Compute, t0, t0.elapsed());
-    }
-    let Ok((moved, mut cdone)) = advanced else {
-        inner.worker_panics.inc();
-        *scratch = StreamlineBatch::new();
-        settle_in_flight(inner, replica, n_claimed);
-        for (home, req, sl) in finished {
-            finish_item(inner, home, &req, sl, true);
-        }
-        for (home, req) in homes_reqs {
-            abandon_item(inner, home, &req);
-        }
-        return;
-    };
-    finished.append(&mut cdone);
-
-    // Routing the moved streamlines is this design's communication: blocks
-    // this replica still serves re-park locally; everything else is a typed
-    // hand-off to the ring owner, geometry and all.
-    let comm_start = trace.map(|_| Instant::now());
-    settle_in_flight(inner, replica, n_claimed);
-    let alive = alive_mask(inner);
-    let self_alive = alive.get(replica).copied().unwrap_or(false);
-    let hot = inner.hot.read().clone();
-    for (next, batch) in moved {
-        let owner = inner.ring.owner(next, &alive);
-        let keep_local = self_alive
-            && match owner {
-                Some(o) if o == replica => true,
-                Some(_) if inner.replication > 1 && hot.get(next.0 as usize) == Some(&true) => {
-                    inner.ring.successors(next, &alive, inner.replication).contains(&replica)
-                }
-                _ => false,
-            };
-        if keep_local {
-            if owner != Some(replica) {
-                inner.hot_local_hits.add(batch.len() as u64);
-            }
-            park(inner, replica, next, batch);
-        } else {
-            match owner {
-                Some(o) => {
-                    inner.handoffs.add(batch.len() as u64);
-                    rep.handoffs_out.add(batch.len() as u64);
-                    // Wrap each curve in the typed envelope to account its
-                    // wire bytes (geometry-dominated, §8), then unwrap it
-                    // into the owner's queue — the "network" is a queue
-                    // move, the cost model is the paper's.
-                    let mut bytes = 0usize;
-                    let batch: Vec<ClusterItem> = batch
-                        .into_iter()
-                        .map(|it| {
-                            let msg = ReplicaMsg::Handoff { sl: Box::new(it.sl) };
-                            bytes += msg.wire_bytes(true);
-                            let ReplicaMsg::Handoff { sl } = msg else { unreachable!() };
-                            ClusterItem { sl: *sl, req: it.req, home: it.home }
-                        })
-                        .collect();
-                    inner.handoff_bytes.add(bytes as u64);
-                    if trace.is_some() {
-                        let t = secs_since_start(inner);
-                        let mut times = inner.handoff_times.lock();
-                        times.extend(std::iter::repeat_n(t, batch.len()));
-                    }
-                    park(inner, o, next, batch);
-                }
-                None => {
-                    for mut item in batch {
-                        item.sl.terminate(Termination::BlockUnavailable);
-                        item.req.unavailable.fetch_add(1, Ordering::Relaxed);
-                        inner.streamlines_unavailable.inc();
-                        let home = item.home;
-                        finish_item(inner, home, &item.req, Some(item.sl), true);
-                    }
-                }
-            }
-        }
-    }
-    for (home, req, sl) in finished {
-        finish_item(inner, home, &req, sl, true);
-    }
-    if let (Some(tl), Some(t0)) = (trace, comm_start) {
-        tl.record(replica, Phase::Comm, t0, t0.elapsed());
-    }
-}
-
-fn settle_in_flight(inner: &ClusterInner, replica: usize, n: usize) {
-    let rep = &inner.replicas[replica];
-    let mut st = rep.sched.lock();
-    st.in_flight -= n;
-}
-
-/// Each replica's liveness beat: a thread bumping the heartbeat stamp every
-/// `heartbeat_every` until the replica is killed or the cluster drains.
-/// Fail-stop kills the beat with the replica — staleness *is* the failure
-/// signal, exactly like the batch drivers' rank heartbeats.
-fn heartbeat_loop(inner: &ClusterInner, replica: usize) {
-    let rep = &inner.replicas[replica];
-    loop {
-        // Keep beating through the shutdown drain: a live replica falling
-        // silent mid-drain would read as a death and trigger a spurious
-        // re-route. The beat stops with the kill, or once the cluster is
-        // fully drained.
-        if rep.killed.load(Ordering::Acquire)
-            || (inner.shutting_down.load(Ordering::SeqCst)
-                && inner.outstanding.load(Ordering::SeqCst) == 0)
-        {
-            return;
-        }
-        let nanos = inner.started.elapsed().as_nanos() as u64;
-        rep.heartbeat.store(nanos, Ordering::Release);
-        std::thread::sleep(inner.heartbeat_every);
-    }
-}
-
-/// The failure detector and hot-set maintainer. A replica whose heartbeat
-/// is staler than `suspect_after` is declared dead exactly once: the alive
-/// mask flips (the router skips it from then on), its sched is sealed, and
-/// every parked streamline is re-dispatched intact to the ring successor —
-/// recovery traffic counted separately from steady-state hand-offs.
-fn monitor_loop(inner: &ClusterInner) {
-    loop {
-        // The monitor outlives the drain: if a killed-but-undetected
-        // replica still holds parked work when shutdown begins, only the
-        // monitor's re-dispatch can resolve it.
-        if inner.shutting_down.load(Ordering::SeqCst)
-            && inner.outstanding.load(Ordering::SeqCst) == 0
-        {
-            return;
-        }
-        let now = inner.started.elapsed();
-        for (r, rep) in inner.replicas.iter().enumerate() {
-            if !inner.alive[r].load(Ordering::Acquire) {
-                continue;
-            }
-            let beat = Duration::from_nanos(rep.heartbeat.load(Ordering::Acquire));
-            if now <= beat || now - beat < inner.suspect_after {
-                continue;
-            }
-            declare_dead(inner, r);
-        }
-        if inner.replication > 1 {
-            refresh_hot_set(inner);
-        }
-        std::thread::sleep(inner.heartbeat_every);
-    }
-}
-
-fn declare_dead(inner: &ClusterInner, r: usize) {
-    inner.alive[r].store(false, Ordering::Release);
-    inner.replica_deaths.inc();
-    inner.deaths.lock().push((r, secs_since_start(inner)));
-    let rep = &inner.replicas[r];
-    // Seal the sched first (under its lock) so every later parker sees
-    // `dead` and re-routes — no hand-off can slip in after the drain.
-    let drained = {
-        let mut st = rep.sched.lock();
-        st.dead = true;
-        rep.work_ready.notify_all();
-        std::mem::take(&mut st.queues)
-    };
-    let comm_start = inner.trace.as_ref().map(|_| Instant::now());
-    let alive = alive_mask(inner);
-    for (block, batch) in drained {
-        inner.redispatches.add(batch.len() as u64);
-        let mut bytes = 0usize;
-        let batch: Vec<ClusterItem> = batch
-            .into_iter()
-            .map(|it| {
-                let msg = ReplicaMsg::Redispatch { sl: Box::new(it.sl) };
-                bytes += msg.wire_bytes(true);
-                let ReplicaMsg::Redispatch { sl } = msg else { unreachable!() };
-                ClusterItem { sl: *sl, req: it.req, home: it.home }
-            })
-            .collect();
-        inner.redispatch_bytes.add(bytes as u64);
-        match inner.ring.owner(block, &alive) {
-            Some(o) => park(inner, o, block, batch),
-            None => {
-                for mut item in batch {
-                    item.sl.terminate(Termination::BlockUnavailable);
-                    item.req.unavailable.fetch_add(1, Ordering::Relaxed);
-                    inner.streamlines_unavailable.inc();
-                    let home = item.home;
-                    finish_item(inner, home, &item.req, Some(item.sl), true);
-                }
-            }
-        }
-    }
-    if let (Some(tl), Some(t0)) = (inner.trace.as_ref(), comm_start) {
-        tl.record(r, Phase::Comm, t0, t0.elapsed());
-    }
-}
-
-/// Recompute the replicated hot set: the `hot_k` most-accessed blocks.
-fn refresh_hot_set(inner: &ClusterInner) {
-    let mut counts: Vec<(u64, usize)> = inner
-        .access
-        .iter()
-        .enumerate()
-        .map(|(b, a)| (a.load(Ordering::Relaxed), b))
-        .filter(|&(c, _)| c > 0)
-        .collect();
-    counts.sort_unstable_by(|a, b| b.cmp(a));
-    counts.truncate(inner.hot_k);
-    let mut hot = vec![false; inner.access.len()];
-    for &(_, b) in &counts {
-        hot[b] = true;
-    }
-    *inner.hot.write() = hot;
-}
-
-fn refresh_registry(inner: &ClusterInner) {
-    let reg = &inner.registry;
-    let alive = alive_mask(inner);
-    reg.set_gauge(names::CLUSTER_REPLICAS, inner.replicas.len() as f64);
-    reg.set_gauge(names::CLUSTER_REPLICAS_ALIVE, alive.iter().filter(|a| **a).count() as f64);
+fn refresh_registry(engine: &Engine) {
+    let reg = &engine.registry;
+    reg.set_gauge(names::CLUSTER_REPLICAS, engine.replicas.len() as f64);
     reg.set_gauge(
-        names::CLUSTER_HOT_BLOCKS,
-        inner.hot.read().iter().filter(|h| **h).count() as f64,
+        names::CLUSTER_REPLICAS_ALIVE,
+        engine.replicas.iter().filter(|r| r.is_alive()).count() as f64,
     );
-    for (r, rep) in inner.replicas.iter().enumerate() {
+    reg.set_gauge(names::CLUSTER_HOT_BLOCKS, engine.hot_blocks() as f64);
+    for (r, rep) in engine.replicas.iter().enumerate() {
         let stats = rep.cache.stats();
         let gets = stats.hits + stats.loaded;
         let hit_rate = if gets == 0 { 0.0 } else { stats.hits as f64 / gets as f64 };
         reg.set_gauge(
             &names::per_replica(names::CLUSTER_REPLICA_ALIVE, r),
-            if alive[r] { 1.0 } else { 0.0 },
+            if rep.is_alive() { 1.0 } else { 0.0 },
         );
         reg.set_gauge(
             &names::per_replica(names::CLUSTER_REPLICA_QUEUE_DEPTH, r),
-            rep.pending_seeds.load(Ordering::Acquire) as f64,
+            rep.queue_depth() as f64,
         );
         reg.set_gauge(&names::per_replica(names::CLUSTER_REPLICA_CACHE_HIT_RATE, r), hit_rate);
         reg.set_gauge(
@@ -1139,12 +321,12 @@ fn refresh_registry(inner: &ClusterInner) {
     }
 }
 
-fn snapshot(inner: &ClusterInner) -> ClusterMetrics {
-    refresh_registry(inner);
-    let alive = alive_mask(inner);
+fn snapshot(engine: &Engine) -> ClusterMetrics {
+    refresh_registry(engine);
+    let c = &engine.counters;
     let q =
         |h: &LatencyHistogram, p: f64| h.quantile(p).map(|d| d.as_secs_f64() * 1e3).unwrap_or(0.0);
-    let per_replica = inner
+    let per_replica: Vec<ReplicaMetrics> = engine
         .replicas
         .iter()
         .enumerate()
@@ -1153,41 +335,41 @@ fn snapshot(inner: &ClusterInner) -> ClusterMetrics {
             let gets = stats.hits + stats.loaded;
             ReplicaMetrics {
                 replica: r,
-                alive: alive[r],
-                streamlines_completed: rep.streamlines_completed.get(),
-                handoffs_out: rep.handoffs_out.get(),
-                queue_depth: rep.pending_seeds.load(Ordering::Acquire),
+                alive: rep.is_alive(),
+                streamlines_completed: rep.counters.streamlines_completed.get(),
+                handoffs_out: rep.counters.handoffs_out.get(),
+                queue_depth: rep.queue_depth(),
                 cache_resident: rep.cache.len(),
                 cache_loaded: stats.loaded,
                 cache_hits: stats.hits,
                 cache_hit_rate: if gets == 0 { 0.0 } else { stats.hits as f64 / gets as f64 },
                 blocks_quarantined: rep.breakers.quarantined(),
-                latency_p50_ms: q(&rep.latency, 0.50),
-                latency_p95_ms: q(&rep.latency, 0.95),
-                latency_p99_ms: q(&rep.latency, 0.99),
+                latency_p50_ms: q(&rep.counters.latency, 0.50),
+                latency_p95_ms: q(&rep.counters.latency, 0.95),
+                latency_p99_ms: q(&rep.counters.latency, 0.99),
             }
         })
         .collect();
     ClusterMetrics {
-        replicas: inner.replicas.len(),
-        replicas_alive: alive.iter().filter(|a| **a).count(),
-        submitted: inner.submitted.get(),
-        completed: inner.completed.get(),
-        rejected: inner.rejected.get(),
-        requests_gone: inner.requests_gone.get(),
-        streamlines_completed: inner.streamlines_completed.get(),
-        streamlines_unavailable: inner.streamlines_unavailable.get(),
-        total_steps: inner.total_steps.get(),
-        handoffs: inner.handoffs.get(),
-        handoff_bytes: inner.handoff_bytes.get(),
-        redispatches: inner.redispatches.get(),
-        redispatch_bytes: inner.redispatch_bytes.get(),
-        replica_deaths: inner.replica_deaths.get(),
-        hot_local_hits: inner.hot_local_hits.get(),
-        worker_panics: inner.worker_panics.get(),
-        latency_p50_ms: q(&inner.latency, 0.50),
-        latency_p95_ms: q(&inner.latency, 0.95),
-        latency_p99_ms: q(&inner.latency, 0.99),
+        replicas: engine.replicas.len(),
+        replicas_alive: per_replica.iter().filter(|r| r.alive).count(),
+        submitted: c.submitted.get(),
+        completed: c.completed.get(),
+        rejected: c.rejected.get(),
+        requests_gone: c.requests_gone.get(),
+        streamlines_completed: c.streamlines_completed.get(),
+        streamlines_unavailable: c.streamlines_unavailable.get(),
+        total_steps: c.total_steps.get(),
+        handoffs: c.handoffs.get(),
+        handoff_bytes: c.handoff_bytes.get(),
+        redispatches: c.redispatches.get(),
+        redispatch_bytes: c.redispatch_bytes.get(),
+        replica_deaths: c.replica_deaths.get(),
+        hot_local_hits: c.hot_local_hits.get(),
+        worker_panics: c.worker_panics.get(),
+        latency_p50_ms: q(&c.latency, 0.50),
+        latency_p95_ms: q(&c.latency, 0.95),
+        latency_p99_ms: q(&c.latency, 0.99),
         per_replica,
     }
 }

@@ -469,3 +469,55 @@ fn traced_cluster_emits_a_valid_timeline_with_schedule_and_deaths() {
     assert!(text.contains("streamline_cluster_replica_cache_hit_rate_r0"));
     cluster2.shutdown();
 }
+
+#[test]
+fn seeds_with_no_live_owner_resolve_unavailable_without_leaking_seats() {
+    let dataset = tiny_dataset();
+    let store: Arc<dyn BlockStore> = Arc::new(MemoryStore::build(&dataset));
+    let seeds = dataset.seeds_with_count(Seeding::Sparse, 8);
+
+    let cluster = fast_cluster(
+        &dataset,
+        store,
+        ClusterConfig {
+            replicas: 2,
+            heartbeat_every: Duration::from_millis(1),
+            suspect_after: Duration::from_millis(10),
+            ..ClusterConfig::default()
+        },
+    );
+    assert!(cluster.kill_replica(0));
+    assert!(cluster.kill_replica(1));
+    let mut alive = cluster.metrics().replicas_alive;
+    for _ in 0..1000 {
+        if alive == 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        alive = cluster.metrics().replicas_alive;
+    }
+    assert_eq!(alive, 0, "the monitor declares both killed replicas dead");
+
+    // In-domain seeds whose blocks have no live owner are cut short typed,
+    // not passed off as having left the domain.
+    let resp = cluster
+        .submit(Request::new(seeds.points.clone()).with_limits(limits()))
+        .expect("admitted")
+        .wait()
+        .expect("answered on the client thread");
+    assert_eq!(resp.outcome, Outcome::Partial { unavailable: 8 });
+    for sl in &resp.streamlines {
+        assert_eq!(
+            sl.status,
+            streamline_integrate::StreamlineStatus::Terminated(
+                streamline_integrate::Termination::BlockUnavailable
+            )
+        );
+    }
+    let m = cluster.shutdown();
+    assert_eq!(m.streamlines_unavailable, 8);
+    assert!(m.conservation_holds());
+    for r in &m.per_replica {
+        assert_eq!(r.queue_depth, 0, "no admission seat leaks");
+    }
+}

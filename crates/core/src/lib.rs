@@ -70,7 +70,7 @@ pub use driver::{
     AnyProc,
 };
 pub use ingest::{EpochMap, IngestEpoch, IngestError, SeedSource};
-pub use msg::{Command, Msg, ReplicaMsg, SlaveStatus};
+pub use msg::{Command, Msg, SlaveStatus};
 pub use report::{RunOutcome, RunReport};
 pub use runstats::{summarize, StreamlineStats};
 pub use static_alloc::StaticPartition;

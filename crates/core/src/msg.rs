@@ -208,42 +208,6 @@ impl Msg {
     }
 }
 
-/// Inter-replica traffic of the serve cluster: the same hand-off economics
-/// as [`Msg`], but between sharded service replicas instead of batch ranks.
-/// Kept separate from [`Msg`] so the batch drivers' exhaustive matches stay
-/// closed; wire sizes mirror the corresponding [`Msg`] variants so the two
-/// communication fabrics are directly comparable in reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ReplicaMsg {
-    /// A partial streamline crossing a shard boundary: the sender no longer
-    /// owns the block the trajectory entered, so the curve (geometry and
-    /// all, exactly like the paper's rank hand-off) moves to the owner.
-    Handoff { sl: Box<Streamline> },
-    /// A parked streamline evacuated from a replica declared dead, re-routed
-    /// to the block's successor on the ring. Same payload as a hand-off;
-    /// counted separately because it is recovery traffic, not steady-state.
-    Redispatch { sl: Box<Streamline> },
-    /// Replica liveness beat (the serving twin of [`Msg::Beat`]).
-    Beat,
-}
-
-impl ReplicaMsg {
-    /// Modelled wire size; `comm_geometry` as in [`Msg::wire_bytes`].
-    pub fn wire_bytes(&self, comm_geometry: bool) -> usize {
-        let sl_bytes = |sl: &Streamline| {
-            if comm_geometry {
-                sl.comm_bytes_full()
-            } else {
-                Streamline::COMM_BYTES_STATE
-            }
-        };
-        match self {
-            ReplicaMsg::Handoff { sl } | ReplicaMsg::Redispatch { sl } => sl_bytes(sl),
-            ReplicaMsg::Beat => 9,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,23 +316,6 @@ mod tests {
         assert_eq!(Msg::Ingest { epoch: 1, seeds: vec![] }.wire_bytes(true), 12);
         let seeds = (0..4).map(|i| (StreamlineId(i), Vec3::ZERO)).collect();
         assert_eq!(Msg::Ingest { epoch: 1, seeds }.wire_bytes(true), 12 + 4 * 28);
-    }
-
-    #[test]
-    fn replica_msg_sizes_mirror_rank_msgs() {
-        let mut sl = Streamline::new(StreamlineId(2), Vec3::ZERO, 0.01);
-        for i in 0..40 {
-            sl.push_step(Vec3::splat(i as f64), 0.01);
-        }
-        let rank = Msg::Handoff { sl: Box::new(sl.clone()) };
-        let replica = ReplicaMsg::Handoff { sl: Box::new(sl.clone()) };
-        let redispatch = ReplicaMsg::Redispatch { sl: Box::new(sl) };
-        // The cluster's hand-off costs exactly what the batch drivers' does,
-        // geometry-dominated or state-only alike.
-        assert_eq!(replica.wire_bytes(true), rank.wire_bytes(true));
-        assert_eq!(replica.wire_bytes(false), Streamline::COMM_BYTES_STATE);
-        assert_eq!(redispatch.wire_bytes(true), replica.wire_bytes(true));
-        assert_eq!(ReplicaMsg::Beat.wire_bytes(true), Msg::Beat { done: false }.wire_bytes(true));
     }
 
     #[test]

@@ -6,6 +6,16 @@
 //! dataset, and the service amortizes block I/O across *all* in-flight
 //! requests instead of within a single run.
 //!
+//! There is one serving [`engine`]: N replicas, each with a block cache,
+//! circuit breakers, per-block queues, admission seats and worker threads,
+//! behind a block→replica owner lookup on a consistent-hash [`Ring`]. A
+//! streamline that leaves a replica's blocks is parked with their owner —
+//! the paper's §4.1 hand-off, and the only decision that depends on the
+//! replica count. [`Service`] is the one-replica case, run with
+//! [`ServiceConfig::workers`] threads; the `streamline-cluster` crate runs
+//! the same engine as N replicas and adds failure detection, hot-block
+//! replication and bootstrap.
+//!
 //! Architecture:
 //!
 //! * **Admission control** — [`Service::submit`] accepts a [`Request`]
@@ -53,12 +63,14 @@
 //!   [`Service::timeline`].
 //!
 //! Streamlines computed here are bit-identical to the single-shot drivers:
-//! both advance through `streamline_core::advance::advance_in_block`.
+//! both advance through `streamline_core::advance`.
 
 pub mod breaker;
 pub mod cache;
+pub mod engine;
 pub mod metrics;
 pub mod resident;
+pub mod ring;
 pub mod service;
 pub mod warm;
 
@@ -66,8 +78,10 @@ pub use breaker::{
     Admit, BlockBreakers, BreakerClock, BreakerConfig, ManualClock, RetryPolicy, SystemClock,
 };
 pub use cache::SharedBlockCache;
+pub use engine::{Engine, EngineHandle};
 pub use metrics::{LatencyHistogram, ServiceMetrics};
 pub use resident::{QueryResult, QueryTicket, ResidentSession};
+pub use ring::Ring;
 pub use service::{
     Outcome, Request, Response, Service, ServiceConfig, ServiceGone, SubmitError, Ticket, TryWait,
 };

@@ -1,45 +1,33 @@
-//! The query service: admission control, the per-block batch former, the
-//! worker pool, deadlines, and graceful drain.
+//! The query service: the serving [`engine`](crate::engine) run as one
+//! replica with [`ServiceConfig::workers`] worker threads, plus the request
+//! vocabulary every front speaks.
 //!
-//! # Life of a request
-//!
-//! 1. [`Service::submit`] checks admission (live seeds < queue capacity;
-//!    over capacity ⇒ [`SubmitError::Overloaded`], immediately, without
-//!    blocking), assigns [`StreamlineId`]s in seed order exactly like the
-//!    single-shot driver, and parks one work item per seed in the queue of
-//!    the block that owns it.
-//! 2. Workers repeatedly claim the *entire queue* of the block with the
-//!    most parked items (ties broken toward the lowest block id), acquire
-//!    that block once through the [`SharedBlockCache`], and advance every
-//!    parked streamline through it — the request-coalescing analogue of
-//!    the paper's Load-On-Demand locality. Streamlines that exit into
-//!    another block are re-parked; terminated ones are returned to their
-//!    request.
-//! 3. When the last seed of a request resolves, the [`Response`] is
-//!    completed and the client's [`Ticket`] unblocks.
-//!
-//! Advancement itself is [`streamline_core::advance::advance_in_block`] —
-//! the same function the batch drivers use — so served streamlines are
+//! [`Service::submit`] checks admission (live seeds < queue capacity; over
+//! capacity ⇒ [`SubmitError::Overloaded`], immediately, without blocking),
+//! parks one work item per seed in the queue of the block that owns it, and
+//! returns a [`Ticket`]. Workers claim whole block queues, so one cache
+//! acquisition serves a coalesced batch spanning many requests; the ticket
+//! unblocks when the request's last seed resolves. Served streamlines are
 //! bit-identical to single-shot runs with the same [`StepLimits`].
 
-use crate::breaker::{Admit, BlockBreakers, BreakerConfig, RetryPolicy};
-use crate::cache::SharedBlockCache;
+use crate::breaker::{BreakerConfig, RetryPolicy};
+use crate::engine::{Counters, Engine, EngineHandle, Replica, ReplicaCounters, Routing};
 use crate::metrics::{LatencyHistogram, ServiceMetrics};
-use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
-use std::collections::BTreeMap;
+use crossbeam::channel::Receiver;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use streamline_core::advance::advance_batch_in_block;
-use streamline_core::workspace::BlockExit;
-use streamline_field::block::{Block, BlockId};
+use streamline_field::block::BlockId;
 use streamline_field::decomp::BlockDecomposition;
-use streamline_integrate::{StepLimits, Streamline, StreamlineBatch, StreamlineId, Termination};
+use streamline_integrate::{StepLimits, Streamline};
 use streamline_iosim::BlockStore;
 use streamline_math::Vec3;
-use streamline_obs::{names, Counter, MetricsRegistry, Phase, TraceFile, WallTimeline};
+use streamline_obs::{names, MetricsRegistry, TraceFile};
+#[cfg(test)]
+use {
+    crossbeam::channel::bounded, streamline_integrate::StreamlineId,
+    streamline_integrate::Termination,
+};
 
 /// Tuning knobs for [`Service::start`].
 #[derive(Debug, Clone)]
@@ -155,7 +143,8 @@ pub enum Outcome {
     /// Every seed resolved, but `unavailable` of them were cut short by a
     /// block that could not be loaded (store fault, retries exhausted, or
     /// breaker open). Their streamlines are in the response, terminated
-    /// [`Termination::BlockUnavailable`] with the curve computed so far.
+    /// [`BlockUnavailable`](streamline_integrate::Termination::BlockUnavailable)
+    /// with the curve computed so far.
     Partial { unavailable: usize },
     /// The deadline passed first; `dropped` seeds were abandoned
     /// mid-integration and are not in the response.
@@ -167,7 +156,8 @@ pub enum Outcome {
 pub struct Response {
     pub request_id: u64,
     pub outcome: Outcome,
-    /// Terminated streamlines, ordered by [`StreamlineId`] (= seed order).
+    /// Terminated streamlines, ordered by
+    /// [`StreamlineId`](streamline_integrate::StreamlineId) (= seed order).
     pub streamlines: Vec<Streamline>,
     /// Submission-to-completion latency.
     pub latency: Duration,
@@ -203,7 +193,7 @@ pub enum TryWait {
 /// Handle to a pending request; redeem with [`Ticket::wait`].
 pub struct Ticket {
     pub request_id: u64,
-    rx: Receiver<Response>,
+    pub(crate) rx: Receiver<Response>,
 }
 
 impl fmt::Debug for Ticket {
@@ -213,16 +203,6 @@ impl fmt::Debug for Ticket {
 }
 
 impl Ticket {
-    /// Assemble a ticket from a request id and the response channel that
-    /// will eventually carry its answer. Intended for alternative front
-    /// ends (the replica cluster) that reuse the serve request/response
-    /// vocabulary but run their own scheduler; regular clients get tickets
-    /// from [`Service::submit`].
-    #[doc(hidden)]
-    pub fn from_parts(request_id: u64, rx: Receiver<Response>) -> Ticket {
-        Ticket { request_id, rx }
-    }
-
     /// Block until the service responds.
     pub fn wait(self) -> Result<Response, ServiceGone> {
         self.rx.recv().map_err(|_| ServiceGone { request_id: self.request_id })
@@ -241,98 +221,9 @@ impl Ticket {
     }
 }
 
-/// One streamline parked in a block queue, plus its parent request.
-struct WorkItem {
-    sl: Streamline,
-    req: Arc<RequestState>,
-}
-
-/// Shared, mostly-atomic state of one in-flight request.
-struct RequestState {
-    id: u64,
-    limits: StepLimits,
-    deadline: Option<Instant>,
-    submitted: Instant,
-    /// Set once the deadline is observed expired; later items short-circuit.
-    expired: AtomicBool,
-    /// Set when a worker panic destroyed part of this request's state.
-    /// Completion then resolves the ticket as [`ServiceGone`] (the sender
-    /// is dropped without an answer) instead of sending a partial lie.
-    poisoned: AtomicBool,
-    /// Seeds not yet resolved; the item that drops this to zero completes
-    /// the request.
-    remaining: AtomicUsize,
-    /// Seeds abandoned because the deadline passed.
-    dropped: AtomicUsize,
-    /// Seeds terminated `BlockUnavailable` by store faults.
-    unavailable: AtomicUsize,
-    finished: Mutex<Vec<Streamline>>,
-    tx: Sender<Response>,
-}
-
-/// The batch former: per-block queues of parked work.
-#[derive(Default)]
-struct SchedState {
-    queues: BTreeMap<BlockId, Vec<WorkItem>>,
-    /// Items currently checked out by workers (claimed but not re-parked
-    /// or finished). Drain completes when queues are empty *and* this is 0.
-    in_flight: usize,
-    shutting_down: bool,
-}
-
-struct Scheduler {
-    state: Mutex<SchedState>,
-    /// Signalled when work arrives or the last item drains.
-    work_ready: Condvar,
-}
-
-struct ServiceInner {
-    decomp: BlockDecomposition,
-    store: Arc<dyn BlockStore>,
-    cache: SharedBlockCache,
-    breakers: BlockBreakers,
-    retry: RetryPolicy,
-    sched: Scheduler,
-    /// Seeds admitted but unresolved — the admission-control gauge.
-    pending_seeds: AtomicUsize,
-    queue_capacity: usize,
-    next_request_id: AtomicU64,
-    started: Instant,
-    /// The unified metric store. The counters below are registered handles
-    /// into it, so the hot path is still one relaxed atomic increment;
-    /// gauges and externally-owned counters (breakers, cache) are mirrored
-    /// in by [`refresh_registry`] at snapshot/dump time.
-    registry: Arc<MetricsRegistry>,
-    submitted: Counter,
-    completed: Counter,
-    rejected: Counter,
-    deadline_expired: Counter,
-    partial: Counter,
-    load_retries: Counter,
-    load_failures: Counter,
-    streamlines_unavailable: Counter,
-    streamlines_completed: Counter,
-    total_steps: Counter,
-    sampler_hits: Counter,
-    sampler_misses: Counter,
-    batched_lanes: Counter,
-    worker_panics: Counter,
-    requests_gone: Counter,
-    /// Batch width for the advection kernel (≥ 1).
-    batch: usize,
-    /// Test-only fault injection (see [`ServiceConfig::panic_on_block`]).
-    panic_on_block: Option<BlockId>,
-    panic_fired: AtomicBool,
-    latency: LatencyHistogram,
-    /// Wall-clock phase timeline, present only when
-    /// [`ServiceConfig::trace_bucket`] was set.
-    trace: Option<WallTimeline>,
-}
-
 /// A running streamline query service. See the [module docs](self).
 pub struct Service {
-    inner: Arc<ServiceInner>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    inner: EngineHandle,
 }
 
 impl Service {
@@ -344,21 +235,7 @@ impl Service {
         cfg: ServiceConfig,
     ) -> Self {
         let registry = Arc::new(MetricsRegistry::new());
-        let n_workers = cfg.workers.max(1);
-        let inner = Arc::new(ServiceInner {
-            decomp,
-            store,
-            cache: SharedBlockCache::new(cfg.cache_blocks, cfg.cache_shards),
-            breakers: BlockBreakers::new(cfg.breaker),
-            retry: cfg.retry,
-            sched: Scheduler {
-                state: Mutex::new(SchedState::default()),
-                work_ready: Condvar::new(),
-            },
-            pending_seeds: AtomicUsize::new(0),
-            queue_capacity: cfg.queue_capacity.max(1),
-            next_request_id: AtomicU64::new(0),
-            started: Instant::now(),
+        let counters = Counters {
             submitted: registry.counter(names::SERVE_SUBMITTED_TOTAL),
             completed: registry.counter(names::SERVE_COMPLETED_TOTAL),
             rejected: registry.counter(names::SERVE_REJECTED_TOTAL),
@@ -374,103 +251,21 @@ impl Service {
             batched_lanes: registry.counter(names::SERVE_BATCHED_LANES_TOTAL),
             worker_panics: registry.counter(names::SERVE_WORKER_PANICS_TOTAL),
             requests_gone: registry.counter(names::SERVE_REQUESTS_GONE_TOTAL),
-            batch: cfg.batch.max(1),
-            panic_on_block: cfg.panic_on_block,
-            panic_fired: AtomicBool::new(false),
             latency: LatencyHistogram::in_registry(&registry, names::SERVE_LATENCY_NANOSECONDS),
-            trace: cfg.trace_bucket.map(|w| WallTimeline::new(n_workers, w)),
-            registry,
-        });
-        let workers = (0..n_workers)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&inner, i))
-                    .expect("spawn serve worker")
-            })
-            .collect();
-        Service { inner, workers }
+            ..Counters::default()
+        };
+        let engine =
+            Engine::new(decomp, store, &cfg, Routing::single(), registry, counters, |_| {
+                ReplicaCounters::default()
+            });
+        Service { inner: EngineHandle::start(engine) }
     }
 
     /// Submit a request. On success the seeds are enqueued and a
     /// [`Ticket`] is returned immediately; integration proceeds on the
     /// worker pool. Rejection leaves no trace of the request.
     pub fn submit(&self, req: Request) -> Result<Ticket, SubmitError> {
-        let n = req.seeds.len();
-        if n == 0 {
-            return Err(SubmitError::Empty);
-        }
-        // Optimistic admission: reserve the seats, roll back on refusal.
-        let prev = self.inner.pending_seeds.fetch_add(n, Ordering::AcqRel);
-        if prev + n > self.inner.queue_capacity {
-            self.inner.pending_seeds.fetch_sub(n, Ordering::AcqRel);
-            self.inner.rejected.inc();
-            return Err(SubmitError::Overloaded {
-                queue_depth: prev,
-                capacity: self.inner.queue_capacity,
-                requested: n,
-            });
-        }
-
-        let id = self.inner.next_request_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
-        let state = Arc::new(RequestState {
-            id,
-            limits: req.limits,
-            deadline: req.deadline,
-            submitted: Instant::now(),
-            expired: AtomicBool::new(false),
-            poisoned: AtomicBool::new(false),
-            remaining: AtomicUsize::new(n),
-            dropped: AtomicUsize::new(0),
-            unavailable: AtomicUsize::new(0),
-            finished: Mutex::new(Vec::with_capacity(n)),
-            tx,
-        });
-
-        // Seed-order ids, exactly like the single-shot driver.
-        let mut parked: BTreeMap<BlockId, Vec<WorkItem>> = BTreeMap::new();
-        let mut out_of_domain = Vec::new();
-        for (i, &p) in req.seeds.iter().enumerate() {
-            let mut sl = Streamline::new_lean(StreamlineId(i as u32), p, req.limits.h0);
-            match self.inner.decomp.locate(p) {
-                Some(block) => {
-                    parked.entry(block).or_default().push(WorkItem { sl, req: Arc::clone(&state) })
-                }
-                None => {
-                    sl.terminate(Termination::ExitedDomain);
-                    out_of_domain.push(sl);
-                }
-            }
-        }
-
-        {
-            let mut st = self.inner.sched.state.lock();
-            if st.shutting_down {
-                drop(st);
-                self.inner.pending_seeds.fetch_sub(n, Ordering::AcqRel);
-                return Err(SubmitError::ShuttingDown);
-            }
-            let blocks_touched = parked.len();
-            for (block, mut items) in parked {
-                st.queues.entry(block).or_default().append(&mut items);
-            }
-            if blocks_touched == 1 {
-                self.inner.sched.work_ready.notify_one();
-            } else if blocks_touched > 1 {
-                self.inner.sched.work_ready.notify_all();
-            }
-        }
-        self.inner.submitted.inc();
-
-        // Seeds outside the domain terminate instantly (possibly
-        // completing the whole request right here on the client thread).
-        for sl in out_of_domain {
-            finish_item(&self.inner, &state, Some(sl));
-        }
-
-        Ok(Ticket { request_id: id, rx })
+        self.inner.submit(req)
     }
 
     /// Prefetch `manifest` into the shared cache — typically the residency
@@ -478,18 +273,18 @@ impl Service {
     /// many blocks loaded. Call before exposing the service to traffic for
     /// an accurate cold-start win.
     pub fn warm_start(&self, manifest: &crate::warm::WarmStartManifest) -> usize {
-        manifest.prefetch(&self.inner.cache, self.inner.store.as_ref())
+        manifest.prefetch(&self.replica().cache, self.inner.store.as_ref())
     }
 
     /// Snapshot the shared cache's residency for the next instance's
     /// [`warm_start`](Self::warm_start).
     pub fn residency_manifest(&self) -> crate::warm::WarmStartManifest {
-        crate::warm::WarmStartManifest::of(&self.inner.cache)
+        crate::warm::WarmStartManifest::of(&self.replica().cache)
     }
 
     /// Point-in-time health snapshot.
     pub fn metrics(&self) -> ServiceMetrics {
-        snapshot(&self.inner, self.workers.len())
+        snapshot(&self.inner)
     }
 
     /// The unified metric store behind [`Service::metrics`]. Counters
@@ -501,7 +296,7 @@ impl Service {
     /// Refresh the gauges and render every metric in Prometheus text
     /// format — the scrape endpoint's payload.
     pub fn dump_metrics(&self) -> String {
-        refresh_registry(&self.inner, self.workers.len());
+        refresh_registry(&self.inner);
         self.inner.registry.render_prometheus()
     }
 
@@ -515,30 +310,17 @@ impl Service {
     /// join the workers, and return the final metrics. Pending tickets all
     /// receive their responses before this returns.
     pub fn shutdown(mut self) -> ServiceMetrics {
-        let n_workers = self.workers.len();
-        self.begin_shutdown();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        snapshot(&self.inner, n_workers)
+        self.inner.shutdown();
+        snapshot(&self.inner)
     }
 
+    #[cfg(test)]
     fn begin_shutdown(&self) {
-        let mut st = self.inner.sched.state.lock();
-        st.shutting_down = true;
-        self.inner.sched.work_ready.notify_all();
+        self.inner.begin_shutdown();
     }
-}
 
-impl Drop for Service {
-    fn drop(&mut self) {
-        // A dropped service still drains: pending tickets get answers.
-        if !self.workers.is_empty() {
-            self.begin_shutdown();
-            for h in self.workers.drain(..) {
-                let _ = h.join();
-            }
-        }
+    fn replica(&self) -> &Replica {
+        &self.inner.replicas[0]
     }
 }
 
@@ -547,18 +329,19 @@ impl Drop for Service {
 /// [`MetricsRegistry::render_prometheus`] right after is a consistent
 /// scrape. The request/streamline counters need no refresh — they *are*
 /// registry handles.
-fn refresh_registry(inner: &ServiceInner, workers: usize) {
-    let reg = &inner.registry;
-    let cache_stats = inner.cache.stats();
-    reg.set_gauge(names::SERVE_WORKERS, workers as f64);
-    reg.set_gauge(names::SERVE_UPTIME_SECONDS, inner.started.elapsed().as_secs_f64().max(1e-9));
-    reg.set_counter(names::SERVE_BREAKER_FAST_FAILS_TOTAL, inner.breakers.fast_fails());
-    reg.set_counter(names::SERVE_BREAKER_TRIPS_TOTAL, inner.breakers.trips());
-    reg.set_gauge(names::SERVE_BLOCKS_QUARANTINED, inner.breakers.quarantined() as f64);
-    reg.set_gauge(names::SERVE_QUEUE_DEPTH, inner.pending_seeds.load(Ordering::Acquire) as f64);
-    reg.set_gauge(names::SERVE_QUEUE_CAPACITY, inner.queue_capacity as f64);
-    reg.set_gauge(names::SERVE_CACHE_RESIDENT_BLOCKS, inner.cache.len() as f64);
-    reg.set_gauge(names::SERVE_CACHE_CAPACITY_BLOCKS, inner.cache.capacity() as f64);
+fn refresh_registry(engine: &Engine) {
+    let reg = &engine.registry;
+    let rep = &engine.replicas[0];
+    let cache_stats = rep.cache.stats();
+    reg.set_gauge(names::SERVE_WORKERS, engine.workers as f64);
+    reg.set_gauge(names::SERVE_UPTIME_SECONDS, engine.started.elapsed().as_secs_f64().max(1e-9));
+    reg.set_counter(names::SERVE_BREAKER_FAST_FAILS_TOTAL, rep.breakers.fast_fails());
+    reg.set_counter(names::SERVE_BREAKER_TRIPS_TOTAL, rep.breakers.trips());
+    reg.set_gauge(names::SERVE_BLOCKS_QUARANTINED, rep.breakers.quarantined() as f64);
+    reg.set_gauge(names::SERVE_QUEUE_DEPTH, rep.queue_depth() as f64);
+    reg.set_gauge(names::SERVE_QUEUE_CAPACITY, engine.queue_capacity as f64);
+    reg.set_gauge(names::SERVE_CACHE_RESIDENT_BLOCKS, rep.cache.len() as f64);
+    reg.set_gauge(names::SERVE_CACHE_CAPACITY_BLOCKS, rep.cache.capacity() as f64);
     reg.set_counter(names::SERVE_CACHE_LOADED_TOTAL, cache_stats.loaded);
     reg.set_counter(names::SERVE_CACHE_PURGED_TOTAL, cache_stats.purged);
     reg.set_counter(names::SERVE_CACHE_HITS_TOTAL, cache_stats.hits);
@@ -566,360 +349,53 @@ fn refresh_registry(inner: &ServiceInner, workers: usize) {
     reg.set_gauge(names::SERVE_BLOCK_EFFICIENCY, cache_stats.efficiency());
 }
 
-fn snapshot(inner: &ServiceInner, workers: usize) -> ServiceMetrics {
-    refresh_registry(inner, workers);
-    let uptime = inner.started.elapsed().as_secs_f64().max(1e-9);
-    let completed = inner.completed.get();
-    let streamlines = inner.streamlines_completed.get();
-    let cache_stats = inner.cache.stats();
+fn snapshot(engine: &Engine) -> ServiceMetrics {
+    refresh_registry(engine);
+    let c = &engine.counters;
+    let rep = &engine.replicas[0];
+    let uptime = engine.started.elapsed().as_secs_f64().max(1e-9);
+    let completed = c.completed.get();
+    let streamlines = c.streamlines_completed.get();
+    let cache_stats = rep.cache.stats();
     let gets = cache_stats.hits + cache_stats.loaded;
-    let sampler_hits = inner.sampler_hits.get();
-    let sampler_misses = inner.sampler_misses.get();
+    let sampler_hits = c.sampler_hits.get();
+    let sampler_misses = c.sampler_misses.get();
     let samples = sampler_hits + sampler_misses;
-    let q = |p: f64| inner.latency.quantile(p).map(|d| d.as_secs_f64() * 1e3).unwrap_or(0.0);
+    let q = |p: f64| c.latency.quantile(p).map(|d| d.as_secs_f64() * 1e3).unwrap_or(0.0);
     ServiceMetrics {
-        workers,
+        workers: engine.workers,
         uptime_secs: uptime,
-        submitted: inner.submitted.get(),
+        submitted: c.submitted.get(),
         completed,
-        rejected: inner.rejected.get(),
-        deadline_expired: inner.deadline_expired.get(),
-        partial: inner.partial.get(),
-        load_retries: inner.load_retries.get(),
-        load_failures: inner.load_failures.get(),
-        fast_fails: inner.breakers.fast_fails(),
-        breaker_trips: inner.breakers.trips(),
-        blocks_quarantined: inner.breakers.quarantined(),
-        worker_panics: inner.worker_panics.get(),
-        requests_gone: inner.requests_gone.get(),
-        streamlines_unavailable: inner.streamlines_unavailable.get(),
+        rejected: c.rejected.get(),
+        deadline_expired: c.deadline_expired.get(),
+        partial: c.partial.get(),
+        load_retries: c.load_retries.get(),
+        load_failures: c.load_failures.get(),
+        fast_fails: rep.breakers.fast_fails(),
+        breaker_trips: rep.breakers.trips(),
+        blocks_quarantined: rep.breakers.quarantined(),
+        worker_panics: c.worker_panics.get(),
+        requests_gone: c.requests_gone.get(),
+        streamlines_unavailable: c.streamlines_unavailable.get(),
         streamlines_completed: streamlines,
-        total_steps: inner.total_steps.get(),
+        total_steps: c.total_steps.get(),
         sampler_hits,
         sampler_misses,
         sampler_hit_rate: if samples == 0 { 0.0 } else { sampler_hits as f64 / samples as f64 },
-        batched_lanes: inner.batched_lanes.get(),
-        queue_depth: inner.pending_seeds.load(Ordering::Acquire),
-        queue_capacity: inner.queue_capacity,
+        batched_lanes: c.batched_lanes.get(),
+        queue_depth: rep.queue_depth(),
+        queue_capacity: engine.queue_capacity,
         throughput_rps: completed as f64 / uptime,
         streamlines_per_sec: streamlines as f64 / uptime,
         latency_p50_ms: q(0.50),
         latency_p95_ms: q(0.95),
         latency_p99_ms: q(0.99),
-        cache_resident: inner.cache.len(),
-        cache_capacity: inner.cache.capacity(),
+        cache_resident: rep.cache.len(),
+        cache_capacity: rep.cache.capacity(),
         cache_hit_rate: if gets == 0 { 0.0 } else { cache_stats.hits as f64 / gets as f64 },
         block_efficiency: cache_stats.efficiency(),
         cache: cache_stats,
-    }
-}
-
-/// Resolve one seed: record the streamline (if it terminated rather than
-/// being dropped), release its admission seat, and complete the request if
-/// it was the last one.
-fn finish_item(inner: &ServiceInner, req: &Arc<RequestState>, sl: Option<Streamline>) {
-    match sl {
-        Some(sl) => {
-            inner.streamlines_completed.inc();
-            req.finished.lock().push(sl);
-        }
-        None => {
-            req.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    inner.pending_seeds.fetch_sub(1, Ordering::AcqRel);
-    if req.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        complete_request(inner, req);
-    }
-}
-
-/// Resolve one seed whose streamline was destroyed by a worker panic:
-/// poison the request so its eventual completion resolves the ticket as
-/// [`ServiceGone`], release the admission seat, and complete if last. The
-/// conservation accounting stays exact — every admitted seed releases its
-/// seat exactly once, panic or not.
-fn abandon_item(inner: &ServiceInner, req: &Arc<RequestState>) {
-    req.poisoned.store(true, Ordering::Release);
-    inner.pending_seeds.fetch_sub(1, Ordering::AcqRel);
-    if req.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        complete_request(inner, req);
-    }
-}
-
-fn complete_request(inner: &ServiceInner, req: &Arc<RequestState>) {
-    if req.poisoned.load(Ordering::Acquire) {
-        // Part of this request's state was destroyed by a worker panic;
-        // there is no honest answer to send. Dropping the sender (with the
-        // last `Arc<RequestState>`) resolves the ticket as the typed
-        // `ServiceGone` — never a hang, never a partial lie.
-        inner.requests_gone.inc();
-        return;
-    }
-    let latency = req.submitted.elapsed();
-    let dropped = req.dropped.load(Ordering::Relaxed);
-    let unavailable = req.unavailable.load(Ordering::Relaxed);
-    let outcome = if dropped > 0 || req.expired.load(Ordering::Relaxed) {
-        inner.deadline_expired.inc();
-        Outcome::DeadlineExceeded { dropped }
-    } else if unavailable > 0 {
-        inner.partial.inc();
-        Outcome::Partial { unavailable }
-    } else {
-        Outcome::Completed
-    };
-    let mut streamlines = std::mem::take(&mut *req.finished.lock());
-    streamlines.sort_by_key(|sl| sl.id);
-    inner.latency.record(latency);
-    inner.completed.inc();
-    // The client may have dropped its ticket; that's fine.
-    let _ = req.tx.send(Response { request_id: req.id, outcome, streamlines, latency });
-}
-
-/// Claim the queue of the block with the most parked work (ties: lowest
-/// block id). Returns `None` when shutting down and fully drained.
-fn claim_batch(inner: &ServiceInner) -> Option<(BlockId, Vec<WorkItem>)> {
-    let mut st = inner.sched.state.lock();
-    loop {
-        if let Some(block) = st
-            .queues
-            .iter()
-            .min_by_key(|(id, items)| (std::cmp::Reverse(items.len()), **id))
-            .map(|(id, _)| *id)
-        {
-            let items = st.queues.remove(&block).expect("queue just observed");
-            st.in_flight += items.len();
-            return Some((block, items));
-        }
-        if st.shutting_down && st.in_flight == 0 {
-            // Fully drained: wake any sibling still waiting so it can exit.
-            inner.sched.work_ready.notify_all();
-            return None;
-        }
-        inner.sched.work_ready.wait(&mut st);
-    }
-}
-
-/// Test-only fault injection: panic the first batch claiming the
-/// configured block (see [`ServiceConfig::panic_on_block`]). Fires once,
-/// so recovery — not the injection — dominates everything after.
-fn maybe_inject_panic(inner: &ServiceInner, block_id: BlockId) {
-    if inner.panic_on_block == Some(block_id) && !inner.panic_fired.swap(true, Ordering::AcqRel) {
-        panic!("injected worker panic on {block_id:?}");
-    }
-}
-
-fn worker_loop(inner: &ServiceInner, rank: usize) {
-    // One reusable batch-kernel scratch per worker: the SoA arrays are
-    // allocated once and recycled across every batch this worker drains.
-    let mut scratch = StreamlineBatch::new();
-    loop {
-        // Time spent inside claim_batch is overwhelmingly condvar waiting:
-        // the worker is starved for parked work — the serving analogue of
-        // the paper's §8 processor starvation.
-        let wait_start = inner.trace.as_ref().map(|_| Instant::now());
-        let claimed = claim_batch(inner);
-        if let (Some(tl), Some(ws)) = (inner.trace.as_ref(), wait_start) {
-            tl.record(rank, Phase::Idle, ws, ws.elapsed());
-        }
-        let Some((block_id, items)) = claimed else { break };
-        process_batch(inner, rank, block_id, items, &mut scratch);
-    }
-}
-
-/// Acquire `block_id` through the shared cache with the configured retry
-/// budget (one attempt only for a half-open probe). Each retry sleeps the
-/// deterministic backoff schedule salted by the block id.
-fn load_with_retry(inner: &ServiceInner, block_id: BlockId, probe: bool) -> Option<Arc<Block>> {
-    let attempts = if probe { 1 } else { inner.retry.max_attempts.max(1) };
-    for attempt in 1..=attempts {
-        match inner.cache.get_or_load(block_id, inner.store.as_ref()) {
-            Ok((b, _hit)) => return Some(b),
-            Err(_) if attempt < attempts => {
-                inner.load_retries.inc();
-                std::thread::sleep(inner.retry.backoff(attempt, u64::from(block_id.0)));
-            }
-            Err(_) => {}
-        }
-    }
-    None
-}
-
-fn process_batch(
-    inner: &ServiceInner,
-    rank: usize,
-    block_id: BlockId,
-    items: Vec<WorkItem>,
-    scratch: &mut StreamlineBatch,
-) {
-    let trace = inner.trace.as_ref();
-    let n_claimed = items.len();
-    // Block acquisition (cache probe, store load, retry sleeps) is the
-    // I/O phase of this batch.
-    let io_start = trace.map(|_| Instant::now());
-    let block = match inner.breakers.admit(block_id) {
-        Admit::FastFail => None,
-        admit => {
-            let b = load_with_retry(inner, block_id, admit == Admit::Probe);
-            match &b {
-                Some(_) => inner.breakers.on_success(block_id),
-                None => {
-                    inner.load_failures.inc();
-                    inner.breakers.on_failure(block_id);
-                }
-            }
-            b
-        }
-    };
-    if let (Some(tl), Some(t0)) = (trace, io_start) {
-        tl.record(rank, Phase::Io, t0, t0.elapsed());
-    }
-    let Some(block) = block else {
-        // Degraded mode: the block cannot be produced (retries exhausted
-        // or its breaker is open). The affected streamlines terminate
-        // `BlockUnavailable` — typed, with the curve computed so far —
-        // instead of wedging their requests forever; already-expired
-        // items are dropped as usual.
-        let comm_start = trace.map(|_| Instant::now());
-        {
-            let mut st = inner.sched.state.lock();
-            st.in_flight -= n_claimed;
-            if st.shutting_down && st.in_flight == 0 && st.queues.is_empty() {
-                inner.sched.work_ready.notify_all();
-            }
-        }
-        for mut item in items {
-            if item.req.expired.load(Ordering::Relaxed) {
-                finish_item(inner, &item.req, None);
-            } else {
-                item.sl.terminate(Termination::BlockUnavailable);
-                item.req.unavailable.fetch_add(1, Ordering::Relaxed);
-                inner.streamlines_unavailable.inc();
-                finish_item(inner, &item.req, Some(item.sl));
-            }
-        }
-        if let (Some(tl), Some(t0)) = (trace, comm_start) {
-            tl.record(rank, Phase::Comm, t0, t0.elapsed());
-        }
-        return;
-    };
-
-    let mut finished: Vec<(Arc<RequestState>, Option<Streamline>)> = Vec::new();
-    let compute_start = trace.map(|_| Instant::now());
-    let now = Instant::now();
-    // Deadline check first: expired requests stop consuming compute before
-    // any batch forms.
-    let mut live: Vec<WorkItem> = Vec::with_capacity(items.len());
-    for item in items {
-        let expired = item.req.expired.load(Ordering::Relaxed)
-            || item.req.deadline.is_some_and(|d| {
-                let hit = now >= d;
-                if hit {
-                    item.req.expired.store(true, Ordering::Relaxed);
-                }
-                hit
-            });
-        if expired {
-            finished.push((item.req, None));
-        } else {
-            live.push(item);
-        }
-    }
-    // Batched advance: runs of items sharing the same limits coalesce into
-    // batch-kernel calls chunked to the configured width. Per-streamline
-    // results are bit-identical to the scalar path at any width. The whole
-    // phase runs under `catch_unwind`: a panicking kernel (or the test
-    // injection hook) must not take the worker thread — and with it the
-    // scheduler's `in_flight` accounting and every admission seat this
-    // batch holds — down with it.
-    let req_refs: Vec<Arc<RequestState>> = live.iter().map(|it| Arc::clone(&it.req)).collect();
-    let advanced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        maybe_inject_panic(inner, block_id);
-        let mut cmoved: BTreeMap<BlockId, Vec<WorkItem>> = BTreeMap::new();
-        let mut cdone: Vec<(Arc<RequestState>, Option<Streamline>)> = Vec::new();
-        let mut rest = live;
-        while !rest.is_empty() {
-            let limits = rest[0].req.limits;
-            let run_len = rest.iter().take_while(|it| it.req.limits == limits).count();
-            let tail = rest.split_off(run_len);
-            let (mut sls, reqs): (Vec<Streamline>, Vec<Arc<RequestState>>) =
-                rest.into_iter().map(|it| (it.sl, it.req)).unzip();
-            let mut exits = Vec::with_capacity(sls.len());
-            for chunk in sls.chunks_mut(inner.batch) {
-                let (ex, stats) =
-                    advance_batch_in_block(chunk, &block, &inner.decomp, &limits, scratch);
-                inner.total_steps.add(stats.steps);
-                inner.sampler_hits.add(stats.sampler_hits);
-                inner.sampler_misses.add(stats.sampler_misses);
-                inner.batched_lanes.add(stats.batched_lanes);
-                exits.extend(ex);
-            }
-            for ((sl, req), exit) in sls.into_iter().zip(reqs).zip(exits) {
-                match exit {
-                    BlockExit::MovedTo(next) => {
-                        cmoved.entry(next).or_default().push(WorkItem { sl, req })
-                    }
-                    BlockExit::Done(_) => cdone.push((req, Some(sl))),
-                }
-            }
-            rest = tail;
-        }
-        (cmoved, cdone)
-    }));
-    if let (Some(tl), Some(t0)) = (trace, compute_start) {
-        tl.record(rank, Phase::Compute, t0, t0.elapsed());
-    }
-    let Ok((cmoved, mut cdone)) = advanced else {
-        // Contain the panic: the unwind destroyed this batch's live
-        // streamlines, so repair the scheduler accounting, resolve the
-        // expired items collected before the advance as usual, and abandon
-        // the rest — their requests resolve `ServiceGone`, their admission
-        // seats are released, and the worker goes back to claiming work.
-        inner.worker_panics.inc();
-        *scratch = StreamlineBatch::new();
-        {
-            let mut st = inner.sched.state.lock();
-            st.in_flight -= n_claimed;
-            if st.shutting_down && st.in_flight == 0 && st.queues.is_empty() {
-                inner.sched.work_ready.notify_all();
-            }
-        }
-        for (req, sl) in finished {
-            finish_item(inner, &req, sl);
-        }
-        for req in req_refs {
-            abandon_item(inner, &req);
-        }
-        return;
-    };
-    let moved = cmoved;
-    finished.append(&mut cdone);
-
-    // Re-parking moved streamlines and completing responses is this
-    // design's communication: handing work and results to other parties.
-    let comm_start = trace.map(|_| Instant::now());
-    {
-        let mut st = inner.sched.state.lock();
-        st.in_flight -= n_claimed;
-        let blocks_touched = moved.len();
-        for (block, mut batch) in moved {
-            st.queues.entry(block).or_default().append(&mut batch);
-        }
-        match blocks_touched {
-            0 => {
-                if st.shutting_down && st.in_flight == 0 && st.queues.is_empty() {
-                    inner.sched.work_ready.notify_all();
-                }
-            }
-            1 => inner.sched.work_ready.notify_one(),
-            _ => inner.sched.work_ready.notify_all(),
-        }
-    }
-
-    for (req, sl) in finished {
-        finish_item(inner, &req, sl);
-    }
-    if let (Some(tl), Some(t0)) = (trace, comm_start) {
-        tl.record(rank, Phase::Comm, t0, t0.elapsed());
     }
 }
 
