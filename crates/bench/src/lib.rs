@@ -2,26 +2,11 @@
 //! and table printers for every figure in the paper's evaluation (§5,
 //! Figures 5–16), plus the §4.3 parameter ablation.
 
-pub mod ckpt_overhead;
-pub mod cluster_bench;
-pub mod drivers;
 pub mod experiments;
 pub mod harness;
-pub mod kernels;
-pub mod loadgen;
 pub mod tables;
-pub mod traceload;
 
-pub use ckpt_overhead::{run_ckpt_overhead, CkptOverheadConfig, CkptOverheadReport};
-pub use cluster_bench::{
-    run_cluster_bench, run_cluster_trace, ClusterBenchConfig, ClusterBenchReport,
-    ClusterTraceConfig, ClusterTraceReport, SlowStore, CLUSTER_BENCH_SCHEMA,
-};
-pub use drivers::{run_drivers, DriverCell, DriversConfig, DriversReport, DRIVERS_SCHEMA};
 pub use experiments::{
     case_config, dataset_for, limits_for, run_sweep, CaseResult, SweepScale, Workload,
 };
-pub use kernels::{run_kernels, KernelsConfig, KernelsReport};
-pub use loadgen::{run_load, ChaosConfig, LoadGenConfig, LoadGenReport};
 pub use tables::{figure_block, render_markdown};
-pub use traceload::{Arrival, TraceWorkloadConfig};

@@ -24,23 +24,6 @@ impl DatasetKind {
     }
 }
 
-/// Seed-popularity shape of the cluster's open-loop trace workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrafficShape {
-    Zipf,
-    Uniform,
-}
-
-impl TrafficShape {
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "zipf" => Ok(TrafficShape::Zipf),
-            "uniform" => Ok(TrafficShape::Uniform),
-            other => Err(format!("unknown workload '{other}' (zipf|uniform)")),
-        }
-    }
-}
-
 /// Algorithm selection, including advisor-driven `auto`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlgoChoice {
@@ -64,6 +47,8 @@ impl AlgoChoice {
 /// A parsed invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
+    // The knob-group structs are boxed so that this variant does not
+    // dwarf the others (clippy's `large_enum_variant`).
     Run {
         dataset: DatasetKind,
         seeding: Seeding,
@@ -73,7 +58,7 @@ pub enum Command {
         cache: usize,
         /// Tuning knobs of the work-stealing driver (`--neighbors`,
         /// `--diffusion-period`, `--steal-batch`); defaults elsewhere.
-        steal: StealParams,
+        steal: Box<StealParams>,
         /// Batch-kernel width (`--batch auto|N`); results are identical at
         /// any width, this only tunes throughput.
         batch: BatchParams,
@@ -83,10 +68,10 @@ pub enum Command {
         chaos_seed: u64,
         /// Block-fault plan knobs (`--chaos-fault-prob` and friends),
         /// validated at parse so a driver never sees an illegal probability.
-        chaos_params: ChaosParams,
+        chaos_params: Box<ChaosParams>,
         /// Kill simulated ranks from a seeded schedule and run every driver
         /// in resilient mode (`--rank-chaos` plus the `--rank-*` knobs).
-        rank_chaos: Option<RankChaos>,
+        rank_chaos: Option<Box<RankChaos>>,
         /// Open-loop streaming ingestion: number of arrival epochs past the
         /// start-time base set (`--ingest-epochs`; 0 = closed run).
         ingest_epochs: usize,
@@ -131,99 +116,6 @@ pub enum Command {
         nx: usize,
         ny: usize,
         horizon: f64,
-    },
-    /// Closed-loop load test of the `streamline-serve` query service.
-    ServeBench {
-        dataset: DatasetKind,
-        clients: usize,
-        /// Requests driven to completion by each client.
-        requests: usize,
-        /// Seeds per request.
-        seeds: usize,
-        workers: usize,
-        cache: usize,
-        shards: usize,
-        /// Admission-control seed queue capacity.
-        queue: usize,
-        /// Batch-kernel width for the worker pool (`--batch auto|N`).
-        batch: BatchParams,
-        deadline_ms: Option<u64>,
-        /// Inject store faults from a seeded plan and assert the
-        /// resilience contract (every ticket answered, untouched
-        /// streamlines bit-identical to a fault-free reference).
-        chaos: bool,
-        /// Seed for the chaos fault plan.
-        chaos_seed: u64,
-        json: Option<String>,
-        /// Write the workers' wall-clock phase timeline as trace JSON to
-        /// this path.
-        trace: Option<String>,
-        /// Bucket width of the wall-clock timeline, in milliseconds.
-        trace_bucket_ms: u64,
-        /// Write the service's Prometheus text export to this path.
-        metrics: Option<String>,
-        /// Warm-start manifest: prefetched on startup if present, rewritten
-        /// from the shared cache's residency on drain.
-        warm_start: Option<String>,
-        /// `> 1` switches to the sharded multi-replica cluster driven by an
-        /// open-loop trace; `1` (default) is the plain closed-loop service.
-        replicas: usize,
-        /// Hot-block replication factor across ring successors.
-        replication: usize,
-        /// Seed-popularity shape of the open-loop trace (`--workload`).
-        traffic: TrafficShape,
-        /// Zipf exponent of the trace's seed popularity.
-        zipf_s: f64,
-        /// Diurnal rate-swing amplitude in `[0, 1)`.
-        diurnal: f64,
-        /// Burst-episode rate multiplier (`1.0` disables bursts).
-        burst: f64,
-        /// Mean offered rate of the open-loop trace, requests per second.
-        qps: f64,
-        /// Trace length in seconds.
-        duration_s: f64,
-        /// Fail-stop injection: kill replica R at trace time T
-        /// (`--replica-kill R@TIME`).
-        replica_kill: Option<(usize, f64)>,
-    },
-    /// Kernel perf-regression harness: fast-vs-reference timings of the
-    /// integration hot path plus the batch-vs-scalar curve, written as the
-    /// `BENCH_7.json` trajectory.
-    BenchKernels {
-        /// Seconds-scale iteration counts (CI smoke mode).
-        smoke: bool,
-        /// Where the JSON report lands (`--out`).
-        out: String,
-        /// Overwrite an existing report file (`--force`); refused otherwise.
-        force: bool,
-    },
-    /// Checkpoint-overhead harness: plain vs checkpointed wall-clock on the
-    /// astrophysics/sparse workload, written as the `BENCH_5.json`
-    /// trajectory.
-    BenchCkpt {
-        /// Seconds-scale iteration counts (CI smoke mode).
-        smoke: bool,
-        json: Option<String>,
-    },
-    /// Scheduling-driver comparison harness: all four drivers on every
-    /// (workload, seeding) problem at 64–512 simulated ranks, written as the
-    /// `BENCH_6.json` trajectory.
-    BenchDrivers {
-        /// Seconds-scale iteration counts (CI smoke mode).
-        smoke: bool,
-        json: Option<String>,
-    },
-    /// Cluster-serving capacity harness: max sustainable QPS under the
-    /// trace-shaped open-loop workload across replica counts, written as
-    /// the `BENCH_10.json` trajectory.
-    BenchCluster {
-        /// Seconds-scale single-cell pass (CI smoke mode).
-        smoke: bool,
-        /// Where the JSON report lands (`--out`).
-        out: String,
-        /// Write the smoke cluster's Prometheus text export to this path
-        /// (smoke mode only).
-        metrics: Option<String>,
     },
     /// Validate an emitted trace JSON, Prometheus snapshot and/or checkpoint
     /// file — the CI smoke gate behind `run --trace` and `run --checkpoint`.
@@ -509,12 +401,16 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
                     .map(|v| v.parse().map_err(|_| "--seeds: bad integer".to_string()))
                     .transpose()?,
                 cache: get_parse(&o, "cache", 64)?,
-                steal,
+                steal: Box::new(steal),
                 batch: parse_batch(&o)?,
                 chaos,
                 chaos_seed: get_parse(&o, "chaos-seed", 0x5EED)?,
-                chaos_params: parse_chaos_params(&o)?,
-                rank_chaos: if rank_chaos_on { Some(parse_rank_chaos(&o)?) } else { None },
+                chaos_params: Box::new(parse_chaos_params(&o)?),
+                rank_chaos: if rank_chaos_on {
+                    Some(Box::new(parse_rank_chaos(&o)?))
+                } else {
+                    None
+                },
                 ingest_epochs,
                 ingest_interval,
                 ingest_batch,
@@ -570,216 +466,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
                 horizon: get_parse(&o, "horizon", 10.0)?,
             }
         }
-        "serve-bench" => {
-            // `--chaos` is a bare flag; peel it off before the key-value pass.
-            let mut kv: Vec<String> = rest.to_vec();
-            let chaos = if let Some(i) = kv.iter().position(|a| a == "--chaos") {
-                kv.remove(i);
-                true
-            } else {
-                false
-            };
-            let o = options(
-                &kv,
-                &[
-                    "dataset",
-                    "clients",
-                    "requests",
-                    "seeds",
-                    "workers",
-                    "cache",
-                    "shards",
-                    "queue",
-                    "batch",
-                    "deadline-ms",
-                    "chaos-seed",
-                    "json",
-                    "trace",
-                    "trace-bucket-ms",
-                    "metrics",
-                    "warm-start",
-                    "replicas",
-                    "replication",
-                    "workload",
-                    "zipf-s",
-                    "diurnal",
-                    "burst",
-                    "qps",
-                    "duration-s",
-                    "replica-kill",
-                ],
-            )?;
-            let replicas: usize = get_parse(&o, "replicas", 1)?;
-            if replicas == 0 {
-                return Err("--replicas must be at least 1".into());
-            }
-            // The open-loop cluster knobs mean nothing on the closed-loop
-            // single service; reject them instead of silently ignoring them.
-            if replicas <= 1 {
-                for knob in [
-                    "replication",
-                    "workload",
-                    "zipf-s",
-                    "diurnal",
-                    "burst",
-                    "qps",
-                    "duration-s",
-                    "replica-kill",
-                ] {
-                    if o.contains_key(knob) {
-                        return Err(format!("--{knob} only applies with --replicas > 1"));
-                    }
-                }
-            } else {
-                // Conversely, the closed-loop knobs have no cluster meaning.
-                for knob in ["clients", "requests", "workers", "deadline-ms", "warm-start"] {
-                    if o.contains_key(knob) {
-                        return Err(format!(
-                            "--{knob} only applies to the single service (--replicas 1)"
-                        ));
-                    }
-                }
-                if chaos || o.contains_key("chaos-seed") {
-                    return Err("--chaos only applies to the single service (--replicas 1)".into());
-                }
-            }
-            let replication: usize = get_parse(&o, "replication", 1)?;
-            if replication == 0 || replication > replicas {
-                return Err(format!("--replication must be in 1..={replicas} (got {replication})"));
-            }
-            let traffic =
-                TrafficShape::parse(o.get("workload").map(|s| s.as_str()).unwrap_or("zipf"))?;
-            if traffic == TrafficShape::Uniform && o.contains_key("zipf-s") {
-                return Err("--zipf-s only applies with --workload zipf".into());
-            }
-            let diurnal: f64 = get_parse(&o, "diurnal", 0.5)?;
-            if !(0.0..1.0).contains(&diurnal) {
-                return Err(format!("--diurnal must be in [0, 1) (got {diurnal})"));
-            }
-            let burst: f64 = get_parse(&o, "burst", 3.0)?;
-            if burst < 1.0 {
-                return Err(format!("--burst must be at least 1.0 (got {burst})"));
-            }
-            let replica_kill =
-                o.get("replica-kill")
-                    .map(|v| -> Result<(usize, f64), String> {
-                        let (r, t) = v.split_once('@').ok_or_else(|| {
-                            format!("--replica-kill: expected REPLICA@TIME, got '{v}'")
-                        })?;
-                        let replica = r.trim().parse::<usize>().map_err(|_| {
-                            format!("--replica-kill: cannot parse replica '{}'", r.trim())
-                        })?;
-                        if replica >= replicas {
-                            return Err(format!(
-                                "--replica-kill: replica {replica} out of range (0..{replicas})"
-                            ));
-                        }
-                        let time = t.trim().parse::<f64>().map_err(|_| {
-                            format!("--replica-kill: cannot parse time '{}'", t.trim())
-                        })?;
-                        Ok((replica, time))
-                    })
-                    .transpose()?;
-            Command::ServeBench {
-                dataset: DatasetKind::parse(
-                    o.get("dataset").map(|s| s.as_str()).unwrap_or("astro"),
-                )?,
-                clients: get_parse(&o, "clients", 8)?,
-                requests: get_parse(&o, "requests", 125)?,
-                seeds: get_parse(&o, "seeds", 4)?,
-                workers: get_parse(&o, "workers", 4)?,
-                cache: get_parse(&o, "cache", 64)?,
-                shards: get_parse(&o, "shards", 8)?,
-                queue: get_parse(&o, "queue", 4096)?,
-                batch: parse_batch(&o)?,
-                deadline_ms: o
-                    .get("deadline-ms")
-                    .map(|v| v.parse().map_err(|_| "--deadline-ms: bad integer".to_string()))
-                    .transpose()?,
-                chaos,
-                chaos_seed: get_parse(&o, "chaos-seed", 0x5EED)?,
-                json: o.get("json").cloned(),
-                trace: o.get("trace").cloned(),
-                trace_bucket_ms: get_parse(&o, "trace-bucket-ms", 1)?,
-                metrics: o.get("metrics").cloned(),
-                warm_start: o.get("warm-start").cloned(),
-                replicas,
-                replication,
-                traffic,
-                zipf_s: get_parse(&o, "zipf-s", 1.1)?,
-                diurnal,
-                burst,
-                qps: get_parse(&o, "qps", 20.0)?,
-                duration_s: get_parse(&o, "duration-s", 1.0)?,
-                replica_kill,
-            }
-        }
-        "bench-cluster" => {
-            // `--smoke` is a bare flag; peel it off before the key-value pass.
-            let mut kv: Vec<String> = rest.to_vec();
-            let smoke = if let Some(i) = kv.iter().position(|a| a == "--smoke") {
-                kv.remove(i);
-                true
-            } else {
-                false
-            };
-            let o = options(&kv, &["out", "metrics"])?;
-            if o.contains_key("metrics") && !smoke {
-                return Err("--metrics only applies with --smoke".into());
-            }
-            Command::BenchCluster {
-                smoke,
-                out: o.get("out").cloned().unwrap_or_else(|| "BENCH_10.json".into()),
-                metrics: o.get("metrics").cloned(),
-            }
-        }
-        "bench-kernels" => {
-            // `--smoke` and `--force` are bare flags; peel them off before
-            // the key-value pass.
-            let mut kv: Vec<String> = rest.to_vec();
-            let smoke = if let Some(i) = kv.iter().position(|a| a == "--smoke") {
-                kv.remove(i);
-                true
-            } else {
-                false
-            };
-            let force = if let Some(i) = kv.iter().position(|a| a == "--force") {
-                kv.remove(i);
-                true
-            } else {
-                false
-            };
-            let o = options(&kv, &["out"])?;
-            Command::BenchKernels {
-                smoke,
-                out: o.get("out").cloned().unwrap_or_else(|| "BENCH_7.json".into()),
-                force,
-            }
-        }
-        "bench-ckpt" => {
-            // `--smoke` is a bare flag; peel it off before the key-value pass.
-            let mut kv: Vec<String> = rest.to_vec();
-            let smoke = if let Some(i) = kv.iter().position(|a| a == "--smoke") {
-                kv.remove(i);
-                true
-            } else {
-                false
-            };
-            let o = options(&kv, &["json"])?;
-            Command::BenchCkpt { smoke, json: o.get("json").cloned() }
-        }
-        "bench-drivers" => {
-            // `--smoke` is a bare flag; peel it off before the key-value pass.
-            let mut kv: Vec<String> = rest.to_vec();
-            let smoke = if let Some(i) = kv.iter().position(|a| a == "--smoke") {
-                kv.remove(i);
-                true
-            } else {
-                false
-            };
-            let o = options(&kv, &["json"])?;
-            Command::BenchDrivers { smoke, json: o.get("json").cloned() }
-        }
         "obs-check" => {
             let o = options(rest, &["trace", "metrics", "ckpt"])?;
             if o.is_empty() {
@@ -795,9 +481,7 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
         "help" | "--help" | "-h" => Command::Help,
         other => {
             return Err(format!(
-                "unknown command '{other}' \
-                 (run|classify|trace|ftle|serve-bench|bench-kernels|bench-ckpt|bench-drivers|\
-                 bench-cluster|obs-check|info|help)"
+                "unknown command '{other}' (run|classify|trace|ftle|obs-check|info|help)"
             ))
         }
     };
@@ -828,19 +512,6 @@ USAGE:
   slrepro classify [--dataset ...] [--seeding ...] [--seeds N]
   slrepro trace    [--dataset ...] [--seeds N] [--out DIR] [--formats vtk,obj,csv,ppm]
   slrepro ftle     [--out FILE.ppm] [--nx N] [--ny N] [--horizon T]
-  slrepro serve-bench [--dataset astro|fusion|thermal] [--clients N] [--requests N]
-                   [--seeds N] [--workers N] [--cache BLOCKS] [--shards N]
-                   [--queue SEEDS] [--batch N|auto] [--deadline-ms MS]
-                   [--chaos] [--chaos-seed N]
-                   [--json FILE] [--trace FILE.json] [--trace-bucket-ms MS]
-                   [--metrics FILE.prom] [--warm-start FILE.ckpt]
-                   [--replicas N] [--replication N] [--workload zipf|uniform]
-                   [--zipf-s S] [--diurnal A] [--burst M] [--qps RATE]
-                   [--duration-s SECS] [--replica-kill REPLICA@TIME]
-  slrepro bench-kernels [--smoke] [--out FILE] [--force]
-  slrepro bench-cluster [--smoke] [--out FILE] [--metrics FILE.prom]
-  slrepro bench-ckpt [--smoke] [--json FILE]
-  slrepro bench-drivers [--smoke] [--json FILE]
   slrepro obs-check [--trace FILE.json] [--metrics FILE.prom] [--ckpt FILE.ckpt]
   slrepro info
 ";
@@ -893,11 +564,11 @@ mod tests {
                 assert_eq!(procs, 64);
                 assert_eq!(seeds, None);
                 assert_eq!(cache, 64);
-                assert_eq!(steal, StealParams::default());
+                assert_eq!(*steal, StealParams::default());
                 assert_eq!(batch, BatchParams::default());
                 assert!(!chaos);
                 assert_eq!(chaos_seed, 0x5EED);
-                assert_eq!(chaos_params, ChaosParams::default());
+                assert_eq!(*chaos_params, ChaosParams::default());
                 assert_eq!(rank_chaos, None);
                 assert_eq!(json, None);
                 assert_eq!(trace, None);
@@ -955,11 +626,11 @@ mod tests {
                 assert_eq!(procs, 128);
                 assert_eq!(seeds, Some(5000));
                 assert_eq!(cache, 32);
-                assert_eq!(steal, StealParams::default());
+                assert_eq!(*steal, StealParams::default());
                 assert_eq!(batch, BatchParams { lanes: Some(8) });
                 assert!(!chaos);
                 assert_eq!(chaos_seed, 0x5EED);
-                assert_eq!(chaos_params, ChaosParams::default());
+                assert_eq!(*chaos_params, ChaosParams::default());
                 assert_eq!(rank_chaos, None);
                 assert_eq!(json.as_deref(), Some("r.json"));
                 assert_eq!(trace.as_deref(), Some("t.json"));
@@ -1004,26 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn bench_kernels_defaults_and_flags() {
-        assert_eq!(
-            parse(&argv("bench-kernels")).unwrap().command,
-            Command::BenchKernels { smoke: false, out: "BENCH_7.json".into(), force: false }
-        );
-        assert_eq!(
-            parse(&argv("bench-kernels --smoke --out k.json --force")).unwrap().command,
-            Command::BenchKernels { smoke: true, out: "k.json".into(), force: true }
-        );
-        // Flag position must not matter relative to key-value options.
-        assert_eq!(
-            parse(&argv("bench-kernels --force --out k.json --smoke")).unwrap().command,
-            Command::BenchKernels { smoke: true, out: "k.json".into(), force: true }
-        );
-        let e = parse(&argv("bench-kernels --bogus 1")).unwrap_err();
-        assert!(e.contains("unknown option"), "{e}");
-    }
-
-    #[test]
-    fn batch_knob_round_trips_on_run_and_serve_bench() {
+    fn batch_knob_round_trips_on_run() {
         match parse(&argv("run --batch 16")).unwrap().command {
             Command::Run { batch, .. } => assert_eq!(batch, BatchParams { lanes: Some(16) }),
             other => panic!("{other:?}"),
@@ -1032,64 +684,14 @@ mod tests {
             Command::Run { batch, .. } => assert_eq!(batch, BatchParams { lanes: None }),
             other => panic!("{other:?}"),
         }
-        match parse(&argv("serve-bench --batch 4")).unwrap().command {
-            Command::ServeBench { batch, .. } => assert_eq!(batch, BatchParams { lanes: Some(4) }),
-            other => panic!("{other:?}"),
-        }
-        match parse(&argv("serve-bench")).unwrap().command {
-            Command::ServeBench { batch, .. } => assert_eq!(batch, BatchParams::default()),
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]
     fn invalid_batch_values_are_typed_errors_not_panics() {
         let e = parse(&argv("run --batch 0")).unwrap_err();
         assert!(e.contains("batch size must be >= 1"), "{e}");
-        let e = parse(&argv("serve-bench --batch 0")).unwrap_err();
-        assert!(e.contains("batch size must be >= 1"), "{e}");
         let e = parse(&argv("run --batch lots")).unwrap_err();
         assert!(e.contains("cannot parse"), "{e}");
-    }
-
-    #[test]
-    fn serve_bench_chaos_flags() {
-        let cli = parse(&argv("serve-bench --chaos --chaos-seed 42 --clients 2")).unwrap();
-        match cli.command {
-            Command::ServeBench { chaos, chaos_seed, clients, .. } => {
-                assert!(chaos);
-                assert_eq!(chaos_seed, 42);
-                assert_eq!(clients, 2);
-            }
-            other => panic!("{other:?}"),
-        }
-        // Without the flag: chaos off, seed defaulted; flag position free.
-        match parse(&argv("serve-bench")).unwrap().command {
-            Command::ServeBench { chaos, chaos_seed, .. } => {
-                assert!(!chaos);
-                assert_eq!(chaos_seed, 0x5EED);
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse(&argv("serve-bench --clients 3 --chaos")).unwrap().command {
-            Command::ServeBench { chaos, .. } => assert!(chaos),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn serve_bench_trace_options() {
-        match parse(&argv("serve-bench --trace t.json --trace-bucket-ms 5 --metrics m.prom"))
-            .unwrap()
-            .command
-        {
-            Command::ServeBench { trace, trace_bucket_ms, metrics, .. } => {
-                assert_eq!(trace.as_deref(), Some("t.json"));
-                assert_eq!(trace_bucket_ms, 5);
-                assert_eq!(metrics.as_deref(), Some("m.prom"));
-            }
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]
@@ -1115,28 +717,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_ckpt_defaults_and_flags() {
-        assert_eq!(
-            parse(&argv("bench-ckpt")).unwrap().command,
-            Command::BenchCkpt { smoke: false, json: None }
-        );
-        assert_eq!(
-            parse(&argv("bench-ckpt --smoke --json c.json")).unwrap().command,
-            Command::BenchCkpt { smoke: true, json: Some("c.json".into()) }
-        );
-    }
-
-    #[test]
-    fn serve_bench_warm_start_option() {
-        match parse(&argv("serve-bench --warm-start warm.ckpt")).unwrap().command {
-            Command::ServeBench { warm_start, .. } => {
-                assert_eq!(warm_start.as_deref(), Some("warm.ckpt"));
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
     fn steal_algorithm_and_knobs_round_trip() {
         let cli = parse(&argv(
             "run --algorithm steal --neighbors 3 --diffusion-period 0.002 --steal-batch 4",
@@ -1155,7 +735,7 @@ mod tests {
         match parse(&argv("run --algorithm work-stealing")).unwrap().command {
             Command::Run { algorithm, steal, .. } => {
                 assert_eq!(algorithm, AlgoChoice::Fixed(Algorithm::WorkStealing));
-                assert_eq!(steal, StealParams::default());
+                assert_eq!(*steal, StealParams::default());
             }
             other => panic!("{other:?}"),
         }
@@ -1287,18 +867,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_drivers_defaults_and_flags() {
-        assert_eq!(
-            parse(&argv("bench-drivers")).unwrap().command,
-            Command::BenchDrivers { smoke: false, json: None }
-        );
-        assert_eq!(
-            parse(&argv("bench-drivers --smoke --json d.json")).unwrap().command,
-            Command::BenchDrivers { smoke: true, json: Some("d.json".into()) }
-        );
-    }
-
-    #[test]
     fn ingest_flags_round_trip_and_validate() {
         match parse(&argv("run")).unwrap().command {
             Command::Run { ingest_epochs, ingest_interval, ingest_batch, detector, .. } => {
@@ -1360,125 +928,24 @@ mod tests {
         assert!(parse(&argv("frobnicate")).is_err());
     }
 
+    /// Every command `USAGE` advertises parses as a known command, and the
+    /// unknown-command hint lists exactly those commands plus `help`, so
+    /// the help text cannot name a deleted command again.
     #[test]
-    fn serve_bench_cluster_flags_round_trip() {
-        let cli = parse(&argv(
-            "serve-bench --replicas 4 --replication 2 --workload zipf --zipf-s 1.3 \
-             --diurnal 0.4 --burst 2.5 --qps 50 --duration-s 1.5 --replica-kill 2@0.7",
-        ))
-        .unwrap();
-        match cli.command {
-            Command::ServeBench {
-                replicas,
-                replication,
-                traffic,
-                zipf_s,
-                diurnal,
-                burst,
-                qps,
-                duration_s,
-                replica_kill,
-                ..
-            } => {
-                assert_eq!(replicas, 4);
-                assert_eq!(replication, 2);
-                assert_eq!(traffic, TrafficShape::Zipf);
-                assert_eq!(zipf_s, 1.3);
-                assert_eq!(diurnal, 0.4);
-                assert_eq!(burst, 2.5);
-                assert_eq!(qps, 50.0);
-                assert_eq!(duration_s, 1.5);
-                assert_eq!(replica_kill, Some((2, 0.7)));
+    fn every_usage_command_is_known() {
+        let mut cmds: Vec<&str> = USAGE
+            .lines()
+            .filter_map(|l| l.strip_prefix("  slrepro "))
+            .filter_map(|rest| rest.split_whitespace().next())
+            .collect();
+        assert!(cmds.contains(&"run") && cmds.contains(&"info"), "{cmds:?}");
+        for cmd in &cmds {
+            if let Err(e) = parse(&argv(cmd)) {
+                assert!(!e.starts_with("unknown command"), "USAGE names '{cmd}': {e}");
             }
-            other => panic!("{other:?}"),
         }
-        // Defaults: a plain serve-bench is the single service.
-        match parse(&argv("serve-bench")).unwrap().command {
-            Command::ServeBench { replicas, replication, traffic, replica_kill, .. } => {
-                assert_eq!(replicas, 1);
-                assert_eq!(replication, 1);
-                assert_eq!(traffic, TrafficShape::Zipf);
-                assert_eq!(replica_kill, None);
-            }
-            other => panic!("{other:?}"),
-        }
-        // Uniform shape parses too.
-        match parse(&argv("serve-bench --replicas 2 --workload uniform")).unwrap().command {
-            Command::ServeBench { traffic, .. } => assert_eq!(traffic, TrafficShape::Uniform),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn serve_bench_cluster_flags_are_typed_errors() {
-        // Cluster-only knobs without --replicas > 1 are rejected.
-        for bad in [
-            "serve-bench --replication 2",
-            "serve-bench --workload zipf",
-            "serve-bench --zipf-s 1.2",
-            "serve-bench --diurnal 0.3",
-            "serve-bench --burst 2.0",
-            "serve-bench --qps 10",
-            "serve-bench --duration-s 2",
-            "serve-bench --replica-kill 0@0.5",
-            "serve-bench --replicas 1 --qps 10",
-        ] {
-            let e = parse(&argv(bad)).unwrap_err();
-            assert!(e.contains("only applies with --replicas > 1"), "{bad}: {e}");
-        }
-        // Closed-loop knobs on the cluster path are rejected right back.
-        for bad in [
-            "serve-bench --replicas 2 --clients 4",
-            "serve-bench --replicas 2 --requests 10",
-            "serve-bench --replicas 2 --workers 2",
-            "serve-bench --replicas 2 --deadline-ms 100",
-            "serve-bench --replicas 2 --warm-start w.ckpt",
-            "serve-bench --replicas 2 --chaos",
-        ] {
-            let e = parse(&argv(bad)).unwrap_err();
-            assert!(e.contains("only applies to the single service"), "{bad}: {e}");
-        }
-        // Degenerate values are typed errors, not panics downstream.
-        let e = parse(&argv("serve-bench --replicas 0")).unwrap_err();
-        assert!(e.contains("--replicas must be at least 1"), "{e}");
-        let e = parse(&argv("serve-bench --replicas 2 --replication 3")).unwrap_err();
-        assert!(e.contains("--replication must be in 1..=2"), "{e}");
-        let e = parse(&argv("serve-bench --replicas 2 --workload bogus")).unwrap_err();
-        assert!(e.contains("unknown workload 'bogus'"), "{e}");
-        let e =
-            parse(&argv("serve-bench --replicas 2 --workload uniform --zipf-s 1.2")).unwrap_err();
-        assert!(e.contains("--zipf-s only applies with --workload zipf"), "{e}");
-        let e = parse(&argv("serve-bench --replicas 2 --diurnal 1.5")).unwrap_err();
-        assert!(e.contains("--diurnal must be in [0, 1)"), "{e}");
-        let e = parse(&argv("serve-bench --replicas 2 --burst 0.5")).unwrap_err();
-        assert!(e.contains("--burst must be at least 1.0"), "{e}");
-        let e = parse(&argv("serve-bench --replicas 2 --replica-kill 5@0.5")).unwrap_err();
-        assert!(e.contains("out of range"), "{e}");
-        let e = parse(&argv("serve-bench --replicas 2 --replica-kill nope")).unwrap_err();
-        assert!(e.contains("expected REPLICA@TIME"), "{e}");
-    }
-
-    #[test]
-    fn bench_cluster_round_trip() {
-        match parse(&argv("bench-cluster")).unwrap().command {
-            Command::BenchCluster { smoke, out, metrics } => {
-                assert!(!smoke);
-                assert_eq!(out, "BENCH_10.json");
-                assert_eq!(metrics, None);
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse(&argv("bench-cluster --smoke --out x.json --metrics x.prom")).unwrap().command {
-            Command::BenchCluster { smoke, out, metrics } => {
-                assert!(smoke);
-                assert_eq!(out, "x.json");
-                assert_eq!(metrics.as_deref(), Some("x.prom"));
-            }
-            other => panic!("{other:?}"),
-        }
-        let e = parse(&argv("bench-cluster --metrics x.prom")).unwrap_err();
-        assert!(e.contains("--metrics only applies with --smoke"), "{e}");
-        let e = parse(&argv("bench-cluster --bogus 1")).unwrap_err();
-        assert!(e.contains("unknown option"), "{e}");
+        cmds.push("help");
+        let e = parse(&argv("frobnicate")).unwrap_err();
+        assert!(e.ends_with(&format!("({})", cmds.join("|"))), "{e}");
     }
 }

@@ -1,6 +1,6 @@
 //! Command implementations behind the `slrepro` binary.
 
-use crate::args::{AlgoChoice, Command, DatasetKind, TrafficShape};
+use crate::args::{AlgoChoice, Command, DatasetKind};
 use streamline_core::{
     classify, recommend, run_simulated_detailed, run_simulated_traced, summarize, Algorithm,
     FlowKnowledge, RunConfig,
@@ -47,184 +47,6 @@ fn limits_for(kind: DatasetKind, seeding: Seeding) -> StepLimits {
 }
 
 /// Execute a parsed command; returns the process exit code.
-/// The `serve-bench --replicas N` knob set, peeled off the flat
-/// [`Command::ServeBench`] variant.
-struct ServeBenchCluster {
-    dataset: DatasetKind,
-    seeds: usize,
-    cache: usize,
-    shards: usize,
-    queue: usize,
-    batch: streamline_core::BatchParams,
-    json: Option<String>,
-    trace: Option<String>,
-    trace_bucket_ms: u64,
-    metrics: Option<String>,
-    replicas: usize,
-    replication: usize,
-    traffic: TrafficShape,
-    zipf_s: f64,
-    diurnal: f64,
-    burst: f64,
-    qps: f64,
-    duration_s: f64,
-    replica_kill: Option<(usize, f64)>,
-}
-
-/// Open-loop trace replay against the sharded cluster — the
-/// `serve-bench --replicas > 1` path.
-fn serve_bench_cluster(a: ServeBenchCluster) -> i32 {
-    use streamline_bench::{
-        run_cluster_trace, ClusterTraceConfig, SweepScale, TraceWorkloadConfig, Workload,
-    };
-    use streamline_cluster::ClusterConfig;
-    let workload = match a.dataset {
-        DatasetKind::Astro => Workload::Astro,
-        DatasetKind::Fusion => Workload::Fusion,
-        DatasetKind::Thermal => Workload::Thermal,
-    };
-    let cfg = ClusterTraceConfig {
-        workload,
-        scale: SweepScale::Quick,
-        cluster: ClusterConfig {
-            replicas: a.replicas,
-            replication: a.replication,
-            cache_blocks: a.cache,
-            cache_shards: a.shards,
-            queue_capacity: a.queue,
-            batch: a.batch.resolve(),
-            trace_bucket: a
-                .trace
-                .is_some()
-                .then(|| std::time::Duration::from_millis(a.trace_bucket_ms.max(1))),
-            ..ClusterConfig::default()
-        },
-        trace: TraceWorkloadConfig {
-            base_qps: a.qps,
-            duration_s: a.duration_s,
-            zipf_s: match a.traffic {
-                TrafficShape::Zipf => a.zipf_s,
-                TrafficShape::Uniform => 0.0,
-            },
-            seeds_per_request: a.seeds,
-            diurnal_amplitude: a.diurnal,
-            burst_multiplier: a.burst,
-            ..TraceWorkloadConfig::default()
-        },
-        replica_kill: a.replica_kill,
-        emit_prometheus: a.metrics.is_some(),
-        ..ClusterTraceConfig::default()
-    };
-    eprintln!(
-        "serve-bench: {} workload, {} replicas (replication {}), open-loop {} trace, \
-         {:.0} req/s x {}s{} ...",
-        workload.label(),
-        a.replicas,
-        a.replication,
-        match a.traffic {
-            TrafficShape::Zipf => format!("zipf(s={})", a.zipf_s),
-            TrafficShape::Uniform => "uniform".into(),
-        },
-        a.qps,
-        a.duration_s,
-        match a.replica_kill {
-            Some((r, t)) => format!(", killing replica {r} at t={t}s"),
-            None => String::new(),
-        }
-    );
-    let report = run_cluster_trace(&cfg);
-    let m = &report.metrics;
-    println!(
-        "requests  answered {}  gone {}  rejected {}  (of {} arrivals)",
-        report.answered, report.gone, report.rejected, report.arrivals
-    );
-    println!(
-        "latency   p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms",
-        m.latency_p50_ms, m.latency_p95_ms, m.latency_p99_ms
-    );
-    println!(
-        "cluster   handoffs {} ({} B)  redispatches {} ({} B)  hot-local {}  deaths {}",
-        m.handoffs,
-        m.handoff_bytes,
-        m.redispatches,
-        m.redispatch_bytes,
-        m.hot_local_hits,
-        m.replica_deaths
-    );
-    for r in &m.per_replica {
-        println!(
-            "replica {} {}  done {:>6}  handoffs-out {:>5}  hit-rate {:.3}  \
-             p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms",
-            r.replica,
-            if r.alive { "up  " } else { "DEAD" },
-            r.streamlines_completed,
-            r.handoffs_out,
-            r.cache_hit_rate,
-            r.latency_p50_ms,
-            r.latency_p95_ms,
-            r.latency_p99_ms
-        );
-    }
-    println!(
-        "ledger    admitted {}  completed {}  gone {}  conservation {}",
-        m.submitted,
-        m.completed,
-        m.requests_gone,
-        if report.conservation_holds() { "exact" } else { "VIOLATED" }
-    );
-    if let Some(path) = a.json {
-        match serde_json::to_string_pretty(&report) {
-            Ok(s) => {
-                if let Err(e) = std::fs::write(&path, s + "\n") {
-                    eprintln!("error writing {path}: {e}");
-                    return 1;
-                }
-                eprintln!("wrote {path}");
-            }
-            Err(e) => {
-                eprintln!("serialization error: {e}");
-                return 1;
-            }
-        }
-    }
-    if let Some(path) = a.trace {
-        let tf = report.trace.as_ref().expect("trace_bucket was set");
-        if let Err(e) = tf.validate() {
-            eprintln!("internal error: emitted trace is invalid: {e}");
-            return 1;
-        }
-        match serde_json::to_string_pretty(tf) {
-            Ok(s) => {
-                if let Err(e) = std::fs::write(&path, s + "\n") {
-                    eprintln!("error writing {path}: {e}");
-                    return 1;
-                }
-                eprintln!("wrote {path}");
-            }
-            Err(e) => {
-                eprintln!("serialization error: {e}");
-                return 1;
-            }
-        }
-    }
-    if let Some(path) = a.metrics {
-        let text = report.prometheus.as_ref().expect("emit_prometheus was set");
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("error writing {path}: {e}");
-            return 1;
-        }
-        eprintln!("wrote {path}");
-    }
-    // Without a kill every admitted request must be answered; with one,
-    // `ServiceGone` is legal and the exact ledger is the contract.
-    let healthy = report.conservation_holds() && (a.replica_kill.is_some() || report.gone == 0);
-    if healthy {
-        0
-    } else {
-        2
-    }
-}
-
 pub fn execute(cmd: Command) -> i32 {
     match cmd {
         Command::Help => {
@@ -368,9 +190,9 @@ pub fn execute(cmd: Command) -> i32 {
             let mut cfg = RunConfig::new(Algorithm::HybridMasterSlave, procs);
             cfg.limits = limits_for(dataset, seeding);
             cfg.cache_blocks = cache;
-            cfg.steal = steal;
+            cfg.steal = *steal;
             cfg.batch = batch;
-            cfg.rank_chaos = rank_chaos;
+            cfg.rank_chaos = rank_chaos.map(|rc| *rc);
             cfg.detector = detector;
             cfg.algorithm = match algorithm {
                 AlgoChoice::Fixed(a) => a,
@@ -617,192 +439,6 @@ pub fn execute(cmd: Command) -> i32 {
                 2
             }
         }
-        Command::ServeBench {
-            dataset,
-            clients,
-            requests,
-            seeds,
-            workers,
-            cache,
-            shards,
-            queue,
-            batch,
-            deadline_ms,
-            chaos,
-            chaos_seed,
-            json,
-            trace,
-            trace_bucket_ms,
-            metrics,
-            warm_start,
-            replicas,
-            replication,
-            traffic,
-            zipf_s,
-            diurnal,
-            burst,
-            qps,
-            duration_s,
-            replica_kill,
-        } => {
-            use streamline_bench::{ChaosConfig, LoadGenConfig, SweepScale, Workload};
-            use streamline_iosim::ChaosParams;
-            use streamline_serve::ServiceConfig;
-            if replicas > 1 {
-                return serve_bench_cluster(ServeBenchCluster {
-                    dataset,
-                    seeds,
-                    cache,
-                    shards,
-                    queue,
-                    batch,
-                    json,
-                    trace,
-                    trace_bucket_ms,
-                    metrics,
-                    replicas,
-                    replication,
-                    traffic,
-                    zipf_s,
-                    diurnal,
-                    burst,
-                    qps,
-                    duration_s,
-                    replica_kill,
-                });
-            }
-            if seeds > queue {
-                eprintln!(
-                    "error: a request of {seeds} seeds can never be admitted to a {queue}-seed \
-                     queue; raise --queue or lower --seeds"
-                );
-                return 64;
-            }
-            let workload = match dataset {
-                DatasetKind::Astro => Workload::Astro,
-                DatasetKind::Fusion => Workload::Fusion,
-                DatasetKind::Thermal => Workload::Thermal,
-            };
-            let cfg = LoadGenConfig {
-                workload,
-                scale: SweepScale::Quick,
-                clients,
-                requests_per_client: requests,
-                seeds_per_request: seeds,
-                deadline: deadline_ms.map(std::time::Duration::from_millis),
-                service: ServiceConfig {
-                    workers,
-                    cache_blocks: cache,
-                    cache_shards: shards,
-                    queue_capacity: queue,
-                    batch: batch.resolve(),
-                    trace_bucket: trace
-                        .is_some()
-                        .then(|| std::time::Duration::from_millis(trace_bucket_ms.max(1))),
-                    ..ServiceConfig::default()
-                },
-                chaos: chaos
-                    .then(|| ChaosConfig { seed: chaos_seed, params: ChaosParams::default() }),
-                emit_prometheus: metrics.is_some(),
-                warm_start: warm_start.map(std::path::PathBuf::from),
-            };
-            eprintln!(
-                "serve-bench: {} workload, {clients} clients x {requests} requests x {seeds} \
-                 seeds, {workers} workers, {cache}-block cache{} ...",
-                workload.label(),
-                if chaos { format!(", chaos seed {chaos_seed:#x}") } else { String::new() }
-            );
-            let report = streamline_bench::run_load(&cfg);
-            let m = &report.metrics;
-            println!(
-                "requests  completed {}  rejected(retried) {}  deadline-exceeded {}",
-                report.completed, report.rejections, report.deadline_exceeded
-            );
-            println!(
-                "latency   p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms",
-                m.latency_p50_ms, m.latency_p95_ms, m.latency_p99_ms
-            );
-            println!(
-                "rate      {:.0} req/s  {:.0} streamlines/s  ({} streamlines, {:.2}s wall)",
-                report.completed as f64 / report.wall_secs,
-                report.streamlines as f64 / report.wall_secs,
-                report.streamlines,
-                report.wall_secs
-            );
-            println!(
-                "cache     hit rate {:.3}  efficiency E {:.3}  loaded {}  purged {}  resident {}/{}",
-                m.cache_hit_rate,
-                m.block_efficiency,
-                m.cache.loaded,
-                m.cache.purged,
-                m.cache_resident,
-                m.cache_capacity
-            );
-            if report.warm_start_blocks > 0 {
-                println!("warm      prefetched {} blocks from manifest", report.warm_start_blocks);
-            }
-            if chaos {
-                println!(
-                    "chaos     faults {}  retries {}  load-failures {}  fast-fails {}  \
-                     quarantined {}  partial {}  unavailable {}",
-                    report.faults_injected,
-                    m.load_retries,
-                    m.load_failures,
-                    m.fast_fails,
-                    m.blocks_quarantined,
-                    m.partial,
-                    m.streamlines_unavailable
-                );
-            }
-            if let Some(path) = json {
-                match serde_json::to_string_pretty(&report) {
-                    Ok(s) => {
-                        if let Err(e) = std::fs::write(&path, s) {
-                            eprintln!("error writing {path}: {e}");
-                            return 1;
-                        }
-                        eprintln!("wrote {path}");
-                    }
-                    Err(e) => {
-                        eprintln!("serialization error: {e}");
-                        return 1;
-                    }
-                }
-            }
-            if let Some(path) = trace {
-                let tf = report.trace.as_ref().expect("trace_bucket was set");
-                if let Err(e) = tf.validate() {
-                    eprintln!("internal error: emitted trace is invalid: {e}");
-                    return 1;
-                }
-                match serde_json::to_string_pretty(tf) {
-                    Ok(s) => {
-                        if let Err(e) = std::fs::write(&path, s + "\n") {
-                            eprintln!("error writing {path}: {e}");
-                            return 1;
-                        }
-                        eprintln!("wrote {path}");
-                    }
-                    Err(e) => {
-                        eprintln!("serialization error: {e}");
-                        return 1;
-                    }
-                }
-            }
-            if let Some(path) = metrics {
-                let text = report.prometheus.as_ref().expect("emit_prometheus was set");
-                if let Err(e) = std::fs::write(&path, text) {
-                    eprintln!("error writing {path}: {e}");
-                    return 1;
-                }
-                eprintln!("wrote {path}");
-            }
-            if report.completed == (clients * requests) as u64 {
-                0
-            } else {
-                2
-            }
-        }
         Command::ObsCheck { trace, metrics, ckpt } => {
             let mut ok = true;
             if let Some(path) = trace {
@@ -889,147 +525,6 @@ pub fn execute(cmd: Command) -> i32 {
                 0
             } else {
                 1
-            }
-        }
-        Command::BenchKernels { smoke, out, force } => {
-            use streamline_bench::{run_kernels, KernelsConfig};
-            // Refuse to clobber an earlier report unless asked: benchmark
-            // trajectories are the artifact, losing one silently is worse
-            // than failing fast.
-            if !force && std::path::Path::new(&out).exists() {
-                eprintln!("error: {out} already exists; pass --force to overwrite");
-                return 64;
-            }
-            let report = run_kernels(&KernelsConfig { smoke });
-            println!("{}", report.summary());
-            match serde_json::to_string_pretty(&report) {
-                Ok(s) => {
-                    if let Err(e) = std::fs::write(&out, s + "\n") {
-                        eprintln!("error writing {out}: {e}");
-                        return 1;
-                    }
-                    eprintln!("wrote {out}");
-                }
-                Err(e) => {
-                    eprintln!("serialization error: {e}");
-                    return 1;
-                }
-            }
-            if report.bit_identical {
-                0
-            } else {
-                2
-            }
-        }
-        Command::BenchCkpt { smoke, json } => {
-            use streamline_bench::{run_ckpt_overhead, CkptOverheadConfig};
-            let report = run_ckpt_overhead(&CkptOverheadConfig { smoke });
-            println!("{}", report.summary());
-            if let Some(path) = json {
-                match serde_json::to_string_pretty(&report) {
-                    Ok(s) => {
-                        if let Err(e) = std::fs::write(&path, s + "\n") {
-                            eprintln!("error writing {path}: {e}");
-                            return 1;
-                        }
-                        eprintln!("wrote {path}");
-                    }
-                    Err(e) => {
-                        eprintln!("serialization error: {e}");
-                        return 1;
-                    }
-                }
-            }
-            // Smoke runs are microsecond-scale and noise-dominated, so only
-            // the correctness invariant gates them; the overhead budget
-            // gates the full run.
-            if report.all_resumes_bit_identical && (smoke || report.within_budget) {
-                0
-            } else {
-                2
-            }
-        }
-        Command::BenchDrivers { smoke, json } => {
-            use streamline_bench::{run_drivers, DriversConfig};
-            let report = run_drivers(&DriversConfig { smoke });
-            println!("{}", report.summary());
-            if let Some(path) = json {
-                match serde_json::to_string_pretty(&report) {
-                    Ok(s) => {
-                        if let Err(e) = std::fs::write(&path, s + "\n") {
-                            eprintln!("error writing {path}: {e}");
-                            return 1;
-                        }
-                        eprintln!("wrote {path}");
-                    }
-                    Err(e) => {
-                        eprintln!("serialization error: {e}");
-                        return 1;
-                    }
-                }
-            }
-            if report.all_drivers_agree && report.rank_chaos_conserved {
-                0
-            } else {
-                2
-            }
-        }
-        Command::BenchCluster { smoke, out, metrics } => {
-            use streamline_bench::{run_cluster_bench, ClusterBenchConfig};
-            let cfg =
-                if smoke { ClusterBenchConfig::smoke() } else { ClusterBenchConfig::default() };
-            eprintln!(
-                "bench-cluster: {} mode, replica counts {:?}, p99 budget {:.0} ms ...",
-                if smoke { "smoke" } else { "full" },
-                cfg.replicas,
-                cfg.p99_budget_ms
-            );
-            let report = run_cluster_bench(&cfg);
-            for cell in &report.cells {
-                println!(
-                    "replicas {:>2}: max sustainable {:>6.0} req/s  ({} rungs swept)",
-                    cell.replicas,
-                    cell.max_sustainable_qps,
-                    cell.rungs.len()
-                );
-            }
-            println!(
-                "kill cell : {} answered, {} gone of {} submitted  conservation {}",
-                report.kill.answered,
-                report.kill.gone,
-                report.kill.submitted,
-                if report.kill.conservation_holds { "exact" } else { "VIOLATED" }
-            );
-            println!(
-                "gates     : bit-identical {}  scaling {}",
-                report.bit_identical,
-                if report.smoke { "n/a (smoke)".into() } else { format!("{}", report.scaling_ok) }
-            );
-            match serde_json::to_string_pretty(&report) {
-                Ok(s) => {
-                    if let Err(e) = std::fs::write(&out, s + "\n") {
-                        eprintln!("error writing {out}: {e}");
-                        return 1;
-                    }
-                    eprintln!("wrote {out}");
-                }
-                Err(e) => {
-                    eprintln!("serialization error: {e}");
-                    return 1;
-                }
-            }
-            if let Some(path) = metrics {
-                let text = report.prometheus.as_ref().expect("smoke embeds metrics");
-                if let Err(e) = std::fs::write(&path, text) {
-                    eprintln!("error writing {path}: {e}");
-                    return 1;
-                }
-                eprintln!("wrote {path}");
-            }
-            if report.healthy() {
-                0
-            } else {
-                2
             }
         }
         Command::Trace { dataset, seeds, out, formats } => {
@@ -1131,7 +626,7 @@ pub fn execute(cmd: Command) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamline_core::{BatchParams, StealParams};
+    use streamline_core::BatchParams;
 
     #[test]
     fn limits_vary_by_dataset() {
@@ -1164,11 +659,11 @@ mod tests {
             procs: 4,
             seeds: Some(32),
             cache: 16,
-            steal: StealParams::default(),
+            steal: Box::default(),
             batch: BatchParams::default(),
             chaos: false,
             chaos_seed: 0,
-            chaos_params: streamline_iosim::ChaosParams::default(),
+            chaos_params: Box::default(),
             rank_chaos: None,
             ingest_epochs: 0,
             ingest_interval: 2.0e-4,
@@ -1198,11 +693,11 @@ mod tests {
             procs: 4,
             seeds: Some(32),
             cache: 16,
-            steal: StealParams::default(),
+            steal: Box::default(),
             batch: BatchParams::default(),
             chaos: false,
             chaos_seed: 0,
-            chaos_params: streamline_iosim::ChaosParams::default(),
+            chaos_params: Box::default(),
             rank_chaos: None,
             ingest_epochs: 0,
             ingest_interval: 2.0e-4,
@@ -1254,11 +749,11 @@ mod tests {
             procs: 4,
             seeds: Some(32),
             cache: 16,
-            steal: StealParams::default(),
+            steal: Box::default(),
             batch: BatchParams::default(),
             chaos: false,
             chaos_seed: 0,
-            chaos_params: streamline_iosim::ChaosParams::default(),
+            chaos_params: Box::default(),
             rank_chaos: None,
             ingest_epochs: 0,
             ingest_interval: 2.0e-4,
@@ -1296,12 +791,12 @@ mod tests {
             procs: 4,
             seeds: Some(32),
             cache: 16,
-            steal: StealParams::default(),
+            steal: Box::default(),
             batch: BatchParams::default(),
             chaos: false,
             chaos_seed: 0,
-            chaos_params: streamline_iosim::ChaosParams::default(),
-            rank_chaos: Some(streamline_core::RankChaos::one_kill(3, 1.0e-4)),
+            chaos_params: Box::default(),
+            rank_chaos: Some(Box::new(streamline_core::RankChaos::one_kill(3, 1.0e-4))),
             ingest_epochs: 0,
             ingest_interval: 2.0e-4,
             ingest_batch: 32,
@@ -1345,11 +840,11 @@ mod tests {
             procs: 4,
             seeds: Some(32),
             cache: 16,
-            steal: StealParams::default(),
+            steal: Box::default(),
             batch: BatchParams::default(),
             chaos: false,
             chaos_seed: 0,
-            chaos_params: streamline_iosim::ChaosParams::default(),
+            chaos_params: Box::default(),
             rank_chaos: None,
             ingest_epochs: 2,
             ingest_interval: 2.0e-4,

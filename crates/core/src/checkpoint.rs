@@ -704,22 +704,26 @@ mod tests {
     }
 
     /// A checkpointed run that is never killed must be unperturbed by the
-    /// snapshot machinery: identical output and report to a plain run.
+    /// snapshot machinery, on every driver: identical output and report to
+    /// a plain run.
     #[test]
     fn checkpointing_does_not_perturb_a_completed_run() {
-        let (ds, seeds, cfg) = fixture(Algorithm::HybridMasterSlave);
-        let (ref_report, ref_lines) =
-            run_simulated_detailed_with_store(&ds, &seeds, &cfg, field_store(&ds));
+        for algo in Algorithm::ALL {
+            let (ds, seeds, cfg) = fixture(algo);
+            let (ref_report, ref_lines) =
+                run_simulated_detailed_with_store(&ds, &seeds, &cfg, field_store(&ds));
 
-        let dir = tempdir("noperturb");
-        let opts = CheckpointOptions::new(&dir, 1.0e-3);
-        let out = run_simulated_checkpointed_with_store(&ds, &seeds, &cfg, field_store(&ds), &opts)
-            .expect("checkpointed run");
-        let (report, lines) = out.result.expect("uninterrupted run completes");
-        assert!(!out.checkpoints.is_empty(), "interval must have fired at least once");
-        assert_eq!(lines, ref_lines);
-        assert_eq!(report_json(&report), report_json(&ref_report));
-        let _ = std::fs::remove_dir_all(&dir);
+            let dir = tempdir(&format!("noperturb-{}", algo.label()));
+            let opts = CheckpointOptions::new(&dir, 1.0e-3);
+            let out =
+                run_simulated_checkpointed_with_store(&ds, &seeds, &cfg, field_store(&ds), &opts)
+                    .expect("checkpointed run");
+            let (report, lines) = out.result.expect("uninterrupted run completes");
+            assert!(!out.checkpoints.is_empty(), "{algo:?}: interval must fire at least once");
+            assert_eq!(lines, ref_lines, "{algo:?}: checkpointing perturbed the run");
+            assert_eq!(report_json(&report), report_json(&ref_report), "{algo:?}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// Resume must also be exact when the store injects transient faults:

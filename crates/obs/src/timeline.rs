@@ -401,8 +401,8 @@ pub struct RankTrace {
     pub buckets: Vec<[f64; 4]>,
 }
 
-/// The JSON trace emitted by `streamline run --trace` and
-/// `serve-bench --trace`.
+/// The JSON trace emitted by `slrepro run --trace` and by the serving
+/// engine's `timeline()` (wall clock).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TraceFile {
     /// Always [`TRACE_SCHEMA`].

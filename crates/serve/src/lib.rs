@@ -44,11 +44,6 @@
 //!   repaired, the affected requests resolve as the typed
 //!   [`ServiceGone`], and the worker goes back to claiming work — one
 //!   panic never cascades into hung or panicking clients.
-//! * **Resident sessions** — [`ResidentSession`] feeds a whole query
-//!   stream into *one* long-running open-loop driver run: each query is
-//!   an ingest epoch of a `streamline_core::SeedSource`, and the frontier
-//!   termination protocol resolves each [`resident::QueryTicket`] the
-//!   moment its epoch completes.
 //! * **Deadlines and drain** — each request may carry a deadline; expired
 //!   requests stop consuming compute and complete with
 //!   [`Outcome::DeadlineExceeded`]. [`Service::shutdown`] drains all
@@ -69,7 +64,6 @@ pub mod breaker;
 pub mod cache;
 pub mod engine;
 pub mod metrics;
-pub mod resident;
 pub mod ring;
 pub mod service;
 pub mod warm;
@@ -80,7 +74,6 @@ pub use breaker::{
 pub use cache::SharedBlockCache;
 pub use engine::{Engine, EngineHandle};
 pub use metrics::{LatencyHistogram, ServiceMetrics};
-pub use resident::{QueryResult, QueryTicket, ResidentSession};
 pub use ring::Ring;
 pub use service::{
     Outcome, Request, Response, Service, ServiceConfig, ServiceGone, SubmitError, Ticket, TryWait,

@@ -1,5 +1,5 @@
 //! Service-level observability: a lock-free latency histogram and the
-//! [`ServiceMetrics`] snapshot surfaced by `serve-bench`.
+//! [`ServiceMetrics`] snapshot returned by `Service::metrics`.
 //!
 //! Both are now *views* over `streamline_obs`: [`LatencyHistogram`] wraps
 //! an [`streamline_obs::Histogram`] (possibly registered in the service's
@@ -59,8 +59,7 @@ impl LatencyHistogram {
     }
 }
 
-/// A point-in-time snapshot of service health, serializable to JSON for
-/// the `serve-bench` CLI.
+/// A point-in-time snapshot of service health, serializable to JSON.
 #[derive(Debug, Clone, Serialize)]
 pub struct ServiceMetrics {
     /// Worker threads serving the queues.

@@ -113,9 +113,14 @@ fn traced_run_reconciles_with_untraced_report() {
     assert_eq!(back.totals.compute.to_bits(), tf.totals.compute.to_bits());
 }
 
+/// A traced `Service`'s scrape payload parses and mirrors its metrics
+/// snapshot, and its wall-clock timeline, after the JSON round trip a
+/// trace file takes, passes `TraceFile::validate()` — the two checks
+/// `slrepro obs-check` makes.
 #[test]
 fn serve_dump_metrics_reconciles_with_service_metrics() {
     use std::sync::Arc;
+    use std::time::Duration;
     use streamline_iosim::MemoryStore;
     use streamline_serve::{Request, Service, ServiceConfig};
 
@@ -123,7 +128,11 @@ fn serve_dump_metrics_reconciles_with_service_metrics() {
     dcfg.blocks_per_axis = [2, 2, 2];
     let dataset = Dataset::thermal_hydraulics(dcfg);
     let store = Arc::new(MemoryStore::build(&dataset));
-    let svc = Service::start(dataset.decomp, store, ServiceConfig::default());
+    let svc = Service::start(
+        dataset.decomp,
+        store,
+        ServiceConfig { trace_bucket: Some(Duration::from_millis(1)), ..ServiceConfig::default() },
+    );
     let seeds = dataset.seeds_with_count(Seeding::Sparse, 12);
     let limits = streamline_integrate::StepLimits { max_steps: 200, ..Default::default() };
     svc.submit(Request::new(seeds.points.clone()).with_limits(limits))
@@ -144,5 +153,11 @@ fn serve_dump_metrics_reconciles_with_service_metrics() {
     assert_eq!(parsed[names::SERVE_QUEUE_CAPACITY], m.queue_capacity as f64);
     assert_eq!(parsed[names::SERVE_BLOCK_EFFICIENCY].to_bits(), m.block_efficiency.to_bits());
     assert_eq!(parsed[&format!("{}_count", names::SERVE_LATENCY_NANOSECONDS)], m.completed as f64);
+
+    let tf = svc.timeline().expect("trace_bucket was set");
+    assert_eq!(tf.clock, "wall");
+    let json = serde_json::to_string(&tf).expect("serializes");
+    let back: TraceFile = serde_json::from_str(&json).expect("deserializes");
+    back.validate().expect("a served timeline is a valid trace");
     svc.shutdown();
 }

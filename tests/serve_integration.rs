@@ -1,13 +1,16 @@
 //! End-to-end checks of the `streamline-serve` query service against the
 //! single-shot driver: identical trajectories, typed overload rejection,
-//! graceful drain.
+//! graceful drain, answers that store faults degrade but never corrupt, and
+//! a cluster whose books balance across a replica kill.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+use streamline_cluster::{ClusterConfig, ClusterService};
+use streamline_obs::prom;
 use streamline_repro::core::{run_simulated_detailed, Algorithm, MemoryBudget, RunConfig};
 use streamline_repro::field::dataset::{Dataset, DatasetConfig, Seeding};
-use streamline_repro::integrate::StepLimits;
-use streamline_repro::iosim::MemoryStore;
+use streamline_repro::integrate::{StepLimits, Streamline, StreamlineStatus, Termination};
+use streamline_repro::iosim::{BlockStore, ChaosParams, FaultPlan, FaultStore, MemoryStore};
 use streamline_repro::math::Vec3;
 use streamline_repro::serve::{Outcome, Request, Service, ServiceConfig, SubmitError};
 
@@ -195,4 +198,128 @@ fn deadline_and_drain_interact_cleanly() {
     let resp = healthy.wait().expect("service answers");
     assert_eq!(resp.outcome, Outcome::Completed);
     assert_eq!(resp.streamlines.len(), 12);
+}
+
+/// Every streamline the faults did *not* touch matches the fault-free
+/// answer bit for bit; touched ones come back typed `BlockUnavailable`.
+fn assert_untouched_bit_identical(got: &[Streamline], want: &[Streamline]) {
+    assert_eq!(got.len(), want.len(), "a faulted response lost streamlines");
+    for (a, b) in got.iter().zip(want) {
+        assert_eq!(a.id, b.id);
+        if a.status == StreamlineStatus::Terminated(Termination::BlockUnavailable) {
+            continue;
+        }
+        assert_eq!(a, b, "streamline {:?} diverged under faults", a.id);
+    }
+}
+
+/// The resilience contract under a seeded fault plan, at batch widths 1 and
+/// 16: 4 concurrent clients each drive 8 requests of 4 seeds against a
+/// faulted store. Every ticket is answered, and every streamline the faults
+/// did not touch is bit-identical to a fault-free pass.
+#[test]
+fn store_faults_degrade_but_never_corrupt_concurrent_answers() {
+    const CLIENTS: usize = 4;
+    const REQUESTS: usize = 8;
+    const SEEDS: usize = 4;
+    let ds = astro();
+    let pool = ds.seeds_with_count(Seeding::Dense, CLIENTS * SEEDS).points;
+    let base: Arc<dyn BlockStore> = Arc::new(MemoryStore::build(&ds));
+    let plan = FaultPlan::random(2, ds.decomp.num_blocks(), &ChaosParams::default())
+        .expect("default chaos params are valid");
+
+    for batch in [1, 16] {
+        let cfg = ServiceConfig { batch, ..ServiceConfig::default() };
+        let reference = Service::start(ds.decomp, Arc::clone(&base), cfg.clone());
+        let want: Vec<Vec<Streamline>> = pool
+            .chunks(SEEDS)
+            .map(|seeds| {
+                let resp = reference
+                    .submit(Request::new(seeds.to_vec()).with_limits(limits()))
+                    .expect("admitted")
+                    .wait()
+                    .expect("service answers");
+                assert_eq!(resp.outcome, Outcome::Completed, "the fault-free pass is clean");
+                resp.streamlines
+            })
+            .collect();
+        reference.shutdown();
+
+        let faulted = Arc::new(FaultStore::new(Arc::clone(&base), plan.clone()));
+        let svc = Service::start(ds.decomp, Arc::clone(&faulted) as Arc<dyn BlockStore>, cfg);
+        std::thread::scope(|s| {
+            for (seeds, want) in pool.chunks(SEEDS).zip(&want) {
+                let svc = &svc;
+                s.spawn(move || {
+                    for _ in 0..REQUESTS {
+                        let resp = svc
+                            .submit(Request::new(seeds.to_vec()).with_limits(limits()))
+                            .expect("admitted")
+                            .wait()
+                            .expect("every ticket is answered");
+                        assert_untouched_bit_identical(&resp.streamlines, want);
+                    }
+                });
+            }
+        });
+        let m = svc.shutdown();
+        assert_eq!(m.completed, (CLIENTS * REQUESTS) as u64, "batch {batch}: tickets lost");
+        assert!(faulted.counters().faults_injected() > 0, "batch {batch}: the plan must fire");
+    }
+}
+
+/// A 3-replica, replication-2 cluster under load loses replica 1
+/// mid-stream. Every admitted request is answered or typed gone, and the
+/// metrics dump parses with the cluster series and exactly one death.
+#[test]
+fn replica_kill_under_load_balances_the_books() {
+    let ds = astro();
+    let pool = ds.seeds_with_count(Seeding::Dense, 64).points;
+    let cluster = ClusterService::start(
+        ds.decomp,
+        Arc::new(MemoryStore::build(&ds)),
+        ClusterConfig {
+            replicas: 3,
+            replication: 2,
+            heartbeat_every: Duration::from_millis(1),
+            suspect_after: Duration::from_millis(10),
+            ..ClusterConfig::default()
+        },
+    );
+    let tickets: Vec<_> = pool
+        .chunks(4)
+        .enumerate()
+        .map(|(i, seeds)| {
+            if i == 8 {
+                assert!(cluster.kill_replica(1));
+            }
+            cluster.submit(Request::new(seeds.to_vec()).with_limits(limits())).expect("admitted")
+        })
+        .collect();
+    let (mut answered, mut gone) = (0u64, 0u64);
+    for t in tickets {
+        match t.wait() {
+            Ok(_) => answered += 1,
+            Err(_) => gone += 1,
+        }
+    }
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while cluster.metrics().replica_deaths == 0 && Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let parsed = prom::parse_text(&cluster.dump_metrics()).expect("the dump parses");
+    for name in [
+        "streamline_cluster_requests_submitted_total",
+        "streamline_cluster_handoffs_total",
+        "streamline_cluster_replica_cache_hit_rate_r0",
+    ] {
+        assert!(parsed.contains_key(name), "{name} missing from the dump");
+    }
+    assert_eq!(parsed["streamline_cluster_replica_deaths_total"], 1.0);
+
+    let m = cluster.shutdown();
+    assert_eq!((m.completed, m.requests_gone), (answered, gone));
+    assert_eq!(m.completed + m.requests_gone, m.submitted, "admitted requests went missing");
+    assert_eq!(m.submitted, 16);
 }
