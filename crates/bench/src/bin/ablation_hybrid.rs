@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 use streamline_bench::experiments::{case_config, dataset_for, SweepScale, Workload};
-use streamline_core::{run_simulated_with_store, Algorithm, RunConfig, RunReport};
+use streamline_core::{Algorithm, Run, RunConfig, RunReport};
 use streamline_field::dataset::Seeding;
 use streamline_iosim::{BlockStore, MemoryStore};
 
@@ -83,7 +83,7 @@ fn main() {
             let mut cfg = case_config(workload, seeding, Algorithm::HybridMasterSlave, procs);
             (ab.apply)(&mut cfg, v);
             let r: RunReport =
-                run_simulated_with_store(&dataset, &seed_set, &cfg, Arc::clone(&store));
+                Run::new(&dataset, &cfg, &seed_set).store(Arc::clone(&store)).go().unwrap().report;
             let marker = if i == ab.default_idx { " (paper)" } else { "" };
             println!(
                 "| {v}{marker} | {:.3} | {:.2} | {:.3} | {:.3} | {} | {:.2} |",

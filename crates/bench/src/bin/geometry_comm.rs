@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 use streamline_bench::experiments::{case_config, dataset_for, SweepScale, Workload};
-use streamline_core::{run_simulated_with_store, Algorithm};
+use streamline_core::{Algorithm, Run};
 use streamline_field::dataset::Seeding;
 use streamline_iosim::{BlockStore, MemoryStore};
 
@@ -38,7 +38,7 @@ fn main() {
         for geometry in [true, false] {
             let mut cfg = case_config(workload, Seeding::Sparse, algo, procs);
             cfg.comm_geometry = geometry;
-            let r = run_simulated_with_store(&dataset, &seeds, &cfg, Arc::clone(&store));
+            let r = Run::new(&dataset, &cfg, &seeds).store(Arc::clone(&store)).go().unwrap().report;
             assert!(r.outcome.completed(), "{}", r.summary());
             println!(
                 "| {} | {} | {:.3} | {:.4} | {} |",

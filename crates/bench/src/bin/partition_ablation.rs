@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 use streamline_bench::experiments::{case_config, dataset_for, SweepScale, Workload};
-use streamline_core::{run_simulated_with_store, Algorithm, RunOutcome, StaticPartition};
+use streamline_core::{Algorithm, Run, RunOutcome, StaticPartition};
 use streamline_field::dataset::Seeding;
 use streamline_iosim::{BlockStore, MemoryStore};
 
@@ -36,7 +36,7 @@ fn main() {
         for partition in [StaticPartition::Contiguous, StaticPartition::RoundRobin] {
             let mut cfg = case_config(workload, seeding, Algorithm::StaticAllocation, procs);
             cfg.static_partition = partition;
-            let r = run_simulated_with_store(&dataset, &seeds, &cfg, Arc::clone(&store));
+            let r = Run::new(&dataset, &cfg, &seeds).store(Arc::clone(&store)).go().unwrap().report;
             let label = match partition {
                 StaticPartition::Contiguous => "contiguous (paper)",
                 StaticPartition::RoundRobin => "round-robin",

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 use streamline_bench::experiments::{case_config, dataset_for, SweepScale, Workload};
-use streamline_core::{run_simulated_with_store, Algorithm};
+use streamline_core::{Algorithm, Run};
 use streamline_field::dataset::Seeding;
 use streamline_iosim::{BlockStore, MemoryStore};
 use streamline_math::stats::Summary;
@@ -35,7 +35,7 @@ fn main() {
     println!("|-----------|---------:|----------:|---------:|---------:|---------------:|");
     for algo in Algorithm::ALL {
         let cfg = case_config(workload, seeding, algo, procs);
-        let r = run_simulated_with_store(&dataset, &seeds, &cfg, Arc::clone(&store));
+        let r = Run::new(&dataset, &cfg, &seeds).store(Arc::clone(&store)).go().unwrap().report;
         assert!(r.outcome.completed(), "{}", r.summary());
         let idle: Vec<f64> = r.per_rank.iter().map(|m| m.idle).collect();
         let s = Summary::of(&idle).expect("ranks present");

@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use streamline_core::{run_simulated_with_store, Algorithm, RunConfig, RunReport};
+use streamline_core::{Algorithm, Run, RunConfig, RunReport};
 use streamline_field::dataset::{Dataset, DatasetConfig, Seeding};
 use streamline_integrate::StepLimits;
 use streamline_iosim::{BlockStore, MemoryStore};
@@ -150,7 +150,8 @@ pub fn run_sweep(
     for &p in procs {
         for algo in Algorithm::ALL {
             let cfg = case_config(workload, seeding, algo, p);
-            let report = run_simulated_with_store(&dataset, &seeds, &cfg, Arc::clone(&store));
+            let report =
+                Run::new(&dataset, &cfg, &seeds).store(Arc::clone(&store)).go().unwrap().report;
             out.push(CaseResult { workload, seeding: seeding.label().to_string(), report });
         }
     }

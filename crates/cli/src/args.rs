@@ -380,6 +380,23 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
             if ingest_epochs > 0 && ingest_batch == 0 {
                 return Err("--ingest-batch must be >= 1".into());
             }
+            let trace_bucket: f64 = get_parse(&o, "trace-bucket", 0.05)?;
+            if !(trace_bucket > 0.0 && trace_bucket.is_finite()) {
+                return Err(format!(
+                    "--trace-bucket must be positive and finite, got {trace_bucket}"
+                ));
+            }
+            let checkpoint_interval: f64 = get_parse(&o, "checkpoint-interval", 0.1)?;
+            if !(checkpoint_interval > 0.0 && checkpoint_interval.is_finite()) {
+                return Err(format!(
+                    "--checkpoint-interval must be positive and finite, got {checkpoint_interval}"
+                ));
+            }
+            // Like the knobs above: a kill count without snapshots would be
+            // silently ignored.
+            if o.contains_key("kill-after-checkpoints") && !o.contains_key("checkpoint") {
+                return Err("--kill-after-checkpoints only applies with --checkpoint DIR".into());
+            }
             let detector =
                 parse_detector(o.get("detector").map(|s| s.as_str()).unwrap_or("closed-set"))?;
             let defaults = StealParams::default();
@@ -417,10 +434,10 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
                 detector,
                 json: o.get("json").cloned(),
                 trace: o.get("trace").cloned(),
-                trace_bucket: get_parse(&o, "trace-bucket", 0.05)?,
+                trace_bucket,
                 metrics: o.get("metrics").cloned(),
                 checkpoint: o.get("checkpoint").cloned(),
-                checkpoint_interval: get_parse(&o, "checkpoint-interval", 0.1)?,
+                checkpoint_interval,
                 kill_after_checkpoints: o
                     .get("kill-after-checkpoints")
                     .map(|v| {
@@ -908,6 +925,27 @@ mod tests {
         assert!(e.contains("--ingest-batch"), "{e}");
         let e = parse(&argv("run --detector bogus")).unwrap_err();
         assert!(e.contains("unknown detector"), "{e}");
+    }
+
+    #[test]
+    fn trace_and_checkpoint_values_are_typed_errors_not_panics() {
+        for bad in ["0", "-1", "nan", "inf"] {
+            let e = parse(&argv(&format!("run --trace t.json --trace-bucket {bad}"))).unwrap_err();
+            assert!(e.contains("--trace-bucket must be positive and finite"), "{bad}: {e}");
+            let e = parse(&argv(&format!("run --checkpoint ck --checkpoint-interval {bad}")))
+                .unwrap_err();
+            assert!(e.contains("--checkpoint-interval must be positive and finite"), "{bad}: {e}");
+        }
+        // A kill count without snapshots is rejected, not silently ignored.
+        let e = parse(&argv("run --kill-after-checkpoints 2")).unwrap_err();
+        assert!(e.contains("only applies with --checkpoint"), "{e}");
+        match parse(&argv("run --checkpoint ck --kill-after-checkpoints 2")).unwrap().command {
+            Command::Run { checkpoint, kill_after_checkpoints, .. } => {
+                assert_eq!(checkpoint.as_deref(), Some("ck"));
+                assert_eq!(kill_after_checkpoints, Some(2));
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

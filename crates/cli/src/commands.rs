@@ -1,10 +1,7 @@
 //! Command implementations behind the `slrepro` binary.
 
 use crate::args::{AlgoChoice, Command, DatasetKind};
-use streamline_core::{
-    classify, recommend, run_simulated_detailed, run_simulated_traced, summarize, Algorithm,
-    FlowKnowledge, RunConfig,
-};
+use streamline_core::{classify, recommend, summarize, Algorithm, FlowKnowledge, Run, RunConfig};
 use streamline_field::dataset::{Dataset, DatasetConfig, Seeding};
 use streamline_field::unsteady::UnsteadyDoubleGyre;
 use streamline_integrate::{advect, Dopri5, StepLimits, Streamline, StreamlineId};
@@ -125,29 +122,9 @@ pub fn execute(cmd: Command) -> i32 {
         } => {
             use std::sync::Arc;
             use streamline_core::{
-                latest_checkpoint, resume_simulated_detailed_with_store,
-                resume_simulated_open_detailed_with_store, run_simulated_checkpointed_with_store,
-                run_simulated_detailed_with_store, run_simulated_open_checkpointed_with_store,
-                run_simulated_open_detailed, run_simulated_open_traced, CheckpointOptions,
-                SeedSource,
+                latest_checkpoint, CheckpointOptions, RunError, RunOutput, SeedSource,
             };
             use streamline_iosim::{BlockStore, FaultPlan, FaultStore, FieldStore};
-            if trace.is_some() && (checkpoint.is_some() || resume.is_some()) {
-                eprintln!("error: --trace cannot be combined with --checkpoint/--resume");
-                return 64;
-            }
-            if resume.is_some() && checkpoint.is_some() {
-                eprintln!("error: --resume and --checkpoint are mutually exclusive");
-                return 64;
-            }
-            if chaos && (trace.is_some() || checkpoint.is_some() || resume.is_some()) {
-                eprintln!("error: --chaos cannot be combined with --trace/--checkpoint/--resume");
-                return 64;
-            }
-            if chaos && ingest_epochs > 0 {
-                eprintln!("error: --chaos cannot be combined with --ingest-epochs");
-                return 64;
-            }
             // Parsing already validates the knobs; re-check here so
             // programmatic construction cannot smuggle bad values past the
             // typed error into a driver panic.
@@ -173,20 +150,18 @@ pub fn execute(cmd: Command) -> i32 {
             let n = seeds.unwrap_or_else(|| ds.paper_seed_count(seeding));
             let set = ds.seeds_with_count(seeding, n);
             // Open-loop schedule: `--ingest-epochs` batches of dense-layout
-            // seeds arriving every `--ingest-interval` virtual seconds. The
-            // schedule is a pure function of the flags, so a resume under
-            // the same flags rebuilds it bit-exactly.
-            let source = (ingest_epochs > 0).then(|| {
-                let extra = ds.seeds_with_count(Seeding::Dense, ingest_epochs * ingest_batch);
-                let epochs: Vec<(f64, Vec<Vec3>)> = (0..ingest_epochs)
-                    .map(|e| {
-                        let at = (e + 1) as f64 * ingest_interval;
-                        (at, extra.points[e * ingest_batch..(e + 1) * ingest_batch].to_vec())
-                    })
-                    .collect();
-                SeedSource::new(&set, epochs)
-                    .expect("flag validation guarantees a well-formed schedule")
-            });
+            // seeds arriving every `--ingest-interval` virtual seconds (none:
+            // a closed run). The schedule is a pure function of the flags,
+            // so a resume under the same flags rebuilds it bit-exactly.
+            let extra = ds.seeds_with_count(Seeding::Dense, ingest_epochs * ingest_batch);
+            let epochs: Vec<(f64, Vec<Vec3>)> = (0..ingest_epochs)
+                .map(|e| {
+                    let at = (e + 1) as f64 * ingest_interval;
+                    (at, extra.points[e * ingest_batch..(e + 1) * ingest_batch].to_vec())
+                })
+                .collect();
+            let source = SeedSource::new(&set, epochs)
+                .expect("flag validation guarantees a well-formed schedule");
             let mut cfg = RunConfig::new(Algorithm::HybridMasterSlave, procs);
             cfg.limits = limits_for(dataset, seeding);
             cfg.cache_blocks = cache;
@@ -210,12 +185,12 @@ pub fn execute(cmd: Command) -> i32 {
                 n,
                 procs
             );
-            if let Some(src) = &source {
+            if !source.is_closed() {
                 eprintln!(
                     "open-loop: {} arrival epochs of {ingest_batch} seeds every \
                      {ingest_interval}s ({} seeds total), {:?} detector",
                     ingest_epochs,
-                    src.total_seeds(),
+                    source.total_seeds(),
                     cfg.detector,
                 );
             }
@@ -230,11 +205,32 @@ pub fn execute(cmd: Command) -> i32 {
                     ),
                 }
             }
-            let mut ckpt_snapshots = 0u64;
-            let mut ckpt_bytes = 0u64;
-            let mut ckpt_restores = 0u64;
-            let (report, finished, timeline) = if let Some(from) = resume {
-                let given = std::path::PathBuf::from(&from);
+            let fault_store = chaos.then(|| {
+                let plan = FaultPlan::random(chaos_seed, ds.decomp.num_blocks(), &chaos_params)
+                    .expect("chaos params validated at the CLI boundary");
+                eprintln!(
+                    "chaos: {} faulty blocks from seed {chaos_seed:#x} ({} permanently lost)",
+                    plan.len(),
+                    plan.unavailable_blocks().len(),
+                );
+                let inner: Arc<dyn BlockStore> = Arc::new(FieldStore::new(ds.clone()));
+                Arc::new(FaultStore::new(inner, plan))
+            });
+            let mut run = Run::new(&ds, &cfg, source);
+            if let Some(fs) = &fault_store {
+                run = run.store(fs.clone());
+            }
+            if trace.is_some() {
+                run = run.trace(trace_bucket);
+            }
+            if let Some(dir) = &checkpoint {
+                run = run.checkpoint(CheckpointOptions {
+                    kill_after: kill_after_checkpoints,
+                    ..CheckpointOptions::new(dir, checkpoint_interval)
+                });
+            }
+            if let Some(from) = &resume {
+                let given = std::path::PathBuf::from(from);
                 let path = if given.is_dir() {
                     match latest_checkpoint(&given) {
                         Ok(Some(p)) => p,
@@ -251,99 +247,65 @@ pub fn execute(cmd: Command) -> i32 {
                     given
                 };
                 eprintln!("resuming from {} ...", path.display());
-                let store = Arc::new(FieldStore::new(ds.clone()));
-                let resumed = match &source {
-                    Some(src) => {
-                        resume_simulated_open_detailed_with_store(&ds, src, &cfg, store, &path)
-                    }
-                    None => resume_simulated_detailed_with_store(&ds, &set, &cfg, store, &path),
-                };
-                match resumed {
-                    Ok((r, f)) => {
-                        ckpt_restores = 1;
-                        (r, f, None)
-                    }
-                    Err(e) => {
-                        eprintln!("cannot resume from {}: {e}", path.display());
-                        return 1;
-                    }
+                run = run.resume(path);
+            }
+            let RunOutput {
+                report,
+                finished,
+                timeline,
+                pingpong_times,
+                checkpoints,
+                checkpoint_bytes,
+            } = match run.go() {
+                Ok(out) => out,
+                Err(e @ (RunError::Unsupported { .. } | RunError::BadValue { .. })) => {
+                    eprintln!("error: {e}");
+                    return 64;
                 }
-            } else if let Some(dir) = checkpoint {
-                let opts = CheckpointOptions {
-                    kill_after: kill_after_checkpoints,
-                    ..CheckpointOptions::new(&dir, checkpoint_interval)
-                };
-                let store = Arc::new(FieldStore::new(ds.clone()));
-                let outcome = match &source {
-                    Some(src) => {
-                        run_simulated_open_checkpointed_with_store(&ds, src, &cfg, store, &opts)
+                Err(RunError::Ckpt(e)) => {
+                    match &resume {
+                        Some(from) => eprintln!("cannot resume from {from}: {e}"),
+                        None => eprintln!("checkpoint error: {e}"),
                     }
-                    None => run_simulated_checkpointed_with_store(&ds, &set, &cfg, store, &opts),
-                };
-                match outcome {
-                    Ok(out) => {
-                        ckpt_snapshots = out.checkpoints.len() as u64;
-                        ckpt_bytes = out.bytes_written;
-                        if let Some(last) = out.checkpoints.last() {
-                            eprintln!(
-                                "wrote {ckpt_snapshots} snapshots ({ckpt_bytes} bytes), \
-                                 latest {}",
-                                last.display()
-                            );
-                        }
-                        match out.result {
-                            Some((r, f)) => (r, f, None),
-                            None => {
-                                // The kill half of the crash/restart smoke
-                                // test: abandoning after N snapshots is the
-                                // requested outcome, not a failure.
-                                eprintln!(
-                                    "run abandoned after {ckpt_snapshots} snapshots as \
-                                     requested; continue with: slrepro run ... --resume {dir}"
-                                );
-                                return 0;
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("checkpoint error: {e}");
-                        return 1;
-                    }
+                    return 1;
                 }
-            } else if chaos {
-                let plan = FaultPlan::random(chaos_seed, ds.decomp.num_blocks(), &chaos_params)
-                    .expect("chaos params validated at the CLI boundary");
+                Err(RunError::Killed { checkpoints, bytes_written }) => {
+                    // The kill half of the crash/restart smoke test:
+                    // abandoning after N snapshots is the requested outcome,
+                    // not a failure.
+                    let latest = checkpoints.last().map(|p| p.display().to_string());
+                    eprintln!(
+                        "wrote {} snapshots ({bytes_written} bytes), latest {}",
+                        checkpoints.len(),
+                        latest.unwrap_or_default()
+                    );
+                    eprintln!(
+                        "run abandoned after {} snapshots as requested; continue with: \
+                         slrepro run ... --resume {}",
+                        checkpoints.len(),
+                        checkpoint.unwrap_or_default()
+                    );
+                    return 0;
+                }
+            };
+            if let Some(last) = checkpoints.last() {
                 eprintln!(
-                    "chaos: {} faulty blocks from seed {chaos_seed:#x} ({} permanently lost)",
-                    plan.len(),
-                    plan.unavailable_blocks().len(),
+                    "wrote {} snapshots ({checkpoint_bytes} bytes), latest {}",
+                    checkpoints.len(),
+                    last.display()
                 );
-                let inner: Arc<dyn BlockStore> = Arc::new(FieldStore::new(ds.clone()));
-                let fs = Arc::new(FaultStore::new(inner, plan));
-                let (r, f) = run_simulated_detailed_with_store(&ds, &set, &cfg, fs.clone());
+            }
+            if let Some(fs) = &fault_store {
                 let c = fs.counters();
                 eprintln!(
                     "chaos: injected {} faults; {} retries, {} load failures, {} streamlines \
                      terminated unavailable",
                     c.faults_injected(),
-                    r.load_retries,
-                    r.load_failures,
-                    r.unavailable_terminations,
+                    report.load_retries,
+                    report.load_failures,
+                    report.unavailable_terminations,
                 );
-                (r, f, None)
-            } else if trace.is_some() {
-                let (r, f, t, pingpong) = match &source {
-                    Some(src) => run_simulated_open_traced(&ds, src, &cfg, trace_bucket),
-                    None => run_simulated_traced(&ds, &set, &cfg, trace_bucket),
-                };
-                (r, f, Some((t, pingpong)))
-            } else if let Some(src) = &source {
-                let (r, f) = run_simulated_open_detailed(&ds, src, &cfg);
-                (r, f, None)
-            } else {
-                let (r, f) = run_simulated_detailed(&ds, &set, &cfg);
-                (r, f, None)
-            };
+            }
             println!("{}", report.summary());
             if report.outcome.completed() {
                 print!("{}", summarize(&finished));
@@ -392,10 +354,10 @@ pub fn execute(cmd: Command) -> i32 {
                     }
                 }
             }
-            if let (Some(path), Some((timeline, pingpong))) = (trace, timeline) {
+            if let (Some(path), Some(timeline)) = (trace, timeline) {
                 let mut tf = timeline.to_trace("virtual");
                 tf.schedule = Some(
-                    streamline_obs::ScheduleTrace::from_timeline(&timeline, &pingpong)
+                    streamline_obs::ScheduleTrace::from_timeline(&timeline, &pingpong_times)
                         .with_rank_deaths(&timeline, &report.rank_deaths)
                         .with_ingest(
                             &timeline,
@@ -423,9 +385,16 @@ pub fn execute(cmd: Command) -> i32 {
             }
             if let Some(path) = metrics {
                 let registry = report.to_registry();
-                registry.set_counter(streamline_obs::names::CKPT_SNAPSHOTS_TOTAL, ckpt_snapshots);
-                registry.set_counter(streamline_obs::names::CKPT_WRITE_BYTES_TOTAL, ckpt_bytes);
-                registry.set_counter(streamline_obs::names::CKPT_RESTORES_TOTAL, ckpt_restores);
+                registry.set_counter(
+                    streamline_obs::names::CKPT_SNAPSHOTS_TOTAL,
+                    checkpoints.len() as u64,
+                );
+                registry
+                    .set_counter(streamline_obs::names::CKPT_WRITE_BYTES_TOTAL, checkpoint_bytes);
+                registry.set_counter(
+                    streamline_obs::names::CKPT_RESTORES_TOTAL,
+                    u64::from(resume.is_some()),
+                );
                 let text = registry.render_prometheus();
                 if let Err(e) = std::fs::write(&path, text) {
                     eprintln!("error writing {path}: {e}");

@@ -10,25 +10,22 @@
 //! geometry, same report, same virtual wall clock.
 //!
 //! The container format (magic, CRC-framed sections, typed errors) lives in
-//! [`streamline_ckpt`]; this module defines the payloads and the drive/resume
-//! entry points.
+//! [`streamline_ckpt`]; this module defines the payloads and the write and
+//! restore halves that [`crate::Run`] drives.
 
 use crate::config::RunConfig;
-use crate::driver::{
-    apply_ingest_stats, build_arrivals, build_procs, build_procs_planned, collect_report,
-    drain_finished, make_sim, AnyProc, IngestPlan,
-};
+use crate::driver::AnyProc;
 use crate::ingest::SeedSource;
 use crate::msg::Msg;
-use crate::report::RunReport;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use streamline_ckpt::{write_atomic, CkptError, CkptFile, CkptWriter, Meta, KIND_RUN};
-use streamline_desim::{CheckpointControl, Event, PendingEvent, ProcMetrics, SimState};
+use streamline_desim::{
+    CheckpointControl, Event, PendingEvent, ProcMetrics, SimReport, SimState, Simulation,
+};
 use streamline_field::dataset::Dataset;
-use streamline_field::seeds::SeedSet;
-use streamline_integrate::{StepLimits, Streamline};
+use streamline_integrate::StepLimits;
 use streamline_iosim::{BlockStore, FaultState};
 
 /// Section tag: run spec (config + bit-exact step limits).
@@ -108,16 +105,13 @@ pub struct SpecSection {
 }
 
 impl SpecSection {
-    pub fn of(cfg: &RunConfig) -> Self {
-        SpecSection { config: *cfg, limits: LimitsBits::of(&cfg.limits), ingest: None }
-    }
-
-    /// The SPEC of an open-loop run over `source`.
-    pub fn open(cfg: &RunConfig, source: &SeedSource) -> Self {
+    /// The SPEC of a run of `cfg` over `source` (`ingest` only when the
+    /// source is open).
+    pub fn new(cfg: &RunConfig, source: &SeedSource) -> Self {
         SpecSection {
             config: *cfg,
             limits: LimitsBits::of(&cfg.limits),
-            ingest: Some(IngestSpec::of(source)),
+            ingest: (!source.is_closed()).then(|| IngestSpec::of(source)),
         }
     }
 }
@@ -267,9 +261,8 @@ fn restore_rank(rank: usize, p: &mut AnyProc, snap: &RankSnapshot) -> Result<(),
 #[allow(clippy::too_many_arguments)]
 pub fn encode_run_checkpoint(
     dataset: &Dataset,
-    seeds: &SeedSet,
     cfg: &RunConfig,
-    source: Option<&SeedSource>,
+    source: &SeedSource,
     state: &SimState<Msg>,
     procs: &[AnyProc],
     store: &Arc<dyn BlockStore>,
@@ -279,9 +272,9 @@ pub fn encode_run_checkpoint(
     let mut meta = Meta::new(KIND_RUN);
     meta.algorithm = cfg.algorithm.label().to_string();
     meta.n_procs = cfg.n_procs;
-    meta.n_seeds = seeds.len();
+    meta.n_seeds = source.total_seeds();
     meta.dataset = dataset.name.to_string();
-    meta.seeding = seeds.label.clone();
+    meta.seeding = source.label.clone();
     meta.cache_blocks = cfg.cache_blocks;
     meta.interval = interval;
     meta.snapshot_seq = snapshot_seq;
@@ -289,11 +282,7 @@ pub fn encode_run_checkpoint(
 
     let mut w = CkptWriter::new();
     w.section_value(streamline_ckpt::META_TAG, &meta);
-    let spec = match source {
-        Some(s) => SpecSection::open(cfg, s),
-        None => SpecSection::of(cfg),
-    };
-    w.section_value(SPEC_TAG, &spec);
+    w.section_value(SPEC_TAG, &SpecSection::new(cfg, source));
     w.section_value(SIM_TAG, &SimStateDto::of(state));
     let ranks: Vec<RankSnapshot> = procs.iter().map(snapshot_rank).collect();
     w.section_value(RANK_TAG, &ranks);
@@ -322,55 +311,41 @@ impl CheckpointOptions {
     }
 }
 
-/// What a checkpointed run produced.
-#[derive(Debug)]
-pub struct CheckpointedOutcome {
-    /// `None` when the run was abandoned by `kill_after` (a simulated
-    /// crash); the report and streamlines then live only in the snapshots.
-    pub result: Option<(RunReport, Vec<Streamline>)>,
-    /// Snapshot files written, in order.
-    pub checkpoints: Vec<PathBuf>,
-    /// Total checkpoint bytes written (feeds `streamline_ckpt_*` metrics).
-    pub bytes_written: u64,
+/// The snapshot files a checkpointed run wrote, in order, and their total
+/// size.
+#[derive(Debug, Default)]
+pub(crate) struct Written {
+    pub paths: Vec<PathBuf>,
+    pub bytes: u64,
 }
 
-/// [`crate::driver::run_simulated_detailed_with_store`] with periodic
-/// checkpoints: before the first event at or past each `interval` boundary
-/// of virtual time, a `ckpt-NNNNNN.ckpt` snapshot is written atomically to
-/// `opts.dir`.
-pub fn run_simulated_checkpointed_with_store(
-    dataset: &Dataset,
-    seeds: &SeedSet,
-    cfg: &RunConfig,
-    store: Arc<dyn BlockStore>,
+/// Drive `sim` with periodic checkpoints: before the first event at or
+/// past each `opts.interval` boundary of virtual time, a
+/// `ckpt-NNNNNN.ckpt` snapshot is written atomically to `opts.dir`. The
+/// report is `None` when `opts.kill_after` abandoned the run. An open
+/// source's arrival schedule is already in the event queue, so a cut
+/// taken mid-stream carries every undelivered ingest event.
+pub(crate) fn drive(
+    sim: Simulation<Msg, AnyProc>,
     opts: &CheckpointOptions,
-) -> Result<CheckpointedOutcome, CkptError> {
+    dataset: &Dataset,
+    cfg: &RunConfig,
+    source: &SeedSource,
+    store: &Arc<dyn BlockStore>,
+) -> Result<(Option<SimReport>, Vec<AnyProc>, Written), CkptError> {
     std::fs::create_dir_all(&opts.dir)?;
-    let procs = build_procs(dataset, seeds, cfg, Arc::clone(&store));
-    let sim = make_sim(cfg, procs);
-
-    let mut checkpoints: Vec<PathBuf> = Vec::new();
-    let mut bytes_written = 0u64;
+    let mut written = Written::default();
     let mut io_err: Option<CkptError> = None;
     let mut seq = 0u64;
     let mut hook = |state: &SimState<Msg>, procs: &[AnyProc]| {
         seq += 1;
-        let bytes = encode_run_checkpoint(
-            dataset,
-            seeds,
-            cfg,
-            None,
-            state,
-            procs,
-            &store,
-            seq,
-            opts.interval,
-        );
+        let bytes =
+            encode_run_checkpoint(dataset, cfg, source, state, procs, store, seq, opts.interval);
         let path = opts.dir.join(format!("ckpt-{seq:06}.ckpt"));
         match write_atomic(&path, &bytes) {
             Ok(()) => {
-                bytes_written += bytes.len() as u64;
-                checkpoints.push(path);
+                written.bytes += bytes.len() as u64;
+                written.paths.push(path);
             }
             Err(e) => {
                 io_err = Some(e);
@@ -383,16 +358,11 @@ pub fn run_simulated_checkpointed_with_store(
             CheckpointControl::Continue
         }
     };
-    let (report, mut procs) = sim.run_checkpointed(opts.interval, &mut hook);
-    if let Some(e) = io_err {
-        return Err(e);
+    let (report, procs) = sim.run_checkpointed(opts.interval, &mut hook);
+    match io_err {
+        Some(e) => Err(e),
+        None => Ok((report, procs, written)),
     }
-    let result = report.map(|report| {
-        let run_report = collect_report(dataset, seeds, cfg, report, &procs);
-        let finished = drain_finished(seeds, cfg, &run_report.rank_deaths, &mut procs);
-        (run_report, finished)
-    });
-    Ok(CheckpointedOutcome { result, checkpoints, bytes_written })
 }
 
 /// Verify `meta`/SPEC against the rebuilt run inputs; any disagreement is a
@@ -400,9 +370,8 @@ pub fn run_simulated_checkpointed_with_store(
 fn verify_spec(
     file: &CkptFile,
     dataset: &Dataset,
-    seeds: &SeedSet,
     cfg: &RunConfig,
-    expected: &SpecSection,
+    source: &SeedSource,
 ) -> Result<Meta, CkptError> {
     let meta = file.meta()?;
     if meta.kind != KIND_RUN {
@@ -415,8 +384,8 @@ fn verify_spec(
         ("algorithm", meta.algorithm.clone(), cfg.algorithm.label().to_string()),
         ("n_procs", meta.n_procs.to_string(), cfg.n_procs.to_string()),
         ("dataset", meta.dataset.clone(), dataset.name.to_string()),
-        ("seeding", meta.seeding.clone(), seeds.label.clone()),
-        ("n_seeds", meta.n_seeds.to_string(), seeds.len().to_string()),
+        ("seeding", meta.seeding.clone(), source.label.clone()),
+        ("n_seeds", meta.n_seeds.to_string(), source.total_seeds().to_string()),
     ];
     for (what, stored, current) in checks {
         if stored != current {
@@ -427,7 +396,8 @@ fn verify_spec(
     }
     let stored: SpecSection = file.value(SPEC_TAG)?;
     let stored_json = serde_json::to_string(&stored).expect("vendored serde_json is infallible");
-    let current_json = serde_json::to_string(expected).expect("vendored serde_json is infallible");
+    let current_json = serde_json::to_string(&SpecSection::new(cfg, source))
+        .expect("vendored serde_json is infallible");
     if stored_json != current_json {
         return Err(CkptError::Mismatch(
             "run configuration differs from the checkpointed SPEC section \
@@ -438,19 +408,23 @@ fn verify_spec(
     Ok(meta)
 }
 
-/// Resume a run from `path` and drive it to completion. The dataset, seeds
-/// and config must be rebuilt exactly as for the original run (the SPEC
-/// section is verified). Returns the reconciled report — time and counters
-/// accumulated across the crash — and the complete, sorted streamlines.
-pub fn resume_simulated_detailed_with_store(
-    dataset: &Dataset,
-    seeds: &SeedSet,
-    cfg: &RunConfig,
-    store: Arc<dyn BlockStore>,
+/// Restore freshly built `procs` and the store's fault schedule from the
+/// snapshot at `path`, and return the scheduler cut to resume from. The
+/// dataset, source and config must be rebuilt exactly as for the original
+/// run (the SPEC section is verified, an open source's arrival schedule
+/// bit-exactly). Arrival events are not re-injected on resume: the
+/// undelivered ones ride the cut, so a mid-stream resume delivers exactly
+/// the epochs the original run had not yet seen.
+pub(crate) fn restore(
     path: &Path,
-) -> Result<(RunReport, Vec<Streamline>), CkptError> {
+    dataset: &Dataset,
+    cfg: &RunConfig,
+    source: &SeedSource,
+    store: &Arc<dyn BlockStore>,
+    procs: &mut [AnyProc],
+) -> Result<SimState<Msg>, CkptError> {
     let file = CkptFile::read(path)?;
-    verify_spec(&file, dataset, seeds, cfg, &SpecSection::of(cfg))?;
+    verify_spec(&file, dataset, cfg, source)?;
     let fault: Option<FaultState> = match file.section(FAULT_TAG) {
         Some(_) => Some(file.value(FAULT_TAG)?),
         None => None,
@@ -461,7 +435,6 @@ pub fn resume_simulated_detailed_with_store(
     if let Some(fs) = &fault {
         store.restore_fault_state(fs);
     }
-    let mut procs = build_procs(dataset, seeds, cfg, Arc::clone(&store));
     let ranks: Vec<RankSnapshot> = file.value(RANK_TAG)?;
     if ranks.len() != procs.len() {
         return Err(CkptError::Mismatch(format!(
@@ -486,136 +459,11 @@ pub fn resume_simulated_detailed_with_store(
             cfg.n_procs
         )));
     }
-    // Re-attach the full death schedule: deaths the snapshot already applied
-    // are restored from the cut (and skipped idempotently by the scheduler),
-    // deaths scheduled past the cut still fire at their original times.
-    let sim = make_sim(cfg, procs);
-    let (report, mut procs) = sim.resume(state);
-    let run_report = collect_report(dataset, seeds, cfg, report, &procs);
-    let finished = drain_finished(seeds, cfg, &run_report.rank_deaths, &mut procs);
-    Ok((run_report, finished))
-}
-
-/// [`crate::driver::run_simulated_open_detailed_with_store`] with periodic
-/// checkpoints. The arrival schedule is seeded into the event queue up
-/// front, so a cut taken mid-stream carries every undelivered ingest event
-/// in its SIMS section; the SPEC section records the schedule bit-exactly
-/// so a resume under a different schedule is rejected.
-pub fn run_simulated_open_checkpointed_with_store(
-    dataset: &Dataset,
-    source: &SeedSource,
-    cfg: &RunConfig,
-    store: Arc<dyn BlockStore>,
-    opts: &CheckpointOptions,
-) -> Result<CheckpointedOutcome, CkptError> {
-    std::fs::create_dir_all(&opts.dir)?;
-    let all = source.all_seeds();
-    let base = source.base();
-    let plan = IngestPlan::of(source);
-    let procs = build_procs_planned(dataset, &base, cfg, Arc::clone(&store), &plan);
-    let arrivals = build_arrivals(dataset, source, cfg);
-    let sim = make_sim(cfg, procs).with_arrivals(arrivals);
-
-    let mut checkpoints: Vec<PathBuf> = Vec::new();
-    let mut bytes_written = 0u64;
-    let mut io_err: Option<CkptError> = None;
-    let mut seq = 0u64;
-    let mut hook = |state: &SimState<Msg>, procs: &[AnyProc]| {
-        seq += 1;
-        let bytes = encode_run_checkpoint(
-            dataset,
-            &all,
-            cfg,
-            Some(source),
-            state,
-            procs,
-            &store,
-            seq,
-            opts.interval,
-        );
-        let path = opts.dir.join(format!("ckpt-{seq:06}.ckpt"));
-        match write_atomic(&path, &bytes) {
-            Ok(()) => {
-                bytes_written += bytes.len() as u64;
-                checkpoints.push(path);
-            }
-            Err(e) => {
-                io_err = Some(e);
-                return CheckpointControl::Stop;
-            }
-        }
-        if opts.kill_after.is_some_and(|n| seq >= n) {
-            CheckpointControl::Stop
-        } else {
-            CheckpointControl::Continue
-        }
-    };
-    let (report, mut procs) = sim.run_checkpointed(opts.interval, &mut hook);
-    if let Some(e) = io_err {
-        return Err(e);
-    }
-    let result = report.map(|report| {
-        let mut run_report = collect_report(dataset, &all, cfg, report, &procs);
-        apply_ingest_stats(&mut run_report, source, &procs);
-        let finished = drain_finished(&all, cfg, &run_report.rank_deaths, &mut procs);
-        (run_report, finished)
-    });
-    Ok(CheckpointedOutcome { result, checkpoints, bytes_written })
-}
-
-/// Resume an open-loop run from `path` and drive it to completion. The
-/// identical [`SeedSource`] must be rebuilt (the SPEC section verifies the
-/// arrival schedule bit-exactly). Arrival events are **not** re-injected —
-/// the undelivered ones ride the snapshotted event queue, so a mid-stream
-/// resume delivers exactly the epochs the original run had not yet seen.
-pub fn resume_simulated_open_detailed_with_store(
-    dataset: &Dataset,
-    source: &SeedSource,
-    cfg: &RunConfig,
-    store: Arc<dyn BlockStore>,
-    path: &Path,
-) -> Result<(RunReport, Vec<Streamline>), CkptError> {
-    let file = CkptFile::read(path)?;
-    let all = source.all_seeds();
-    verify_spec(&file, dataset, &all, cfg, &SpecSection::open(cfg, source))?;
-    let fault: Option<FaultState> = match file.section(FAULT_TAG) {
-        Some(_) => Some(file.value(FAULT_TAG)?),
-        None => None,
-    };
-    if let Some(fs) = &fault {
-        store.restore_fault_state(fs);
-    }
-    let base = source.base();
-    let plan = IngestPlan::of(source);
-    let mut procs = build_procs_planned(dataset, &base, cfg, Arc::clone(&store), &plan);
-    let ranks: Vec<RankSnapshot> = file.value(RANK_TAG)?;
-    if ranks.len() != procs.len() {
-        return Err(CkptError::Mismatch(format!(
-            "checkpoint has {} rank snapshots, run builds {} ranks",
-            ranks.len(),
-            procs.len()
-        )));
-    }
-    for (rank, (p, snap)) in procs.iter_mut().zip(&ranks).enumerate() {
-        restore_rank(rank, p, snap)?;
-    }
-    if let Some(fs) = &fault {
-        store.restore_fault_state(fs);
-    }
-    let state = file.value::<SimStateDto>(SIM_TAG)?.into_state();
-    if state.clocks.len() != cfg.n_procs {
-        return Err(CkptError::Mismatch(format!(
-            "scheduler cut covers {} ranks, run has {}",
-            state.clocks.len(),
-            cfg.n_procs
-        )));
-    }
-    let sim = make_sim(cfg, procs);
-    let (report, mut procs) = sim.resume(state);
-    let mut run_report = collect_report(dataset, &all, cfg, report, &procs);
-    apply_ingest_stats(&mut run_report, source, &procs);
-    let finished = drain_finished(&all, cfg, &run_report.rank_deaths, &mut procs);
-    Ok((run_report, finished))
+    // The caller re-attaches the full death schedule: deaths the snapshot
+    // already applied are restored from the cut (and skipped idempotently
+    // by the scheduler), deaths scheduled past the cut still fire at their
+    // original times.
+    Ok(state)
 }
 
 /// The newest (highest-ordinal) checkpoint file in `dir`, if any.
@@ -635,8 +483,10 @@ pub fn latest_checkpoint(dir: &Path) -> Result<Option<PathBuf>, CkptError> {
 mod tests {
     use super::*;
     use crate::config::{Algorithm, MemoryBudget};
-    use crate::driver::run_simulated_detailed_with_store;
+    use crate::report::RunReport;
+    use crate::{Run, RunError, RunOutput};
     use streamline_field::dataset::{DatasetConfig, Seeding};
+    use streamline_field::seeds::SeedSet;
     use streamline_field::BlockId;
     use streamline_iosim::{FaultPlan, FaultStore, FieldStore};
 
@@ -667,6 +517,19 @@ mod tests {
         dir
     }
 
+    /// Checkpoint `run` under `opts` until `kill_after` abandons it; the
+    /// snapshots written and their total size.
+    fn killed(run: Run<'_>, opts: CheckpointOptions) -> (Vec<PathBuf>, u64) {
+        match run.checkpoint(opts).go() {
+            Err(RunError::Killed { checkpoints, bytes_written }) => (checkpoints, bytes_written),
+            other => panic!("kill_after must abandon the run, got {other:?}"),
+        }
+    }
+
+    fn is_mismatch(err: &RunError) -> bool {
+        matches!(err, RunError::Ckpt(CkptError::Mismatch(_)))
+    }
+
     /// Kill each algorithm mid-run at the latest checkpoint, resume, and
     /// demand byte-equal streamlines and a byte-equal report vs. the
     /// uninterrupted reference — the subsystem's core invariant.
@@ -674,29 +537,26 @@ mod tests {
     fn kill_and_resume_is_bit_identical_for_every_algorithm() {
         for algo in Algorithm::ALL {
             let (ds, seeds, cfg) = fixture(algo);
-            let (ref_report, ref_lines) =
-                run_simulated_detailed_with_store(&ds, &seeds, &cfg, field_store(&ds));
+            let reference = Run::new(&ds, &cfg, &seeds).go().unwrap();
 
             let dir = tempdir(&format!("kill-{}", cfg.algorithm.label()));
             let mut opts = CheckpointOptions::new(&dir, 2.0e-4);
             opts.kill_after = Some(2);
-            let out =
-                run_simulated_checkpointed_with_store(&ds, &seeds, &cfg, field_store(&ds), &opts)
-                    .expect("checkpointed run");
-            assert!(out.result.is_none(), "{algo:?}: kill_after must abandon the run");
-            assert_eq!(out.checkpoints.len(), 2, "{algo:?}");
-            assert!(out.bytes_written > 0);
+            let (checkpoints, bytes) = killed(Run::new(&ds, &cfg, &seeds), opts);
+            assert_eq!(checkpoints.len(), 2, "{algo:?}");
+            assert!(bytes > 0);
 
             let latest = latest_checkpoint(&dir).unwrap().expect("snapshots on disk");
-            assert_eq!(Some(&latest), out.checkpoints.last());
-            let (res_report, res_lines) =
-                resume_simulated_detailed_with_store(&ds, &seeds, &cfg, field_store(&ds), &latest)
-                    .expect("resume");
+            assert_eq!(Some(&latest), checkpoints.last());
+            let resumed = Run::new(&ds, &cfg, &seeds).resume(&latest).go().expect("resume");
 
-            assert_eq!(res_lines, ref_lines, "{algo:?}: streamlines diverged after resume");
             assert_eq!(
-                report_json(&res_report),
-                report_json(&ref_report),
+                resumed.finished, reference.finished,
+                "{algo:?}: streamlines diverged after resume"
+            );
+            assert_eq!(
+                report_json(&resumed.report),
+                report_json(&reference.report),
                 "{algo:?}: report not reconciled bit-identically"
             );
             let _ = std::fs::remove_dir_all(&dir);
@@ -710,18 +570,18 @@ mod tests {
     fn checkpointing_does_not_perturb_a_completed_run() {
         for algo in Algorithm::ALL {
             let (ds, seeds, cfg) = fixture(algo);
-            let (ref_report, ref_lines) =
-                run_simulated_detailed_with_store(&ds, &seeds, &cfg, field_store(&ds));
+            let reference = Run::new(&ds, &cfg, &seeds).go().unwrap();
 
             let dir = tempdir(&format!("noperturb-{}", algo.label()));
             let opts = CheckpointOptions::new(&dir, 1.0e-3);
-            let out =
-                run_simulated_checkpointed_with_store(&ds, &seeds, &cfg, field_store(&ds), &opts)
-                    .expect("checkpointed run");
-            let (report, lines) = out.result.expect("uninterrupted run completes");
+            let out = Run::new(&ds, &cfg, &seeds).checkpoint(opts).go().expect("completes");
             assert!(!out.checkpoints.is_empty(), "{algo:?}: interval must fire at least once");
-            assert_eq!(lines, ref_lines, "{algo:?}: checkpointing perturbed the run");
-            assert_eq!(report_json(&report), report_json(&ref_report), "{algo:?}");
+            assert!(out.checkpoint_bytes > 0, "{algo:?}");
+            assert_eq!(
+                out.finished, reference.finished,
+                "{algo:?}: checkpointing perturbed the run"
+            );
+            assert_eq!(report_json(&out.report), report_json(&reference.report), "{algo:?}");
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -737,23 +597,22 @@ mod tests {
             Arc::new(FaultStore::new(field_store(ds), plan()))
         };
 
-        let (ref_report, ref_lines) =
-            run_simulated_detailed_with_store(&ds, &seeds, &cfg, faulty(&ds));
-        assert!(ref_report.load_retries > 0, "fixture must actually exercise retries");
+        let reference = Run::new(&ds, &cfg, &seeds).store(faulty(&ds)).go().unwrap();
+        assert!(reference.report.load_retries > 0, "fixture must actually exercise retries");
 
         let dir = tempdir("faulty");
         let mut opts = CheckpointOptions::new(&dir, 2.0e-4);
         opts.kill_after = Some(2);
-        let out = run_simulated_checkpointed_with_store(&ds, &seeds, &cfg, faulty(&ds), &opts)
-            .expect("checkpointed run");
+        killed(Run::new(&ds, &cfg, &seeds).store(faulty(&ds)), opts);
         let latest = latest_checkpoint(&dir).unwrap().expect("snapshots on disk");
-        assert!(out.result.is_none());
 
-        let (res_report, res_lines) =
-            resume_simulated_detailed_with_store(&ds, &seeds, &cfg, faulty(&ds), &latest)
-                .expect("resume over fault store");
-        assert_eq!(res_lines, ref_lines);
-        assert_eq!(report_json(&res_report), report_json(&ref_report));
+        let resumed = Run::new(&ds, &cfg, &seeds)
+            .store(faulty(&ds))
+            .resume(&latest)
+            .go()
+            .expect("resume over fault store");
+        assert_eq!(resumed.finished, reference.finished);
+        assert_eq!(report_json(&resumed.report), report_json(&reference.report));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -765,30 +624,32 @@ mod tests {
         let dir = tempdir("mismatch");
         let mut opts = CheckpointOptions::new(&dir, 2.0e-4);
         opts.kill_after = Some(1);
-        run_simulated_checkpointed_with_store(&ds, &seeds, &cfg, field_store(&ds), &opts)
-            .expect("checkpointed run");
+        killed(Run::new(&ds, &cfg, &seeds), opts);
         let latest = latest_checkpoint(&dir).unwrap().expect("snapshot on disk");
 
         let mut other = cfg;
         other.n_procs = 3;
-        let err =
-            resume_simulated_detailed_with_store(&ds, &seeds, &other, field_store(&ds), &latest)
-                .expect_err("mismatched n_procs must be rejected");
-        assert!(matches!(err, CkptError::Mismatch(_)), "{err:?}");
+        let err = Run::new(&ds, &other, &seeds)
+            .resume(&latest)
+            .go()
+            .expect_err("mismatched n_procs must be rejected");
+        assert!(is_mismatch(&err), "{err:?}");
 
         let mut other = cfg;
         other.algorithm = Algorithm::LoadOnDemand;
-        let err =
-            resume_simulated_detailed_with_store(&ds, &seeds, &other, field_store(&ds), &latest)
-                .expect_err("mismatched algorithm must be rejected");
-        assert!(matches!(err, CkptError::Mismatch(_)), "{err:?}");
+        let err = Run::new(&ds, &other, &seeds)
+            .resume(&latest)
+            .go()
+            .expect_err("mismatched algorithm must be rejected");
+        assert!(is_mismatch(&err), "{err:?}");
 
         let mut other = cfg;
         other.limits.max_steps = 299;
-        let err =
-            resume_simulated_detailed_with_store(&ds, &seeds, &other, field_store(&ds), &latest)
-                .expect_err("mismatched limits must be rejected");
-        assert!(matches!(err, CkptError::Mismatch(_)), "{err:?}");
+        let err = Run::new(&ds, &other, &seeds)
+            .resume(&latest)
+            .go()
+            .expect_err("mismatched limits must be rejected");
+        assert!(is_mismatch(&err), "{err:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -803,23 +664,20 @@ mod tests {
         for algo in Algorithm::ALL {
             let (ds, seeds, mut cfg) = fixture(algo);
             cfg.batch.lanes = Some(5);
-            let (ref_report, ref_lines) =
-                run_simulated_detailed_with_store(&ds, &seeds, &cfg, field_store(&ds));
+            let reference = Run::new(&ds, &cfg, &seeds).go().unwrap();
 
             let dir = tempdir(&format!("midbatch-{}", cfg.algorithm.label()));
             let mut opts = CheckpointOptions::new(&dir, 2.0e-4);
             opts.kill_after = Some(2);
-            let out =
-                run_simulated_checkpointed_with_store(&ds, &seeds, &cfg, field_store(&ds), &opts)
-                    .expect("checkpointed run");
-            assert!(out.result.is_none(), "{algo:?}: kill_after must abandon the run");
+            killed(Run::new(&ds, &cfg, &seeds), opts);
 
             let latest = latest_checkpoint(&dir).unwrap().expect("snapshots on disk");
-            let (res_report, res_lines) =
-                resume_simulated_detailed_with_store(&ds, &seeds, &cfg, field_store(&ds), &latest)
-                    .expect("resume");
-            assert_eq!(res_lines, ref_lines, "{algo:?}: streamlines diverged after resume");
-            assert_eq!(report_json(&res_report), report_json(&ref_report), "{algo:?}");
+            let resumed = Run::new(&ds, &cfg, &seeds).resume(&latest).go().expect("resume");
+            assert_eq!(
+                resumed.finished, reference.finished,
+                "{algo:?}: streamlines diverged after resume"
+            );
+            assert_eq!(report_json(&resumed.report), report_json(&reference.report), "{algo:?}");
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -836,23 +694,24 @@ mod tests {
         let dir = tempdir("batch-mismatch");
         let mut opts = CheckpointOptions::new(&dir, 2.0e-4);
         opts.kill_after = Some(1);
-        run_simulated_checkpointed_with_store(&ds, &seeds, &cfg, field_store(&ds), &opts)
-            .expect("checkpointed run");
+        killed(Run::new(&ds, &cfg, &seeds), opts);
         let latest = latest_checkpoint(&dir).unwrap().expect("snapshot on disk");
 
         let mut other = cfg;
         other.batch.lanes = Some(8);
-        let err =
-            resume_simulated_detailed_with_store(&ds, &seeds, &other, field_store(&ds), &latest)
-                .expect_err("mismatched batch size must be rejected");
-        assert!(matches!(err, CkptError::Mismatch(_)), "{err:?}");
+        let err = Run::new(&ds, &other, &seeds)
+            .resume(&latest)
+            .go()
+            .expect_err("mismatched batch size must be rejected");
+        assert!(is_mismatch(&err), "{err:?}");
 
         let mut other = cfg;
         other.batch.lanes = None;
-        let err =
-            resume_simulated_detailed_with_store(&ds, &seeds, &other, field_store(&ds), &latest)
-                .expect_err("explicit-vs-auto batch must be rejected");
-        assert!(matches!(err, CkptError::Mismatch(_)), "{err:?}");
+        let err = Run::new(&ds, &other, &seeds)
+            .resume(&latest)
+            .go()
+            .expect_err("explicit-vs-auto batch must be rejected");
+        assert!(is_mismatch(&err), "{err:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -867,28 +726,26 @@ mod tests {
             // Rank 3 (a worker under every algorithm) dies at t = 1e-4, well
             // before the second snapshot — the cut must carry the death.
             cfg.rank_chaos = Some(crate::config::RankChaos::one_kill(3, 1.0e-4));
-            let (ref_report, ref_lines) =
-                run_simulated_detailed_with_store(&ds, &seeds, &cfg, field_store(&ds));
-            assert_eq!(ref_report.rank_deaths, vec![(3, 1.0e-4)], "{algo:?}");
+            let reference = Run::new(&ds, &cfg, &seeds).go().unwrap();
+            assert_eq!(reference.report.rank_deaths, vec![(3, 1.0e-4)], "{algo:?}");
 
             let dir = tempdir(&format!("rankchaos-{}", cfg.algorithm.label()));
             let mut opts = CheckpointOptions::new(&dir, 2.0e-4);
             opts.kill_after = Some(2);
-            let out =
-                run_simulated_checkpointed_with_store(&ds, &seeds, &cfg, field_store(&ds), &opts)
-                    .expect("checkpointed run");
-            assert!(out.result.is_none(), "{algo:?}: kill_after must abandon the run");
+            killed(Run::new(&ds, &cfg, &seeds), opts);
 
             let latest = latest_checkpoint(&dir).unwrap().expect("snapshots on disk");
             let file = CkptFile::read(&latest).expect("readable snapshot");
             let state: SimStateDto = file.value(SIM_TAG).expect("SIMS section");
             assert_eq!(state.dead, vec![(3, 1.0e-4)], "{algo:?}: snapshot must record the death");
 
-            let (res_report, res_lines) =
-                resume_simulated_detailed_with_store(&ds, &seeds, &cfg, field_store(&ds), &latest)
-                    .expect("resume under rank chaos");
-            assert_eq!(res_lines, ref_lines, "{algo:?}: streamlines diverged after resume");
-            assert_eq!(report_json(&res_report), report_json(&ref_report), "{algo:?}");
+            let resumed =
+                Run::new(&ds, &cfg, &seeds).resume(&latest).go().expect("resume under rank chaos");
+            assert_eq!(
+                resumed.finished, reference.finished,
+                "{algo:?}: streamlines diverged after resume"
+            );
+            assert_eq!(report_json(&resumed.report), report_json(&reference.report), "{algo:?}");
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -912,50 +769,38 @@ mod tests {
     /// byte-equal streamlines and report vs. the uninterrupted open run.
     #[test]
     fn open_loop_kill_and_resume_is_bit_identical_for_every_algorithm() {
-        use crate::driver::run_simulated_open_detailed_with_store;
         use crate::termination::DetectorKind;
         for algo in Algorithm::ALL {
             for kind in [DetectorKind::ClosedSet, DetectorKind::Frontier] {
                 let (ds, source, mut cfg) = open_fixture(algo);
                 cfg.detector = kind;
-                let (ref_report, ref_lines) =
-                    run_simulated_open_detailed_with_store(&ds, &source, &cfg, field_store(&ds));
+                let RunOutput { report: ref_report, finished: ref_lines, .. } =
+                    Run::new(&ds, &cfg, source.clone()).go().unwrap();
                 assert_eq!(ref_report.terminated, source.total_seeds() as u64, "{algo:?}");
 
                 let dir = tempdir(&format!("open-{}-{kind:?}", cfg.algorithm.label()));
                 let mut opts = CheckpointOptions::new(&dir, 2.0e-4);
                 opts.kill_after = Some(2);
-                let out = run_simulated_open_checkpointed_with_store(
-                    &ds,
-                    &source,
-                    &cfg,
-                    field_store(&ds),
-                    &opts,
-                )
-                .expect("open checkpointed run");
-                assert!(out.result.is_none(), "{algo:?}: kill_after must abandon the run");
+                let (checkpoints, _) = killed(Run::new(&ds, &cfg, source.clone()), opts);
 
                 // Resume from every snapshot; at least one cut must be
                 // genuinely mid-stream (an arrival epoch still undelivered
                 // in the snapshotted event queue).
                 let mut mid_stream_cuts = 0usize;
-                for snap in &out.checkpoints {
+                for snap in &checkpoints {
                     let file = CkptFile::read(snap).expect("readable snapshot");
                     let state: SimStateDto = file.value(SIM_TAG).expect("SIMS section");
                     mid_stream_cuts += usize::from(state.pending.iter().any(|p| {
                         matches!(&p.ev, EventDto::Message { msg: Msg::Ingest { .. }, .. })
                     }));
-                    let (res_report, res_lines) = resume_simulated_open_detailed_with_store(
-                        &ds,
-                        &source,
-                        &cfg,
-                        field_store(&ds),
-                        snap,
-                    )
-                    .expect("open resume");
-                    assert_eq!(res_lines, ref_lines, "{algo:?}/{kind:?}: streamlines diverged");
+                    let resumed =
+                        Run::new(&ds, &cfg, source.clone()).resume(snap).go().expect("open resume");
                     assert_eq!(
-                        report_json(&res_report),
+                        resumed.finished, ref_lines,
+                        "{algo:?}/{kind:?}: streamlines diverged"
+                    );
+                    assert_eq!(
+                        report_json(&resumed.report),
                         report_json(&ref_report),
                         "{algo:?}/{kind:?}: report not reconciled bit-identically"
                     );
@@ -970,16 +815,14 @@ mod tests {
     }
 
     /// Resuming an open checkpoint under a different arrival schedule (or
-    /// through the closed entry point) is a typed mismatch, never a
-    /// silently diverging run.
+    /// as a closed run) is a typed mismatch, never a silently diverging run.
     #[test]
     fn open_resume_rejects_a_mismatched_ingest_schedule() {
         let (ds, source, cfg) = open_fixture(Algorithm::LoadOnDemand);
         let dir = tempdir("open-mismatch");
         let mut opts = CheckpointOptions::new(&dir, 2.0e-4);
         opts.kill_after = Some(1);
-        run_simulated_open_checkpointed_with_store(&ds, &source, &cfg, field_store(&ds), &opts)
-            .expect("open checkpointed run");
+        killed(Run::new(&ds, &cfg, source.clone()), opts);
         let latest = latest_checkpoint(&dir).unwrap().expect("snapshot on disk");
 
         // Same seeds, one arrival nudged: bit-exact schedule check fires.
@@ -989,21 +832,20 @@ mod tests {
             vec![(1.0e-4, more.points[..5].to_vec()), (6.0e-4, more.points[5..].to_vec())],
         )
         .unwrap();
-        let err = resume_simulated_open_detailed_with_store(
-            &ds,
-            &shifted,
-            &cfg,
-            field_store(&ds),
-            &latest,
-        )
-        .expect_err("shifted arrival schedule must be rejected");
-        assert!(matches!(err, CkptError::Mismatch(_)), "{err:?}");
+        let err = Run::new(&ds, &cfg, shifted)
+            .resume(&latest)
+            .go()
+            .expect_err("shifted arrival schedule must be rejected");
+        assert!(is_mismatch(&err), "{err:?}");
 
-        // The closed resume path must reject an open snapshot outright.
+        // The same seeds as a closed set must reject an open snapshot
+        // outright.
         let all = source.all_seeds();
-        let err = resume_simulated_detailed_with_store(&ds, &all, &cfg, field_store(&ds), &latest)
+        let err = Run::new(&ds, &cfg, &all)
+            .resume(&latest)
+            .go()
             .expect_err("closed resume of an open snapshot must be rejected");
-        assert!(matches!(err, CkptError::Mismatch(_)), "{err:?}");
+        assert!(is_mismatch(&err), "{err:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1012,20 +854,16 @@ mod tests {
     #[test]
     fn every_snapshot_of_a_run_resumes_to_the_same_answer() {
         let (ds, seeds, cfg) = fixture(Algorithm::StaticAllocation);
-        let (ref_report, ref_lines) =
-            run_simulated_detailed_with_store(&ds, &seeds, &cfg, field_store(&ds));
+        let reference = Run::new(&ds, &cfg, &seeds).go().unwrap();
 
         let dir = tempdir("allsnaps");
         let opts = CheckpointOptions::new(&dir, 3.0e-4);
-        let out = run_simulated_checkpointed_with_store(&ds, &seeds, &cfg, field_store(&ds), &opts)
-            .expect("checkpointed run");
+        let out = Run::new(&ds, &cfg, &seeds).checkpoint(opts).go().expect("checkpointed run");
         assert!(out.checkpoints.len() >= 2, "want several snapshots to replay");
         for snap in &out.checkpoints {
-            let (r, lines) =
-                resume_simulated_detailed_with_store(&ds, &seeds, &cfg, field_store(&ds), snap)
-                    .expect("resume");
-            assert_eq!(lines, ref_lines, "{snap:?}");
-            assert_eq!(report_json(&r), report_json(&ref_report), "{snap:?}");
+            let resumed = Run::new(&ds, &cfg, &seeds).resume(snap).go().expect("resume");
+            assert_eq!(resumed.finished, reference.finished, "{snap:?}");
+            assert_eq!(report_json(&resumed.report), report_json(&reference.report), "{snap:?}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,5 +1,6 @@
-//! The run driver: build ranks for an algorithm, execute on the simulated
-//! cluster (or real threads), and collect a [`RunReport`].
+//! The run driver's parts: build the ranks for an algorithm, schedule an
+//! open source's arrivals, and collect a [`RunReport`] and the finished
+//! streamlines. [`crate::Run`] puts them together.
 
 use crate::config::{Algorithm, RunConfig};
 use crate::hybrid::{HybridLayout, MasterProc, SlaveProc};
@@ -12,11 +13,11 @@ use crate::steal::StealProc;
 use crate::termination::FrontierDetector;
 use crate::workspace::Workspace;
 use std::sync::Arc;
-use streamline_desim::{Context, Event, Process, Simulation, ThreadRuntime};
+use streamline_desim::{Context, Event, Process, Simulation};
 use streamline_field::dataset::Dataset;
 use streamline_field::seeds::SeedSet;
 use streamline_integrate::StreamlineId;
-use streamline_iosim::{BlockStore, CacheStats, FieldStore};
+use streamline_iosim::{BlockStore, CacheStats};
 use streamline_math::Vec3;
 
 /// A rank of any of the four algorithms (the simulation is monomorphic in
@@ -132,7 +133,7 @@ impl AnyProc {
 
     /// Thread-runtime retirement: Load On Demand and Work Stealing ranks
     /// know when they are finished; the other algorithms end via `stop_all`.
-    fn retired(&self) -> bool {
+    pub(crate) fn retired(&self) -> bool {
         match self {
             AnyProc::Lod(p) => p.done,
             AnyProc::Steal(p) => p.done,
@@ -594,6 +595,7 @@ pub(crate) fn fold_frontier(procs: &[AnyProc], totals: &[u64]) -> Option<IngestS
 
 /// Stamp the open-loop ingest fields onto a collected report: the epoch
 /// schedule, the folded frontier, and the arrival→completion lag series.
+/// Open runs only: a closed run's report keeps the zero defaults.
 pub(crate) fn apply_ingest_stats(r: &mut RunReport, source: &SeedSource, procs: &[AnyProc]) {
     r.ingest_epochs = source.n_epochs();
     r.ingest_epoch_arrivals = source.epoch_arrivals();
@@ -782,9 +784,8 @@ pub(crate) fn collect_report(
         detection_latency_mean,
         detection_latency_max,
         dropped_events,
-        // Ingest fields are stamped by the open entry points
-        // ([`apply_ingest_stats`]); the closed collector leaves the
-        // defaults so closed reports stay byte-identical.
+        // Ingest fields are stamped on open runs only
+        // ([`apply_ingest_stats`]); closed runs keep the defaults.
         ingest_epochs: 0,
         ingest_frontier_epochs: 0,
         ingest_epoch_arrivals: Vec::new(),
@@ -860,160 +861,25 @@ pub(crate) fn collect_pingpong_times(procs: &[AnyProc]) -> Vec<f64> {
     times
 }
 
-/// Run one configuration on the deterministic simulated cluster.
-pub fn run_simulated(dataset: &Dataset, seeds: &SeedSet, cfg: &RunConfig) -> RunReport {
-    let store: Arc<dyn BlockStore> = Arc::new(FieldStore::new(dataset.clone()));
-    run_simulated_with_store(dataset, seeds, cfg, store)
-}
-
-/// Like [`run_simulated`] but also returns every finished streamline,
-/// sorted by id — for result-equivalence checks and post-processing.
-pub fn run_simulated_detailed(
-    dataset: &Dataset,
-    seeds: &SeedSet,
-    cfg: &RunConfig,
-) -> (RunReport, Vec<streamline_integrate::Streamline>) {
-    let store: Arc<dyn BlockStore> = Arc::new(FieldStore::new(dataset.clone()));
-    run_simulated_detailed_with_store(dataset, seeds, cfg, store)
-}
-
-/// [`run_simulated_detailed`] with an explicit store — the hook the
-/// resilience tests use to run the drivers over a
-/// [`streamline_iosim::FaultStore`] and compare surviving streamlines
-/// against a fault-free run.
+/// [`Run`](crate::Run) with an explicit store, as the report and the
+/// finished streamlines. Kept only for the benchmark harness in
+/// `perfbench/`, which calls it; it goes with the next change to that
+/// harness.
 pub fn run_simulated_detailed_with_store(
     dataset: &Dataset,
     seeds: &SeedSet,
     cfg: &RunConfig,
     store: Arc<dyn BlockStore>,
 ) -> (RunReport, Vec<streamline_integrate::Streamline>) {
-    let procs = build_procs(dataset, seeds, cfg, store);
-    let sim = make_sim(cfg, procs);
-    let (report, mut procs) = sim.run();
-    let run_report = collect_report(dataset, seeds, cfg, report, &procs);
-    let finished = drain_finished(seeds, cfg, &run_report.rank_deaths, &mut procs);
-    (run_report, finished)
-}
-
-/// [`run_simulated`] with an explicit store (e.g. a pre-built
-/// [`streamline_iosim::MemoryStore`] shared across a parameter sweep).
-pub fn run_simulated_with_store(
-    dataset: &Dataset,
-    seeds: &SeedSet,
-    cfg: &RunConfig,
-    store: Arc<dyn BlockStore>,
-) -> RunReport {
-    let procs = build_procs(dataset, seeds, cfg, store);
-    let sim = make_sim(cfg, procs);
-    let (report, procs) = sim.run();
-    collect_report(dataset, seeds, cfg, report, &procs)
-}
-
-/// Run an open workload — a [`SeedSource`] whose later epochs arrive as
-/// scheduled virtual-time events while earlier work is integrating — on
-/// the deterministic simulated cluster. With a closed source this is
-/// exactly [`run_simulated`].
-pub fn run_simulated_open(dataset: &Dataset, source: &SeedSource, cfg: &RunConfig) -> RunReport {
-    let store: Arc<dyn BlockStore> = Arc::new(FieldStore::new(dataset.clone()));
-    let (report, _) = run_simulated_open_detailed_with_store(dataset, source, cfg, store);
-    report
-}
-
-/// [`run_simulated_open`] returning every finished streamline, sorted by
-/// id — one record per ingested seed.
-pub fn run_simulated_open_detailed(
-    dataset: &Dataset,
-    source: &SeedSource,
-    cfg: &RunConfig,
-) -> (RunReport, Vec<streamline_integrate::Streamline>) {
-    let store: Arc<dyn BlockStore> = Arc::new(FieldStore::new(dataset.clone()));
-    run_simulated_open_detailed_with_store(dataset, source, cfg, store)
-}
-
-/// [`run_simulated_open_detailed`] with an explicit store — the hook the
-/// open-loop chaos tests use to combine ingest with block faults.
-pub fn run_simulated_open_detailed_with_store(
-    dataset: &Dataset,
-    source: &SeedSource,
-    cfg: &RunConfig,
-    store: Arc<dyn BlockStore>,
-) -> (RunReport, Vec<streamline_integrate::Streamline>) {
-    let all = source.all_seeds();
-    let base = source.base();
-    let plan = IngestPlan::of(source);
-    let procs = build_procs_planned(dataset, &base, cfg, store, &plan);
-    let arrivals = build_arrivals(dataset, source, cfg);
-    let sim = make_sim(cfg, procs).with_arrivals(arrivals);
-    let (report, mut procs) = sim.run();
-    let mut run_report = collect_report(dataset, &all, cfg, report, &procs);
-    apply_ingest_stats(&mut run_report, source, &procs);
-    let finished = drain_finished(&all, cfg, &run_report.rank_deaths, &mut procs);
-    (run_report, finished)
-}
-
-/// [`run_simulated_open_detailed`] with a virtual-time phase timeline —
-/// the open-loop counterpart of [`run_simulated_traced`], feeding the
-/// trace's open-vs-closed scheduling series.
-pub fn run_simulated_open_traced(
-    dataset: &Dataset,
-    source: &SeedSource,
-    cfg: &RunConfig,
-    bucket_width: f64,
-) -> (RunReport, Vec<streamline_integrate::Streamline>, streamline_desim::Timeline, Vec<f64>) {
-    let store: Arc<dyn BlockStore> = Arc::new(FieldStore::new(dataset.clone()));
-    let all = source.all_seeds();
-    let base = source.base();
-    let plan = IngestPlan::of(source);
-    let procs = build_procs_planned(dataset, &base, cfg, store, &plan);
-    let arrivals = build_arrivals(dataset, source, cfg);
-    let sim = make_sim(cfg, procs).with_arrivals(arrivals);
-    let (report, mut procs, timeline) = sim.run_traced(bucket_width);
-    let mut run_report = collect_report(dataset, &all, cfg, report, &procs);
-    apply_ingest_stats(&mut run_report, source, &procs);
-    let pingpong_times = collect_pingpong_times(&procs);
-    let finished = drain_finished(&all, cfg, &run_report.rank_deaths, &mut procs);
-    (run_report, finished, timeline, pingpong_times)
-}
-
-/// [`run_simulated_detailed`] with a virtual-time phase timeline recorded
-/// at `bucket_width` virtual-second resolution — the engine behind
-/// `streamline run --trace`. The fourth element is the sorted virtual
-/// times of ping-pong arrivals, feeding the trace's scheduling series.
-pub fn run_simulated_traced(
-    dataset: &Dataset,
-    seeds: &SeedSet,
-    cfg: &RunConfig,
-    bucket_width: f64,
-) -> (RunReport, Vec<streamline_integrate::Streamline>, streamline_desim::Timeline, Vec<f64>) {
-    let store: Arc<dyn BlockStore> = Arc::new(FieldStore::new(dataset.clone()));
-    let procs = build_procs(dataset, seeds, cfg, store);
-    let sim = make_sim(cfg, procs);
-    let (report, mut procs, timeline) = sim.run_traced(bucket_width);
-    let run_report = collect_report(dataset, seeds, cfg, report, &procs);
-    let pingpong_times = collect_pingpong_times(&procs);
-    let finished = drain_finished(seeds, cfg, &run_report.rank_deaths, &mut procs);
-    (run_report, finished, timeline, pingpong_times)
-}
-
-/// Run one configuration on real OS threads (wall time is measured, not
-/// simulated; `charge_*` amounts still populate the metric buckets).
-pub fn run_threaded(
-    dataset: &Dataset,
-    seeds: &SeedSet,
-    cfg: &RunConfig,
-    store: Arc<dyn BlockStore>,
-    timeout: std::time::Duration,
-) -> RunReport {
-    let procs = build_procs(dataset, seeds, cfg, store);
-    let rt = ThreadRuntime::new(cfg.cost.net, procs);
-    let (report, procs) = rt.run_until_finished(timeout, |p: &AnyProc| p.retired());
-    collect_report(dataset, seeds, cfg, report, &procs)
+    let out = crate::Run::new(dataset, cfg, seeds).store(store).go().expect("a plain run");
+    (out.report, out.finished)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MemoryBudget;
+    use crate::{Run, RunOutput};
     use streamline_field::dataset::{DatasetConfig, Seeding};
 
     fn tiny_run(algorithm: Algorithm, n_procs: usize, n_seeds: usize) -> RunReport {
@@ -1025,7 +891,7 @@ mod tests {
         let mut cfg = RunConfig::new(algorithm, n_procs);
         cfg.limits.max_steps = 300;
         cfg.memory = MemoryBudget::unlimited();
-        run_simulated(&ds, &seeds, &cfg)
+        Run::new(&ds, &cfg, &seeds).go().unwrap().report
     }
 
     #[test]
@@ -1144,7 +1010,7 @@ mod tests {
         cfg.limits.max_arc_length = 1.0;
         cfg.memory = MemoryBudget::unlimited();
         assert_eq!(cfg.hybrid.n_masters(70), 3);
-        let r = run_simulated(&ds, &seeds, &cfg);
+        let r = Run::new(&ds, &cfg, &seeds).go().unwrap().report;
         assert!(r.outcome.completed(), "{}", r.summary());
         assert_eq!(r.terminated, 300);
     }
@@ -1165,7 +1031,8 @@ mod tests {
                 cfg.limits.max_steps = 300;
                 cfg.memory = MemoryBudget::unlimited();
                 cfg.batch.lanes = Some(lanes);
-                runs.push(run_simulated_detailed(&ds, &seeds, &cfg));
+                let out = Run::new(&ds, &cfg, &seeds).go().unwrap();
+                runs.push((out.report, out.finished));
             }
             let (r1, f1) = &runs[0];
             assert!(r1.outcome.completed(), "{algo:?}");
@@ -1221,7 +1088,7 @@ mod tests {
             // Rank 3 is a worker under every algorithm (hybrid's master is
             // rank 0), killed while work is still in flight.
             cfg.rank_chaos = Some(crate::config::RankChaos::one_kill(3, 5e-3));
-            let (r, finished) = run_simulated_detailed(&ds, &seeds, &cfg);
+            let RunOutput { report: r, finished, .. } = Run::new(&ds, &cfg, &seeds).go().unwrap();
             assert_eq!(r.rank_deaths, vec![(3, 5e-3)], "{algo:?}");
             assert_eq!(r.terminated, 27, "{algo:?}: {}", r.summary());
             assert_eq!(finished.len(), 27, "{algo:?}: one record per seed");
@@ -1251,7 +1118,7 @@ mod tests {
             cfg.limits.max_steps = 300;
             cfg.memory = MemoryBudget::unlimited();
             cfg.rank_chaos = Some(crate::config::RankChaos::one_kill(3, 5e-3));
-            let r = run_simulated(&ds, &seeds, &cfg);
+            let r = Run::new(&ds, &cfg, &seeds).go().unwrap().report;
             assert!(r.reassigned_streamlines > 0, "{algo:?}: nothing reassigned\n{r:?}");
         }
     }
@@ -1263,7 +1130,7 @@ mod tests {
         cfg.limits.max_steps = 300;
         cfg.memory = MemoryBudget::unlimited();
         cfg.rank_chaos = Some(crate::config::RankChaos::one_kill(0, 5e-3));
-        let (r, finished) = run_simulated_detailed(&ds, &seeds, &cfg);
+        let RunOutput { report: r, finished, .. } = Run::new(&ds, &cfg, &seeds).go().unwrap();
         assert_eq!(r.outcome, RunOutcome::MasterLost { rank: 0 }, "{}", r.summary());
         assert_eq!(finished.len(), 27, "every seed still accounted");
         let (completed, unavailable, lost) = classify(&finished);
@@ -1281,7 +1148,8 @@ mod tests {
                 cfg.limits.max_steps = 300;
                 cfg.memory = MemoryBudget::unlimited();
                 cfg.rank_chaos = Some(crate::config::RankChaos::seeded(seed));
-                let (r, finished) = run_simulated_detailed(&ds, &seeds, &cfg);
+                let RunOutput { report: r, finished, .. } =
+                    Run::new(&ds, &cfg, &seeds).go().unwrap();
                 assert_eq!(finished.len(), 27, "{algo:?} seed {seed}");
                 let (completed, unavailable, lost) = classify(&finished);
                 assert_eq!(completed + unavailable + lost, 27, "{algo:?} seed {seed}");
@@ -1302,7 +1170,7 @@ mod tests {
             let mut rc = crate::config::RankChaos::seeded(1);
             rc.kill_prob = 0.0;
             cfg.rank_chaos = Some(rc);
-            let r = run_simulated(&ds, &seeds, &cfg);
+            let r = Run::new(&ds, &cfg, &seeds).go().unwrap().report;
             assert!(r.outcome.completed(), "{algo:?}");
             assert!(r.rank_deaths.is_empty(), "{algo:?}");
             assert_eq!(r.rank_lost_streamlines, 0, "{algo:?}");
@@ -1353,7 +1221,8 @@ mod tests {
                 cfg.limits.max_steps = 300;
                 cfg.memory = MemoryBudget::unlimited();
                 cfg.detector = kind;
-                let (r, finished) = run_simulated_open_detailed(&ds, &source, &cfg);
+                let RunOutput { report: r, finished, .. } =
+                    Run::new(&ds, &cfg, source.clone()).go().unwrap();
                 assert!(r.outcome.completed(), "{algo:?} {kind:?}");
                 assert_eq!(r.terminated, total, "{algo:?} {kind:?}: {}", r.summary());
                 assert_eq!(finished.len(), total as usize, "{algo:?} {kind:?}");
@@ -1376,6 +1245,9 @@ mod tests {
         }
     }
 
+    /// A closed seed set runs through the one open-capable path: the same
+    /// streamlines, schedule and traffic as the bare closed construction
+    /// (ranks built from the set, no arrivals), and no ingest fields.
     #[test]
     fn closed_source_through_open_entry_is_bit_identical() {
         let mut dcfg = DatasetConfig::tiny();
@@ -1388,13 +1260,19 @@ mod tests {
             let mut cfg = RunConfig::new(algo, 4);
             cfg.limits.max_steps = 300;
             cfg.memory = MemoryBudget::unlimited();
-            let (rc, fc) = run_simulated_detailed(&ds, &seeds, &cfg);
-            let (ro, fo) = run_simulated_open_detailed(&ds, &source, &cfg);
+            let store: Arc<dyn BlockStore> =
+                Arc::new(streamline_iosim::FieldStore::new(ds.clone()));
+            let (sim_report, mut procs) =
+                make_sim(&cfg, build_procs(&ds, &seeds, &cfg, store)).run();
+            let rc = collect_report(&ds, &seeds, &cfg, sim_report, &procs);
+            let fc = drain_finished(&seeds, &cfg, &rc.rank_deaths, &mut procs);
+            let RunOutput { report: ro, finished: fo, .. } =
+                Run::new(&ds, &cfg, source.clone()).go().unwrap();
             assert_eq!(fc, fo, "{algo:?}: open entry changed streamlines");
             assert_eq!(rc.wall, ro.wall, "{algo:?}");
             assert_eq!(rc.msgs, ro.msgs, "{algo:?}");
             assert_eq!(rc.total_steps, ro.total_steps, "{algo:?}");
-            assert_eq!(ro.ingest_epochs, 1, "{algo:?}");
+            assert_eq!(ro.ingest_epochs, 0, "{algo:?}");
         }
     }
 
@@ -1411,9 +1289,11 @@ mod tests {
             let mut cfg = RunConfig::new(algo, 4);
             cfg.limits.max_steps = 300;
             cfg.memory = MemoryBudget::unlimited();
-            let (rc, fc) = run_simulated_detailed(&ds, &seeds, &cfg);
+            let RunOutput { report: rc, finished: fc, .. } =
+                Run::new(&ds, &cfg, &seeds).go().unwrap();
             cfg.detector = crate::termination::DetectorKind::Frontier;
-            let (rf, ff) = run_simulated_detailed(&ds, &seeds, &cfg);
+            let RunOutput { report: rf, finished: ff, .. } =
+                Run::new(&ds, &cfg, &seeds).go().unwrap();
             assert_eq!(fc, ff, "{algo:?}: detector changed streamlines");
             assert_eq!(rc.wall, rf.wall, "{algo:?}");
             assert_eq!(rc.msgs, rf.msgs, "{algo:?}");
@@ -1436,7 +1316,8 @@ mod tests {
             cfg.memory = MemoryBudget::unlimited();
             cfg.detector = crate::termination::DetectorKind::Frontier;
             cfg.rank_chaos = Some(crate::config::RankChaos::one_kill(3, 2e-4));
-            let (r, finished) = run_simulated_open_detailed(&ds, &source, &cfg);
+            let RunOutput { report: r, finished, .. } =
+                Run::new(&ds, &cfg, source.clone()).go().unwrap();
             assert_eq!(finished.len(), total, "{algo:?}: one record per ingested seed");
             let (completed, unavailable, lost) = classify(&finished);
             assert_eq!(
@@ -1475,14 +1356,14 @@ mod tests {
         cfg.limits.max_steps = 300;
         cfg.memory = MemoryBudget::unlimited();
         cfg.static_partition = crate::static_alloc::StaticPartition::RoundRobin;
-        let r = run_simulated(&ds, &seeds, &cfg);
+        let r = Run::new(&ds, &cfg, &seeds).go().unwrap().report;
         assert!(r.outcome.completed());
         assert_eq!(r.terminated, 64);
         // Round-robin spreads blocks, so crossings produce more hand-offs
         // than the contiguous default.
         let mut contiguous = cfg;
         contiguous.static_partition = crate::static_alloc::StaticPartition::Contiguous;
-        let rc = run_simulated(&ds, &seeds, &contiguous);
+        let rc = Run::new(&ds, &contiguous, &seeds).go().unwrap().report;
         assert!(r.msgs >= rc.msgs, "round-robin {} vs contiguous {}", r.msgs, rc.msgs);
     }
 }

@@ -200,6 +200,12 @@ impl SeedSource {
     }
 }
 
+impl From<&SeedSet> for SeedSource {
+    fn from(seeds: &SeedSet) -> Self {
+        SeedSource::closed(seeds)
+    }
+}
+
 /// A cheap id → epoch map shared by every rank: the epoch boundaries in
 /// the flat id space. Rebuilt from the run's [`SeedSource`], never carried
 /// on the wire.

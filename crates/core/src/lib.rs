@@ -15,13 +15,13 @@
 //!   balancing over a lifeline graph with diffusive load reports and a
 //!   Safra-style termination token.
 //!
-//! [`driver`] runs any of them on the deterministic simulated cluster (or
+//! [`Run`] runs any of them on the deterministic simulated cluster (or
 //! real threads) and produces a [`report::RunReport`] carrying the paper's
 //! metrics; [`classify`] and [`advisor`] implement the §3.1 problem
 //! classification and the §6 selection heuristics.
 //!
 //! ```
-//! use streamline_core::{Algorithm, RunConfig, run_simulated};
+//! use streamline_core::{Algorithm, Run, RunConfig};
 //! use streamline_field::dataset::{Dataset, DatasetConfig, Seeding};
 //!
 //! let mut dcfg = DatasetConfig::tiny();
@@ -30,7 +30,7 @@
 //! let seeds = dataset.seeds_with_count(Seeding::Sparse, 64);
 //! let mut cfg = RunConfig::new(Algorithm::HybridMasterSlave, 4);
 //! cfg.limits.max_steps = 200;
-//! let report = run_simulated(&dataset, &seeds, &cfg);
+//! let report = Run::new(&dataset, &cfg, &seeds).go().unwrap().report;
 //! assert_eq!(report.terminated, 64);
 //! ```
 
@@ -45,6 +45,7 @@ pub mod ingest;
 pub mod load_on_demand;
 pub mod msg;
 pub mod report;
+pub mod run;
 pub mod runstats;
 pub mod static_alloc;
 pub mod steal;
@@ -53,25 +54,17 @@ mod testutil;
 pub mod workspace;
 
 pub use advisor::{recommend, FlowKnowledge, Recommendation};
-pub use checkpoint::{
-    latest_checkpoint, resume_simulated_detailed_with_store,
-    resume_simulated_open_detailed_with_store, run_simulated_checkpointed_with_store,
-    run_simulated_open_checkpointed_with_store, CheckpointOptions, CheckpointedOutcome,
-};
+pub use checkpoint::{latest_checkpoint, CheckpointOptions};
 pub use classify::{classify, ProblemProfile};
 pub use config::{
     Algorithm, BatchConfigError, BatchParams, CostModel, HybridParams, MemoryBudget, RankChaos,
     RunConfig, StealConfigError, StealParams,
 };
-pub use driver::{
-    build_procs, run_simulated, run_simulated_detailed, run_simulated_detailed_with_store,
-    run_simulated_open, run_simulated_open_detailed, run_simulated_open_detailed_with_store,
-    run_simulated_open_traced, run_simulated_traced, run_simulated_with_store, run_threaded,
-    AnyProc,
-};
+pub use driver::{build_procs, run_simulated_detailed_with_store, AnyProc};
 pub use ingest::{EpochMap, IngestEpoch, IngestError, SeedSource};
 pub use msg::{Command, Msg, SlaveStatus};
 pub use report::{RunOutcome, RunReport};
+pub use run::{Run, RunError, RunOutput};
 pub use runstats::{summarize, StreamlineStats};
 pub use static_alloc::StaticPartition;
 pub use steal::{lifeline_neighbors, StealProc, StealSnapshot};

@@ -121,9 +121,9 @@ pub struct RunReport {
     /// rank was dead.
     #[serde(default)]
     pub dropped_events: u64,
-    /// Ingest epochs in the run's seed schedule (0 on reports from the
-    /// closed entry points, which predate streaming ingestion; 1 for a
-    /// closed source run through the open entry points).
+    /// Ingest epochs in the run's seed schedule: `n_epochs` for an open
+    /// source, 0 for a closed run (the `ingest_*` fields below stay at
+    /// their defaults too).
     #[serde(default)]
     pub ingest_epochs: u32,
     /// Epochs the folded per-rank frontier ledgers confirmed fully retired

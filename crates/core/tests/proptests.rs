@@ -6,8 +6,7 @@
 
 use proptest::prelude::*;
 use streamline_core::{
-    run_simulated_detailed, run_simulated_open_detailed, Algorithm, DetectorKind, MemoryBudget,
-    RankChaos, RunConfig, SeedSource,
+    Algorithm, DetectorKind, MemoryBudget, RankChaos, Run, RunConfig, RunOutput, SeedSource,
 };
 use streamline_field::dataset::{Dataset, DatasetConfig, Seeding};
 use streamline_integrate::{Streamline, StreamlineStatus, Termination};
@@ -57,9 +56,11 @@ proptest! {
         for algo in Algorithm::ALL {
             let mut cfg = config(algo, n_procs, max_steps);
             cfg.detector = DetectorKind::ClosedSet;
-            let (rc, fc) = run_simulated_detailed(&ds, &seeds, &cfg);
+            let RunOutput { report: rc, finished: fc, .. } =
+                Run::new(&ds, &cfg, &seeds).go().unwrap();
             cfg.detector = DetectorKind::Frontier;
-            let (rf, ff) = run_simulated_detailed(&ds, &seeds, &cfg);
+            let RunOutput { report: rf, finished: ff, .. } =
+                Run::new(&ds, &cfg, &seeds).go().unwrap();
             prop_assert_eq!(fc, ff, "{:?}: detector changed the science", algo);
             prop_assert_eq!(rc.wall.to_bits(), rf.wall.to_bits(), "{:?}", algo);
             prop_assert_eq!(rc.msgs, rf.msgs, "{:?}", algo);
@@ -101,7 +102,7 @@ proptest! {
         let mut cfg = config(algo, 4, 150);
         cfg.detector = DetectorKind::Frontier;
         cfg.rank_chaos = Some(RankChaos::one_kill(kill_rank, f64::from(kill_tick) * 1e-5));
-        let (report, finished) = run_simulated_open_detailed(&ds, &source, &cfg);
+        let RunOutput { report, finished, .. } = Run::new(&ds, &cfg, source.clone()).go().unwrap();
         prop_assert_eq!(finished.len(), total, "{:?}: one record per ingested seed", algo);
         let (completed, unavailable, lost) = classify(&finished);
         prop_assert_eq!(

@@ -296,17 +296,6 @@ impl<M: Clone, P: Process<M>> Simulation<M, P> {
         (report.expect("no hook, cannot stop early"), procs)
     }
 
-    /// [`Self::resume`] with checkpointing re-armed (the first boundary at or
-    /// before the resume point fires immediately, then every `interval`).
-    pub fn resume_checkpointed(
-        self,
-        state: SimState<M>,
-        interval: f64,
-        hook: &mut dyn FnMut(&SimState<M>, &[P]) -> CheckpointControl,
-    ) -> (Option<SimReport>, Vec<P>) {
-        self.run_inner(DEFAULT_MAX_EVENTS, None, Some(state), Some((interval, hook)))
-    }
-
     /// Clone the scheduler state into a serializable cut.
     fn cut(
         queue: &BinaryHeap<Scheduled<M>>,

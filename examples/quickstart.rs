@@ -6,9 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use streamline_repro::core::{
-    classify, recommend, run_simulated, Algorithm, FlowKnowledge, RunConfig,
-};
+use streamline_repro::core::{classify, recommend, Algorithm, FlowKnowledge, Run, RunConfig};
 use streamline_repro::field::dataset::{Dataset, DatasetConfig, Seeding};
 
 fn main() {
@@ -53,7 +51,7 @@ fn main() {
     for algo in Algorithm::ALL {
         let mut c = cfg;
         c.algorithm = algo;
-        let report = run_simulated(&dataset, &seeds, &c);
+        let report = Run::new(&dataset, &c, &seeds).go().unwrap().report;
         assert_eq!(report.terminated as usize, seeds.len(), "no streamline may be lost");
         println!(
             "{:<16} {:>10.4} {:>10.4} {:>10.4} {:>8.3}",

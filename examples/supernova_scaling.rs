@@ -6,7 +6,7 @@
 //! cargo run --release --example supernova_scaling
 //! ```
 
-use streamline_repro::core::{run_simulated, Algorithm, RunConfig};
+use streamline_repro::core::{Algorithm, Run, RunConfig};
 use streamline_repro::field::dataset::{Dataset, DatasetConfig, Seeding};
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
                 cfg.limits.max_steps = 800;
                 cfg.limits.min_speed = 1e-3;
                 cfg.cache_blocks = 16;
-                let r = run_simulated(&dataset, &seeds, &cfg);
+                let r = Run::new(&dataset, &cfg, &seeds).go().unwrap().report;
                 assert_eq!(r.terminated as usize, seeds.len());
                 println!(
                     "{:<6} {:<16} {:>10.4} {:>10.4} {:>10.4} {:>8.3}",

@@ -7,7 +7,7 @@
 //! ```
 
 use streamline_repro::core::{
-    classify, recommend, run_simulated, Algorithm, FlowKnowledge, RunConfig, RunOutcome,
+    classify, recommend, Algorithm, FlowKnowledge, Run, RunConfig, RunOutcome, RunOutput,
 };
 use streamline_repro::field::dataset::{Dataset, DatasetConfig, Seeding};
 use streamline_repro::integrate::Termination;
@@ -43,7 +43,7 @@ fn main() {
     for algo in Algorithm::ALL {
         let mut c = cfg;
         c.algorithm = algo;
-        let report = run_simulated(&dataset, &seeds, &c);
+        let report = Run::new(&dataset, &c, &seeds).go().unwrap().report;
         match report.outcome {
             RunOutcome::Completed => println!(
                 "{:<16} {:>12} {:>10.4} {:>10.4}",
@@ -69,11 +69,11 @@ fn main() {
         }
     }
 
-    // Where do the inlet streamlines end up? Use the detailed runner to get
+    // Where do the inlet streamlines end up? The finished streamlines give
     // termination statistics (recirculation vs outflow).
     let mut c = cfg;
     c.algorithm = Algorithm::LoadOnDemand;
-    let (report, finished) = streamline_repro::core::run_simulated_detailed(&dataset, &seeds, &c);
+    let RunOutput { report, finished, .. } = Run::new(&dataset, &c, &seeds).go().unwrap();
     assert!(report.outcome.completed());
     let mut by_reason = std::collections::BTreeMap::new();
     let mut total_arc = 0.0;

@@ -3,7 +3,7 @@
 //! from the measurements, so the measurements must support them.
 
 use streamline_bench::experiments::{case_config, dataset_for, SweepScale, Workload};
-use streamline_core::{classify, recommend, run_simulated, Algorithm, FlowKnowledge, RunConfig};
+use streamline_core::{classify, recommend, Algorithm, FlowKnowledge, Run, RunConfig};
 use streamline_field::dataset::Seeding;
 
 /// Quick-scale datasets have only 64 blocks; shrink the cache so the data
@@ -15,7 +15,7 @@ fn measure(workload: Workload, seeding: Seeding, algo: Algorithm, n: usize) -> f
     let seeds = dataset.seeds_with_count(seeding, n);
     let mut cfg = case_config(workload, seeding, algo, 8);
     cfg.cache_blocks = CACHE;
-    let r = run_simulated(&dataset, &seeds, &cfg);
+    let r = Run::new(&dataset, &cfg, &seeds).go().unwrap().report;
     assert!(r.outcome.completed(), "{}", r.summary());
     r.wall
 }

@@ -6,9 +6,7 @@
 //! streamline stays bit-identical to the fault-free run.
 
 use std::sync::Arc;
-use streamline_repro::core::{
-    run_simulated_detailed_with_store, Algorithm, MemoryBudget, RunConfig,
-};
+use streamline_repro::core::{Algorithm, MemoryBudget, Run, RunConfig, RunOutput};
 use streamline_repro::field::block::BlockId;
 use streamline_repro::field::dataset::{Dataset, DatasetConfig, Seeding};
 use streamline_repro::integrate::{Streamline, StreamlineStatus, Termination};
@@ -51,10 +49,12 @@ fn transient_faults_are_invisible_to_every_driver() {
     for algo in Algorithm::ALL {
         let cfg = cfg(algo);
         let clean_store: Arc<dyn BlockStore> = Arc::new(MemoryStore::build(&ds));
-        let (clean, clean_sl) = run_simulated_detailed_with_store(&ds, &seeds, &cfg, clean_store);
+        let RunOutput { report: clean, finished: clean_sl, .. } =
+            Run::new(&ds, &cfg, &seeds).store(clean_store).go().unwrap();
         let fs = Arc::new(FaultStore::new(Arc::new(MemoryStore::build(&ds)), plan.clone()));
         let store: Arc<dyn BlockStore> = Arc::clone(&fs) as Arc<dyn BlockStore>;
-        let (faulted, faulted_sl) = run_simulated_detailed_with_store(&ds, &seeds, &cfg, store);
+        let RunOutput { report: faulted, finished: faulted_sl, .. } =
+            Run::new(&ds, &cfg, &seeds).store(store).go().unwrap();
 
         assert_eq!(faulted.terminated, clean.terminated, "{algo:?}");
         assert_eq!(faulted.total_steps, clean.total_steps, "{algo:?}");
@@ -86,10 +86,12 @@ fn permanent_faults_yield_typed_terminations_in_every_driver() {
     for algo in Algorithm::ALL {
         let cfg = cfg(algo);
         let clean_store: Arc<dyn BlockStore> = Arc::new(MemoryStore::build(&ds));
-        let (_, clean_sl) = run_simulated_detailed_with_store(&ds, &seeds, &cfg, clean_store);
+        let RunOutput { finished: clean_sl, .. } =
+            Run::new(&ds, &cfg, &seeds).store(clean_store).go().unwrap();
         let fs = Arc::new(FaultStore::new(Arc::new(MemoryStore::build(&ds)), plan.clone()));
         let store: Arc<dyn BlockStore> = Arc::clone(&fs) as Arc<dyn BlockStore>;
-        let (report, faulted_sl) = run_simulated_detailed_with_store(&ds, &seeds, &cfg, store);
+        let RunOutput { report, finished: faulted_sl, .. } =
+            Run::new(&ds, &cfg, &seeds).store(store).go().unwrap();
 
         // The plan actually bit, and the store refused retries exactly.
         assert!(report.unavailable_terminations > 0, "{algo:?}: plan never bit");

@@ -10,8 +10,8 @@ use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use streamline_repro::ckpt::{CkptError, CkptFile, CkptWriter};
 use streamline_repro::core::{
-    latest_checkpoint, resume_simulated_detailed_with_store, run_simulated_checkpointed_with_store,
-    run_simulated_detailed_with_store, Algorithm, CheckpointOptions, MemoryBudget, RunConfig,
+    latest_checkpoint, Algorithm, CheckpointOptions, MemoryBudget, Run, RunConfig, RunError,
+    RunOutput, SeedSource,
 };
 use streamline_repro::field::dataset::{Dataset, DatasetConfig, Seeding};
 use streamline_repro::field::seeds::SeedSet;
@@ -41,6 +41,24 @@ fn tempdir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Checkpoint `run` under `opts` and return the snapshots it wrote, whether
+/// `kill_after` abandoned it or it ran to completion first.
+fn snapshots(run: Run<'_>, opts: CheckpointOptions) -> Vec<PathBuf> {
+    match run.checkpoint(opts).go() {
+        Ok(out) => out.checkpoints,
+        Err(RunError::Killed { checkpoints, .. }) => checkpoints,
+        Err(e) => panic!("checkpointed run failed: {e}"),
+    }
+}
+
+/// [`snapshots`] of a run that `kill_after` must abandon.
+fn killed(run: Run<'_>, opts: CheckpointOptions) -> Vec<PathBuf> {
+    match run.checkpoint(opts).go() {
+        Err(RunError::Killed { checkpoints, .. }) => checkpoints,
+        other => panic!("kill_after must abandon the run, got {other:?}"),
+    }
+}
+
 /// The crash/resume invariant, via the facade: for every algorithm, a run
 /// killed after its first snapshot and resumed from the latest checkpoint
 /// finishes with byte-equal streamlines and a byte-equal report.
@@ -48,20 +66,17 @@ fn tempdir(tag: &str) -> PathBuf {
 fn killed_runs_resume_bit_identically_via_the_facade() {
     for algorithm in Algorithm::ALL {
         let (ds, seeds, cfg) = fixture(algorithm);
-        let (ref_report, ref_lines) =
-            run_simulated_detailed_with_store(&ds, &seeds, &cfg, store(&ds));
+        let RunOutput { report: ref_report, finished: ref_lines, .. } =
+            Run::new(&ds, &cfg, &seeds).store(store(&ds)).go().unwrap();
 
         let dir = tempdir(&format!("facade-{}", algorithm.label()));
         let opts =
             CheckpointOptions { kill_after: Some(2), ..CheckpointOptions::new(&dir, 2.0e-4) };
-        let out = run_simulated_checkpointed_with_store(&ds, &seeds, &cfg, store(&ds), &opts)
-            .expect("checkpointed run");
-        assert!(out.result.is_none(), "{algorithm:?}: kill_after must abandon the run");
+        killed(Run::new(&ds, &cfg, &seeds).store(store(&ds)), opts);
 
         let latest = latest_checkpoint(&dir).unwrap().expect("snapshots on disk");
-        let (res_report, res_lines) =
-            resume_simulated_detailed_with_store(&ds, &seeds, &cfg, store(&ds), &latest)
-                .expect("resume");
+        let RunOutput { report: res_report, finished: res_lines, .. } =
+            Run::new(&ds, &cfg, &seeds).store(store(&ds)).resume(&latest).go().expect("resume");
         assert_eq!(res_lines, ref_lines, "{algorithm:?}: streamlines diverged");
         assert_eq!(
             serde_json::to_string(&res_report).unwrap(),
@@ -74,34 +89,52 @@ fn killed_runs_resume_bit_identically_via_the_facade() {
 
 /// The chaos variant: a fault-injecting store (transient load failures on a
 /// seeded plan) must not break the invariant — the fault schedule position
-/// is part of the snapshot.
+/// is part of the snapshot — on every algorithm, for a closed seed set and
+/// for an open source whose second arrival epoch is still undelivered at
+/// the cut.
 #[test]
 fn killed_runs_resume_bit_identically_under_chaos_faults() {
-    let (ds, seeds, mut cfg) = fixture(Algorithm::HybridMasterSlave);
-    cfg.cache_blocks = 2;
-    let faulty = |ds: &Dataset| -> Arc<dyn BlockStore> {
-        Arc::new(FaultStore::new(
-            store(ds),
-            FaultPlan::new().transient(BlockId(2), 2).transient(BlockId(6), 1),
-        ))
-    };
-    let (ref_report, ref_lines) = run_simulated_detailed_with_store(&ds, &seeds, &cfg, faulty(&ds));
-    assert!(ref_report.load_retries > 0, "fixture must actually exercise retries");
+    for algorithm in Algorithm::ALL {
+        let (ds, seeds, mut cfg) = fixture(algorithm);
+        cfg.cache_blocks = 2;
+        let more = ds.seeds_with_count(Seeding::Dense, 10);
+        let open = SeedSource::new(
+            &seeds,
+            vec![(1.0e-4, more.points[..5].to_vec()), (5.0e-4, more.points[5..].to_vec())],
+        )
+        .unwrap();
+        for source in [SeedSource::closed(&seeds), open] {
+            let what = format!("{algorithm:?}/{} epochs", source.n_epochs());
+            let faulty = |ds: &Dataset| -> Arc<dyn BlockStore> {
+                Arc::new(FaultStore::new(
+                    store(ds),
+                    FaultPlan::new().transient(BlockId(2), 2).transient(BlockId(6), 1),
+                ))
+            };
+            let RunOutput { report: ref_report, finished: ref_lines, .. } =
+                Run::new(&ds, &cfg, source.clone()).store(faulty(&ds)).go().unwrap();
+            assert!(ref_report.load_retries > 0, "{what}: fixture must exercise retries");
 
-    let dir = tempdir("facade-chaos");
-    let opts = CheckpointOptions { kill_after: Some(1), ..CheckpointOptions::new(&dir, 2.0e-4) };
-    run_simulated_checkpointed_with_store(&ds, &seeds, &cfg, faulty(&ds), &opts)
-        .expect("checkpointed run");
-    let latest = latest_checkpoint(&dir).unwrap().expect("snapshot on disk");
-    let (res_report, res_lines) =
-        resume_simulated_detailed_with_store(&ds, &seeds, &cfg, faulty(&ds), &latest)
-            .expect("resume over fault store");
-    assert_eq!(res_lines, ref_lines);
-    assert_eq!(
-        serde_json::to_string(&res_report).unwrap(),
-        serde_json::to_string(&ref_report).unwrap()
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+            let dir = tempdir(&format!("facade-chaos-{algorithm:?}-{}", source.n_epochs()));
+            let opts =
+                CheckpointOptions { kill_after: Some(1), ..CheckpointOptions::new(&dir, 2.0e-4) };
+            killed(Run::new(&ds, &cfg, source.clone()).store(faulty(&ds)), opts);
+            let latest = latest_checkpoint(&dir).unwrap().expect("snapshot on disk");
+            let RunOutput { report: res_report, finished: res_lines, .. } =
+                Run::new(&ds, &cfg, source.clone())
+                    .store(faulty(&ds))
+                    .resume(&latest)
+                    .go()
+                    .expect("resume over fault store");
+            assert_eq!(res_lines, ref_lines, "{what}");
+            assert_eq!(
+                serde_json::to_string(&res_report).unwrap(),
+                serde_json::to_string(&ref_report).unwrap(),
+                "{what}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }
 
 /// One real mid-run snapshot, shared by the corruption properties below so
@@ -113,9 +146,8 @@ fn snapshot_bytes() -> &'static [u8] {
         let dir = tempdir("prop-src");
         let opts =
             CheckpointOptions { kill_after: Some(2), ..CheckpointOptions::new(&dir, 2.0e-4) };
-        let out = run_simulated_checkpointed_with_store(&ds, &seeds, &cfg, store(&ds), &opts)
-            .expect("checkpointed run");
-        let bytes = std::fs::read(out.checkpoints.last().expect("snapshots written")).unwrap();
+        let checkpoints = snapshots(Run::new(&ds, &cfg, &seeds).store(store(&ds)), opts);
+        let bytes = std::fs::read(checkpoints.last().expect("snapshots written")).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
         bytes
     })
@@ -132,9 +164,12 @@ fn a_flipped_payload_byte_is_a_crc_mismatch_not_a_panic() {
     let dir = tempdir("crc");
     let path = dir.join("ckpt-000001.ckpt");
     std::fs::write(&path, &bad).unwrap();
-    let err = resume_simulated_detailed_with_store(&ds, &seeds, &cfg, store(&ds), &path)
+    let err = Run::new(&ds, &cfg, &seeds)
+        .store(store(&ds))
+        .resume(&path)
+        .go()
         .expect_err("corrupt snapshot must be rejected");
-    assert!(matches!(err, CkptError::CrcMismatch { .. }), "{err:?}");
+    assert!(matches!(err, RunError::Ckpt(CkptError::CrcMismatch { .. })), "{err:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -157,10 +192,9 @@ proptest! {
             kill_after: Some(kill),
             ..CheckpointOptions::new(&dir, 2.0e-4)
         };
-        let out = run_simulated_checkpointed_with_store(&ds, &seeds, &cfg, store(&ds), &opts)
-            .expect("checkpointed run");
-        prop_assert!(!out.checkpoints.is_empty());
-        for path in &out.checkpoints {
+        let checkpoints = snapshots(Run::new(&ds, &cfg, &seeds).store(store(&ds)), opts);
+        prop_assert!(!checkpoints.is_empty());
+        for path in &checkpoints {
             let bytes = std::fs::read(path).unwrap();
             let parsed = CkptFile::parse(&bytes).expect("snapshot parses");
             let tags: Vec<String> = parsed.tags().map(str::to_owned).collect();

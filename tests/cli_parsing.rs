@@ -135,9 +135,39 @@ fn steal_trace_emits_schedule_series_that_obs_check_accepts() {
 }
 
 #[test]
-fn chaos_conflicts_are_usage_errors() {
-    let run = |s: &str| execute(parse(&argv(s)).unwrap().command);
-    assert_eq!(run("run --chaos --trace t.json"), 64);
-    assert_eq!(run("run --chaos --checkpoint ck"), 64);
-    assert_eq!(run("run --chaos --resume ck"), 64);
+fn run_flag_conflicts_are_usage_errors() {
+    let run =
+        |s: &str| execute(parse(&argv(&format!("run --seeds 8 --procs 2 {s}"))).unwrap().command);
+    assert_eq!(run("--trace t.json --checkpoint ck"), 64);
+    assert_eq!(run("--trace t.json --resume ck"), 64);
+    assert_eq!(run("--checkpoint ck --resume ck"), 64);
+}
+
+/// `--chaos` is a store choice, so it composes with every run mode: a
+/// traced chaos run emits a valid trace, and a chaos run killed after two
+/// snapshots resumes to the uninterrupted chaos run's report byte for byte.
+#[test]
+fn chaos_composes_with_trace_checkpoint_and_resume() {
+    let dir = TempDir::new("slrepro-chaos-modes");
+    let run = |s: String| {
+        let base = "run --dataset thermal --algorithm lod --procs 4 --seeds 24 --cache 8 \
+                    --chaos --chaos-seed 7";
+        execute(parse(&argv(&format!("{base} {s}"))).unwrap().command)
+    };
+    let trace = dir.join("trace.json");
+    assert_eq!(run(format!("--trace {}", trace.display())), 0);
+    let check = format!("obs-check --trace {}", trace.display());
+    assert_eq!(execute(parse(&argv(&check)).unwrap().command), 0);
+
+    let reference = dir.join("ref.json");
+    assert_eq!(run(format!("--json {}", reference.display())), 0);
+    let ckpts = dir.join("ckpts");
+    let kill = format!(
+        "--checkpoint {} --checkpoint-interval 0.001 --kill-after-checkpoints 2",
+        ckpts.display()
+    );
+    assert_eq!(run(kill), 0);
+    let resumed = dir.join("resumed.json");
+    assert_eq!(run(format!("--resume {} --json {}", ckpts.display(), resumed.display())), 0);
+    assert_eq!(std::fs::read(&resumed).unwrap(), std::fs::read(&reference).unwrap());
 }

@@ -6,7 +6,7 @@
 //! *bit-identical* final solver states for every streamline — parallelization
 //! strategy may change scheduling, I/O and communication, never the science.
 
-use streamline_repro::core::{run_simulated_detailed, Algorithm, MemoryBudget, RunConfig};
+use streamline_repro::core::{Algorithm, MemoryBudget, Run, RunConfig, RunOutput};
 use streamline_repro::field::dataset::{Dataset, DatasetConfig, Seeding};
 use streamline_repro::integrate::Streamline;
 
@@ -15,7 +15,7 @@ fn run(algo: Algorithm, n_procs: usize, dataset: &Dataset, n_seeds: usize) -> Ve
     let mut cfg = RunConfig::new(algo, n_procs);
     cfg.limits.max_steps = 400;
     cfg.memory = MemoryBudget::unlimited();
-    let (report, finished) = run_simulated_detailed(dataset, &seeds, &cfg);
+    let RunOutput { report, finished, .. } = Run::new(dataset, &cfg, &seeds).go().unwrap();
     assert!(report.outcome.completed(), "{algo:?} failed: {}", report.summary());
     assert_eq!(finished.len(), n_seeds, "{algo:?} lost streamlines");
     finished
@@ -89,7 +89,7 @@ fn dense_seeding_also_agrees() {
         cfg.limits.max_steps = 300;
         cfg.limits.max_arc_length = 1.0;
         cfg.memory = MemoryBudget::unlimited();
-        let (report, finished) = run_simulated_detailed(&ds, &seeds, &cfg);
+        let RunOutput { report, finished, .. } = Run::new(&ds, &cfg, &seeds).go().unwrap();
         assert!(report.outcome.completed());
         results.push(finished);
     }

@@ -4,7 +4,7 @@
 //! traced runs must emit schema-valid timelines whose totals reconcile
 //! with the run report.
 
-use streamline_core::{run_simulated_detailed, run_simulated_traced, Algorithm, RunConfig};
+use streamline_core::{Algorithm, Run, RunConfig, RunOutput};
 use streamline_field::dataset::{Dataset, DatasetConfig, Seeding};
 use streamline_obs::{names, prom, MetricValue, TraceFile};
 
@@ -22,7 +22,7 @@ fn tiny_run_config() -> (Dataset, RunConfig) {
 fn registry_counters_equal_report_fields_bit_for_bit() {
     let (dataset, cfg) = tiny_run_config();
     let seeds = dataset.seeds_with_count(Seeding::Sparse, 24);
-    let (report, _) = run_simulated_detailed(&dataset, &seeds, &cfg);
+    let RunOutput { report, .. } = Run::new(&dataset, &cfg, &seeds).go().unwrap();
     let reg = report.to_registry();
 
     let counter = |name: &str| match reg.get(name) {
@@ -57,7 +57,7 @@ fn registry_counters_equal_report_fields_bit_for_bit() {
 fn prometheus_text_roundtrips_exactly() {
     let (dataset, cfg) = tiny_run_config();
     let seeds = dataset.seeds_with_count(Seeding::Sparse, 24);
-    let (report, _) = run_simulated_detailed(&dataset, &seeds, &cfg);
+    let RunOutput { report, .. } = Run::new(&dataset, &cfg, &seeds).go().unwrap();
     let reg = report.to_registry();
     let text = reg.render_prometheus();
     let parsed = prom::parse_text(&text).expect("the export must parse");
@@ -82,35 +82,54 @@ fn prometheus_text_roundtrips_exactly() {
     assert_eq!(parsed[names::RUN_STEPS_TOTAL], report.total_steps as f64);
 }
 
+/// A traced run is the untraced run plus a timeline, over the default
+/// store and over a fault-injecting one.
 #[test]
 fn traced_run_reconciles_with_untraced_report() {
+    use std::sync::Arc;
+    use streamline_field::BlockId;
+    use streamline_iosim::{BlockStore, FaultPlan, FaultStore, FieldStore};
+
     let (dataset, cfg) = tiny_run_config();
     let seeds = dataset.seeds_with_count(Seeding::Sparse, 24);
-    let (plain, plain_lines) = run_simulated_detailed(&dataset, &seeds, &cfg);
-    let (traced, traced_lines, timeline, _pingpong) =
-        run_simulated_traced(&dataset, &seeds, &cfg, 0.05);
+    // A fresh store per run: a fault store's schedule is consumed by use.
+    let field = || -> Arc<dyn BlockStore> { Arc::new(FieldStore::new(dataset.clone())) };
+    let faulty = || -> Arc<dyn BlockStore> {
+        let plan = FaultPlan::new().transient(BlockId(0), 2).transient(BlockId(5), 1);
+        Arc::new(FaultStore::new(field(), plan))
+    };
+    for (what, store) in [("field store", &field as &dyn Fn() -> _), ("fault store", &faulty)] {
+        let RunOutput { report: plain, finished: plain_lines, .. } =
+            Run::new(&dataset, &cfg, &seeds).store(store()).go().unwrap();
+        let RunOutput { report: traced, finished: traced_lines, timeline, .. } =
+            Run::new(&dataset, &cfg, &seeds).store(store()).trace(0.05).go().unwrap();
 
-    // Tracing must not perturb the virtual run at all.
-    assert_eq!(plain.wall.to_bits(), traced.wall.to_bits());
-    assert_eq!(plain.events, traced.events);
-    assert_eq!(plain_lines.len(), traced_lines.len());
+        // Tracing must not perturb the virtual run at all.
+        assert_eq!(plain.wall.to_bits(), traced.wall.to_bits(), "{what}");
+        assert_eq!(plain.events, traced.events, "{what}");
+        assert_eq!(plain.load_retries, traced.load_retries, "{what}");
+        assert_eq!(plain_lines, traced_lines, "{what}");
+        if what == "fault store" {
+            assert!(traced.load_retries > 0, "the fault plan must exercise retries");
+        }
 
-    let tf: TraceFile = timeline.to_trace("virtual");
-    tf.validate().expect("emitted trace is schema-valid");
-    assert_eq!(tf.schema, streamline_obs::TRACE_SCHEMA);
-    assert_eq!(tf.clock, "virtual");
-    assert_eq!(tf.n_ranks, 4);
-    // Timeline phase totals are the same charges the report aggregates.
-    let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-12);
-    assert!(rel(tf.totals.compute, traced.compute_time) < 1e-6, "compute area diverged");
-    assert!(rel(tf.totals.io, traced.io_time) < 1e-6, "io area diverged");
-    assert!(rel(tf.totals.comm, traced.comm_time) < 1e-6, "comm area diverged");
+        let tf: TraceFile = timeline.expect("trace requested").to_trace("virtual");
+        tf.validate().expect("emitted trace is schema-valid");
+        assert_eq!(tf.schema, streamline_obs::TRACE_SCHEMA);
+        assert_eq!(tf.clock, "virtual");
+        assert_eq!(tf.n_ranks, 4);
+        // Timeline phase totals are the same charges the report aggregates.
+        let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-12);
+        assert!(rel(tf.totals.compute, traced.compute_time) < 1e-6, "{what}: compute diverged");
+        assert!(rel(tf.totals.io, traced.io_time) < 1e-6, "{what}: io area diverged");
+        assert!(rel(tf.totals.comm, traced.comm_time) < 1e-6, "{what}: comm area diverged");
 
-    // And the whole file survives a JSON round-trip.
-    let json = serde_json::to_string(&tf).expect("serializes");
-    let back: TraceFile = serde_json::from_str(&json).expect("deserializes");
-    back.validate().expect("still valid after round-trip");
-    assert_eq!(back.totals.compute.to_bits(), tf.totals.compute.to_bits());
+        // And the whole file survives a JSON round-trip.
+        let json = serde_json::to_string(&tf).expect("serializes");
+        let back: TraceFile = serde_json::from_str(&json).expect("deserializes");
+        back.validate().expect("still valid after round-trip");
+        assert_eq!(back.totals.compute.to_bits(), tf.totals.compute.to_bits());
+    }
 }
 
 /// A traced `Service`'s scrape payload parses and mirrors its metrics

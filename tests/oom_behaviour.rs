@@ -2,7 +2,7 @@
 //! seed set lands on one rank; the streamline-parallel algorithms survive
 //! the identical problem under the identical budget.
 
-use streamline_repro::core::{run_simulated, Algorithm, RunConfig, RunOutcome};
+use streamline_repro::core::{Algorithm, Run, RunConfig, RunOutcome};
 use streamline_repro::field::dataset::{Dataset, DatasetConfig, Seeding};
 
 const N_SEEDS: usize = 2_000;
@@ -26,7 +26,10 @@ fn static_oom_on_dense_seeds_lod_and_hybrid_survive() {
     let n = N_SEEDS;
     let seeds = ds.seeds_with_count(Seeding::Dense, n);
 
-    let st = run_simulated(&ds, &seeds, &dense_config(Algorithm::StaticAllocation, n, 16));
+    let st = Run::new(&ds, &dense_config(Algorithm::StaticAllocation, n, 16), &seeds)
+        .go()
+        .unwrap()
+        .report;
     assert!(
         matches!(st.outcome, RunOutcome::OutOfMemory { .. }),
         "static must OOM: {}",
@@ -34,7 +37,7 @@ fn static_oom_on_dense_seeds_lod_and_hybrid_survive() {
     );
 
     for algo in [Algorithm::LoadOnDemand, Algorithm::HybridMasterSlave] {
-        let r = run_simulated(&ds, &seeds, &dense_config(algo, n, 16));
+        let r = Run::new(&ds, &dense_config(algo, n, 16), &seeds).go().unwrap().report;
         assert!(r.outcome.completed(), "{algo:?} should survive: {}", r.summary());
         assert_eq!(r.terminated as usize, n);
     }
@@ -47,7 +50,10 @@ fn static_oom_is_proc_count_independent() {
     let n = N_SEEDS;
     let seeds = ds.seeds_with_count(Seeding::Dense, n);
     for procs in [8, 16, 32] {
-        let r = run_simulated(&ds, &seeds, &dense_config(Algorithm::StaticAllocation, n, procs));
+        let r = Run::new(&ds, &dense_config(Algorithm::StaticAllocation, n, procs), &seeds)
+            .go()
+            .unwrap()
+            .report;
         assert!(matches!(r.outcome, RunOutcome::OutOfMemory { .. }), "p={procs}: {}", r.summary());
     }
 }
@@ -57,7 +63,7 @@ fn sparse_seeding_fits_everywhere() {
     let ds = Dataset::thermal_hydraulics(DatasetConfig::tiny());
     let seeds = ds.seeds_with_count(Seeding::Sparse, N_SEEDS);
     for algo in Algorithm::ALL {
-        let r = run_simulated(&ds, &seeds, &dense_config(algo, N_SEEDS, 16));
+        let r = Run::new(&ds, &dense_config(algo, N_SEEDS, 16), &seeds).go().unwrap().report;
         assert!(r.outcome.completed(), "{algo:?} sparse: {}", r.summary());
     }
 }
@@ -68,7 +74,7 @@ fn unlimited_budget_never_fails() {
     let seeds = ds.seeds_with_count(Seeding::Dense, N_SEEDS);
     let mut cfg = dense_config(Algorithm::StaticAllocation, 600, 8);
     cfg.memory.bytes = None;
-    let r = run_simulated(&ds, &seeds, &cfg);
+    let r = Run::new(&ds, &cfg, &seeds).go().unwrap().report;
     assert!(r.outcome.completed());
     assert_eq!(r.terminated, N_SEEDS as u64);
 }

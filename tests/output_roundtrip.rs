@@ -1,7 +1,7 @@
 //! End-to-end output tests: real runs → writers → structural checks on the
 //! produced artifacts.
 
-use streamline_repro::core::{run_simulated_detailed, Algorithm, MemoryBudget, RunConfig};
+use streamline_repro::core::{Algorithm, MemoryBudget, Run, RunConfig, RunOutput};
 use streamline_repro::field::dataset::{Dataset, DatasetConfig, Seeding};
 use streamline_repro::integrate::{advect, Dopri5, StepLimits, Streamline, StreamlineId};
 use streamline_repro::math::Vec3;
@@ -52,7 +52,7 @@ fn csv_row_count_matches_run() {
     let mut cfg = RunConfig::new(Algorithm::LoadOnDemand, 3);
     cfg.limits.max_steps = 200;
     cfg.memory = MemoryBudget::unlimited();
-    let (report, finished) = run_simulated_detailed(&ds, &seeds, &cfg);
+    let RunOutput { report, finished, .. } = Run::new(&ds, &cfg, &seeds).go().unwrap();
     assert!(report.outcome.completed());
     let mut buf = Vec::new();
     csv::write_summary(&mut buf, &finished).unwrap();

@@ -3,10 +3,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use streamline_repro::core::{
-    run_simulated_detailed, run_simulated_detailed_with_store, Algorithm, MemoryBudget, RunConfig,
-    StealParams,
-};
+use streamline_repro::core::{Algorithm, MemoryBudget, Run, RunConfig, RunOutput, StealParams};
 use streamline_repro::field::analytic::{AbcFlow, Uniform, VectorField};
 use streamline_repro::field::dataset::{Dataset, DatasetConfig};
 use streamline_repro::field::decomp::BlockDecomposition;
@@ -78,7 +75,8 @@ proptest! {
         prop_assume!(!(algo == Algorithm::HybridMasterSlave && procs < 2));
         let ds = uniform_dataset(dir);
         let seeds = seed_set(&ds, &raw);
-        let (report, finished) = run_simulated_detailed(&ds, &seeds, &base_cfg(algo, procs));
+        let RunOutput { report, finished, .. } =
+            Run::new(&ds, &base_cfg(algo, procs), &seeds).go().unwrap();
         prop_assert!(report.outcome.completed());
         prop_assert_eq!(report.terminated as usize, raw.len());
         prop_assert_eq!(finished.len(), raw.len());
@@ -100,7 +98,7 @@ proptest! {
         let seeds = seed_set(&ds, &raw);
         let mut cfg = base_cfg(Algorithm::LoadOnDemand, 2);
         cfg.limits.max_steps = 100_000;
-        let (report, finished) = run_simulated_detailed(&ds, &seeds, &cfg);
+        let RunOutput { report, finished, .. } = Run::new(&ds, &cfg, &seeds).go().unwrap();
         prop_assert!(report.outcome.completed());
         for (s, &(x, y, z)) in finished.iter().zip(raw.iter()) {
             let seed = ds.decomp.domain.expanded(-1e-3).from_unit(Vec3::new(x, y, z));
@@ -124,8 +122,8 @@ proptest! {
         let ds = abc_dataset();
         let seeds = seed_set(&ds, &raw);
         let cfg = base_cfg(algo, 4);
-        let (r1, f1) = run_simulated_detailed(&ds, &seeds, &cfg);
-        let (r2, f2) = run_simulated_detailed(&ds, &seeds, &cfg);
+        let RunOutput { report: r1, finished: f1, .. } = Run::new(&ds, &cfg, &seeds).go().unwrap();
+        let RunOutput { report: r2, finished: f2, .. } = Run::new(&ds, &cfg, &seeds).go().unwrap();
         prop_assert_eq!(r1.wall, r2.wall);
         prop_assert_eq!(r1.msgs, r2.msgs);
         prop_assert_eq!(r1.total_steps, r2.total_steps);
@@ -144,7 +142,7 @@ proptest! {
         let seeds = seed_set(&ds, &raw);
         let mut totals = Vec::new();
         for algo in Algorithm::ALL {
-            let (report, _) = run_simulated_detailed(&ds, &seeds, &base_cfg(algo, 4));
+            let report = Run::new(&ds, &base_cfg(algo, 4), &seeds).go().unwrap().report;
             prop_assert!(report.outcome.completed());
             totals.push(report.total_steps);
         }
@@ -180,7 +178,8 @@ proptest! {
         } else {
             Arc::new(MemoryStore::build(&ds))
         };
-        let (report, finished) = run_simulated_detailed_with_store(&ds, &seeds, &cfg, store);
+        let RunOutput { report, finished, .. } =
+            Run::new(&ds, &cfg, &seeds).store(store).go().unwrap();
         // The event queue drained and the Safra wave fired — a deadlocked
         // ring would instead trip the simulator's livelock guard.
         prop_assert!(report.outcome.completed(), "{}", report.summary());

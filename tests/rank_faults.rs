@@ -7,9 +7,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use streamline_repro::core::{
-    run_simulated_detailed_with_store, Algorithm, MemoryBudget, RankChaos, RunConfig,
-};
+use streamline_repro::core::{Algorithm, MemoryBudget, RankChaos, Run, RunConfig, RunOutput};
 use streamline_repro::field::block::BlockId;
 use streamline_repro::field::dataset::{Dataset, DatasetConfig, Seeding};
 use streamline_repro::integrate::{Streamline, StreamlineStatus, Termination};
@@ -80,7 +78,8 @@ proptest! {
             } else {
                 Arc::new(MemoryStore::build(&ds))
             };
-            let (report, lines) = run_simulated_detailed_with_store(&ds, &seeds, &cfg, store);
+            let RunOutput { report, finished: lines, .. } =
+                Run::new(&ds, &cfg, &seeds).store(store).go().unwrap();
             prop_assert_eq!(lines.len() as u64, n, "{:?}: one result per seed", algo);
             let (done, unavail, lost) = buckets(&lines);
             prop_assert_eq!(done + unavail + lost, n, "{:?}: buckets cover every seed", algo);
@@ -104,13 +103,15 @@ fn resilient_mode_without_deaths_is_bit_identical() {
     let seeds = ds.seeds_with_count(Seeding::Sparse, 24);
     for algo in Algorithm::ALL {
         let store: Arc<dyn BlockStore> = Arc::new(MemoryStore::build(&ds));
-        let (_, want) = run_simulated_detailed_with_store(&ds, &seeds, &cfg(algo), store);
+        let RunOutput { finished: want, .. } =
+            Run::new(&ds, &cfg(algo), &seeds).store(store).go().unwrap();
         let mut rcfg = cfg(algo);
         let mut chaos = RankChaos::seeded(1);
         chaos.kill_prob = 0.0;
         rcfg.rank_chaos = Some(chaos);
         let store: Arc<dyn BlockStore> = Arc::new(MemoryStore::build(&ds));
-        let (report, got) = run_simulated_detailed_with_store(&ds, &seeds, &rcfg, store);
+        let RunOutput { report, finished: got, .. } =
+            Run::new(&ds, &rcfg, &seeds).store(store).go().unwrap();
         assert!(report.rank_deaths.is_empty(), "{algo:?}: kill_prob 0 must kill nobody");
         assert_eq!(report.rank_lost_streamlines, 0, "{algo:?}");
         assert_eq!(got.len(), want.len(), "{algo:?}");
@@ -128,13 +129,14 @@ fn survivors_of_a_rank_death_are_bit_identical_across_drivers() {
     let ds = dataset();
     let seeds = ds.seeds_with_count(Seeding::Sparse, 24);
     let store: Arc<dyn BlockStore> = Arc::new(MemoryStore::build(&ds));
-    let (_, reference) =
-        run_simulated_detailed_with_store(&ds, &seeds, &cfg(Algorithm::LoadOnDemand), store);
+    let RunOutput { finished: reference, .. } =
+        Run::new(&ds, &cfg(Algorithm::LoadOnDemand), &seeds).store(store).go().unwrap();
     for algo in Algorithm::ALL {
         let mut c = cfg(algo);
         c.rank_chaos = Some(RankChaos::one_kill(3, 2.0e-3));
         let store: Arc<dyn BlockStore> = Arc::new(MemoryStore::build(&ds));
-        let (report, lines) = run_simulated_detailed_with_store(&ds, &seeds, &c, store);
+        let RunOutput { report, finished: lines, .. } =
+            Run::new(&ds, &c, &seeds).store(store).go().unwrap();
         assert_eq!(report.rank_deaths, vec![(3, 2.0e-3)], "{algo:?}: the kill fired");
         let mut survivors = 0;
         for sl in &lines {

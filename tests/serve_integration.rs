@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use streamline_cluster::{ClusterConfig, ClusterService};
 use streamline_obs::prom;
-use streamline_repro::core::{run_simulated_detailed, Algorithm, MemoryBudget, RunConfig};
+use streamline_repro::core::{Algorithm, MemoryBudget, Run, RunConfig, RunOutput};
 use streamline_repro::field::dataset::{Dataset, DatasetConfig, Seeding};
 use streamline_repro::integrate::{StepLimits, Streamline, StreamlineStatus, Termination};
 use streamline_repro::iosim::{BlockStore, ChaosParams, FaultPlan, FaultStore, MemoryStore};
@@ -42,7 +42,7 @@ fn served_streamlines_match_single_shot_driver_bitwise() {
     let mut cfg = RunConfig::new(Algorithm::LoadOnDemand, 1);
     cfg.limits = limits();
     cfg.memory = MemoryBudget::unlimited();
-    let (report, reference) = run_simulated_detailed(&ds, &seeds, &cfg);
+    let RunOutput { report, finished: reference, .. } = Run::new(&ds, &cfg, &seeds).go().unwrap();
     assert!(report.outcome.completed());
     assert_eq!(reference.len(), 48);
 

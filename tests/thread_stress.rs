@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use streamline_repro::core::{run_simulated, run_threaded, Algorithm, MemoryBudget, RunConfig};
+use streamline_repro::core::{Algorithm, MemoryBudget, Run, RunConfig};
 use streamline_repro::field::dataset::{Dataset, DatasetConfig, Seeding};
 use streamline_repro::iosim::{BlockStore, MemoryStore};
 
@@ -16,9 +16,14 @@ fn repeated_threaded_runs_are_reliable() {
         let mut cfg = RunConfig::new(algo, 6);
         cfg.limits.max_steps = 250;
         cfg.memory = MemoryBudget::unlimited();
-        let reference = run_simulated(&ds, &seeds, &cfg);
+        let reference = Run::new(&ds, &cfg, &seeds).go().unwrap().report;
         for round in 0..3 {
-            let r = run_threaded(&ds, &seeds, &cfg, Arc::clone(&store), Duration::from_secs(60));
+            let r = Run::new(&ds, &cfg, &seeds)
+                .store(Arc::clone(&store))
+                .threads(Duration::from_secs(60))
+                .go()
+                .unwrap()
+                .report;
             assert!(r.outcome.completed(), "{algo:?} round {round}");
             assert_eq!(r.terminated, 60, "{algo:?} round {round}");
             assert_eq!(
@@ -38,7 +43,12 @@ fn threaded_rank_counts_vary() {
         let mut cfg = RunConfig::new(Algorithm::HybridMasterSlave, procs);
         cfg.limits.max_steps = 250;
         cfg.memory = MemoryBudget::unlimited();
-        let r = run_threaded(&ds, &seeds, &cfg, Arc::clone(&store), Duration::from_secs(60));
+        let r = Run::new(&ds, &cfg, &seeds)
+            .store(Arc::clone(&store))
+            .threads(Duration::from_secs(60))
+            .go()
+            .unwrap()
+            .report;
         assert!(r.outcome.completed(), "p={procs}");
         assert_eq!(r.terminated, 80, "p={procs}");
     }

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use streamline_repro::core::{run_simulated, run_threaded, Algorithm, MemoryBudget, RunConfig};
+use streamline_repro::core::{Algorithm, MemoryBudget, Run, RunConfig};
 use streamline_repro::field::dataset::{Dataset, DatasetConfig, Seeding};
 use streamline_repro::iosim::{BlockStore, MemoryStore};
 
@@ -24,9 +24,13 @@ fn threads_match_simulation_for_every_algorithm() {
     let seeds = ds.seeds_with_count(Seeding::Sparse, 48);
     let store: Arc<dyn BlockStore> = Arc::new(MemoryStore::build(&ds));
     for algo in Algorithm::ALL {
-        let sim = run_simulated(&ds, &seeds, &cfg(algo));
-        let thr =
-            run_threaded(&ds, &seeds, &cfg(algo), Arc::clone(&store), Duration::from_secs(60));
+        let sim = Run::new(&ds, &cfg(algo), &seeds).go().unwrap().report;
+        let thr = Run::new(&ds, &cfg(algo), &seeds)
+            .store(Arc::clone(&store))
+            .threads(Duration::from_secs(60))
+            .go()
+            .unwrap()
+            .report;
         assert_eq!(thr.terminated, sim.terminated, "{algo:?}");
         assert_eq!(thr.total_steps, sim.total_steps, "{algo:?} steps must match exactly");
         assert!(thr.outcome.completed(), "{algo:?}");
@@ -41,8 +45,12 @@ fn threads_run_against_real_disk_store() {
     let seeds = ds.seeds_with_count(Seeding::Sparse, 24);
     let dir = TempDir::new("sl-threads");
     let store: Arc<dyn BlockStore> = Arc::new(DiskStore::create(&ds, dir.path()).unwrap());
-    let r =
-        run_threaded(&ds, &seeds, &cfg(Algorithm::LoadOnDemand), store, Duration::from_secs(60));
+    let r = Run::new(&ds, &cfg(Algorithm::LoadOnDemand), &seeds)
+        .store(store)
+        .threads(Duration::from_secs(60))
+        .go()
+        .unwrap()
+        .report;
     assert!(r.outcome.completed());
     assert_eq!(r.terminated, 24);
     assert!(r.wall > 0.0);
