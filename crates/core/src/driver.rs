@@ -5,6 +5,7 @@
 use crate::config::{Algorithm, RunConfig};
 use crate::hybrid::{HybridLayout, MasterProc, SlaveProc};
 use crate::ingest::{EpochMap, SeedSource};
+use crate::liveness::Liveness;
 use crate::load_on_demand::LodProc;
 use crate::msg::Msg;
 use crate::report::{RunOutcome, RunReport};
@@ -43,81 +44,37 @@ impl Process<Msg> for AnyProc {
 }
 
 impl AnyProc {
-    fn cache_stats(&self) -> Option<CacheStats> {
+    /// The workspace of an integrating rank; masters integrate nothing.
+    fn workspace(&self) -> Option<&Workspace> {
         match self {
-            AnyProc::Static(p) => Some(p.workspace().cache_stats()),
-            AnyProc::Lod(p) => Some(p.workspace().cache_stats()),
-            AnyProc::Slave(p) => Some(p.workspace().cache_stats()),
-            AnyProc::Steal(p) => Some(p.workspace().cache_stats()),
+            AnyProc::Static(p) => Some(p.workspace()),
+            AnyProc::Lod(p) => Some(p.workspace()),
+            AnyProc::Slave(p) => Some(p.workspace()),
+            AnyProc::Steal(p) => Some(p.workspace()),
             AnyProc::Master(_) => None,
         }
     }
 
-    fn terminated(&self) -> u64 {
+    /// This rank's failure detector and membership view (rank-chaos runs
+    /// only).
+    fn liveness(&self) -> Option<&Liveness> {
         match self {
-            AnyProc::Static(p) => p.workspace().terminated,
-            AnyProc::Lod(p) => p.workspace().terminated,
-            AnyProc::Slave(p) => p.workspace().terminated,
-            AnyProc::Steal(p) => p.workspace().terminated,
-            AnyProc::Master(_) => 0,
+            AnyProc::Static(p) => p.liveness(),
+            AnyProc::Lod(p) => p.liveness(),
+            AnyProc::Master(p) => p.liveness(),
+            AnyProc::Slave(p) => p.liveness(),
+            AnyProc::Steal(p) => p.liveness(),
         }
     }
 
-    fn total_steps(&self) -> u64 {
-        match self {
-            AnyProc::Static(p) => p.workspace().total_steps,
-            AnyProc::Lod(p) => p.workspace().total_steps,
-            AnyProc::Slave(p) => p.workspace().total_steps,
-            AnyProc::Steal(p) => p.workspace().total_steps,
-            AnyProc::Master(_) => 0,
-        }
-    }
-
-    /// Cell-sampler `(hits, misses)` accumulated by this rank's workspace.
-    fn sampler_counters(&self) -> (u64, u64) {
-        match self {
-            AnyProc::Static(p) => (p.workspace().sampler_hits, p.workspace().sampler_misses),
-            AnyProc::Lod(p) => (p.workspace().sampler_hits, p.workspace().sampler_misses),
-            AnyProc::Slave(p) => (p.workspace().sampler_hits, p.workspace().sampler_misses),
-            AnyProc::Steal(p) => (p.workspace().sampler_hits, p.workspace().sampler_misses),
-            AnyProc::Master(_) => (0, 0),
-        }
-    }
-
-    /// Batch-kernel counters `(batched_lanes, batch_calls)` accumulated by
-    /// this rank's workspace.
-    fn batch_counters(&self) -> (u64, u64) {
-        match self {
-            AnyProc::Static(p) => (p.workspace().batched_lanes, p.workspace().batch_calls),
-            AnyProc::Lod(p) => (p.workspace().batched_lanes, p.workspace().batch_calls),
-            AnyProc::Slave(p) => (p.workspace().batched_lanes, p.workspace().batch_calls),
-            AnyProc::Steal(p) => (p.workspace().batched_lanes, p.workspace().batch_calls),
-            AnyProc::Master(_) => (0, 0),
-        }
-    }
-
-    /// Resilience counters `(load_retries, load_failures, unavailable)` from
-    /// this rank's workspace; masters contribute their quarantined pool
-    /// seeds as unavailable terminations.
+    /// Block-fault counters `(load_retries, load_failures, unavailable)`
+    /// from this rank's workspace; masters contribute their quarantined
+    /// pool seeds as unavailable terminations.
     fn resilience_counters(&self) -> (u64, u64, u64) {
-        match self {
-            AnyProc::Static(p) => {
-                let ws = p.workspace();
-                (ws.load_retries, ws.load_failures, ws.unavailable)
-            }
-            AnyProc::Lod(p) => {
-                let ws = p.workspace();
-                (ws.load_retries, ws.load_failures, ws.unavailable)
-            }
-            AnyProc::Slave(p) => {
-                let ws = p.workspace();
-                (ws.load_retries, ws.load_failures, ws.unavailable)
-            }
-            AnyProc::Steal(p) => {
-                let ws = p.workspace();
-                (ws.load_retries, ws.load_failures, ws.unavailable)
-            }
-            AnyProc::Master(p) => (0, 0, p.unavailable_seeds()),
+        match (self, self.workspace()) {
+            (AnyProc::Master(p), _) => (0, 0, p.unavailable_seeds()),
+            (_, Some(ws)) => (ws.load_retries, ws.load_failures, ws.unavailable),
+            (_, None) => (0, 0, 0),
         }
     }
 
@@ -165,18 +122,6 @@ impl AnyProc {
         }
     }
 
-    /// `(rank, virtual time)` of deaths this rank's own failure detector
-    /// observed.
-    fn suspected_at(&self) -> &[(usize, f64)] {
-        match self {
-            AnyProc::Static(p) => p.suspected_at(),
-            AnyProc::Lod(p) => p.suspected_at(),
-            AnyProc::Slave(p) => p.suspected_at(),
-            AnyProc::Steal(p) => p.suspected_at(),
-            AnyProc::Master(p) => p.suspected_at(),
-        }
-    }
-
     /// This rank's per-epoch frontier ledger, when the run uses the
     /// frontier detector. Masters hold no ledger (slaves do the
     /// integration); on Static Allocation only the count rank's ledger is
@@ -188,16 +133,6 @@ impl AnyProc {
             AnyProc::Slave(p) => p.detector().frontier_detector(),
             AnyProc::Steal(p) => p.detector().frontier_detector(),
             AnyProc::Master(_) => None,
-        }
-    }
-
-    /// Streamlines this rank re-queued/re-seeded on behalf of dead ranks.
-    fn reassigned(&self) -> u64 {
-        match self {
-            AnyProc::Static(p) => p.reassigned(),
-            AnyProc::Lod(p) => p.reassigned(),
-            AnyProc::Master(p) => p.reassigned(),
-            AnyProc::Slave(_) | AnyProc::Steal(_) => 0,
         }
     }
 }
@@ -311,7 +246,7 @@ pub(crate) fn build_procs_planned(
     // bit-identical to a build without it. A single-rank run under chaos is
     // still legal — the simulator drops its events and collection accounts
     // every unfinished seed as `RankLost`.
-    let rc = if n > 1 { cfg.rank_chaos } else { None };
+    let live = if n > 1 { cfg.rank_chaos.map(|rc| Liveness::new(&rc, n)) } else { None };
     match cfg.algorithm {
         Algorithm::StaticAllocation => {
             // Seeds go to the rank owning their block; out-of-domain seeds
@@ -325,9 +260,9 @@ pub(crate) fn build_procs_planned(
                     .unwrap_or(0);
                 per_rank[rank].push((StreamlineId(i as u32), p));
             }
-            // Resilient ranks share the full initial assignment so an
-            // adopter can re-seed a dead rank's slice from its own copy.
-            let all_seeds = rc.map(|_| Arc::new(per_rank.clone()));
+            // Every rank shares the full initial assignment so an adopter
+            // can re-seed a dead rank's slice from its own copy.
+            let all_seeds = Arc::new(per_rank);
             (0..n)
                 .map(|rank| {
                     // A static rank caches every block it owns — capacity is
@@ -342,49 +277,40 @@ pub(crate) fn build_procs_planned(
                         })
                         .count();
                     let ws = make_workspace(dataset, &store, cfg, owned.max(1));
-                    let mut proc = StaticProc::new(
+                    let proc = StaticProc::new(
                         rank,
-                        n,
                         ws,
-                        std::mem::take(&mut per_rank[rank]),
+                        Arc::clone(&all_seeds),
                         cfg.memory,
                         cfg.comm_geometry,
                         h0,
                         seeds.len() as u64,
                         cfg.static_partition,
+                        live.clone(),
                     )
                     .with_ingest(cfg.detector, &plan.totals, plan.emap.clone());
-                    if let (Some(rc), Some(all)) = (&rc, &all_seeds) {
-                        proc = proc.with_resilience(
-                            Arc::clone(all),
-                            rc.heartbeat_period,
-                            rc.suspect_timeout,
-                            rc.beat_deadline(n),
-                        );
-                    }
                     AnyProc::Static(proc)
                 })
                 .collect()
         }
         Algorithm::LoadOnDemand => {
-            let mut chunks = chunk_seeds_by_block(dataset, seeds, n);
-            let all_seeds = rc.map(|_| Arc::new(chunks.clone()));
+            let all_seeds = Arc::new(chunk_seeds_by_block(dataset, seeds, n));
             (0..n)
                 .map(|rank| {
                     let ws = make_workspace(dataset, &store, cfg, cfg.cache_blocks);
-                    let mut proc =
-                        LodProc::new(ws, std::mem::take(&mut chunks[rank]), cfg.memory, h0)
-                            .with_ingest(cfg.detector, plan.n_epochs(), plan.emap.clone());
-                    if let (Some(rc), Some(all)) = (&rc, &all_seeds) {
-                        proc = proc.with_resilience(
-                            rank,
-                            n,
-                            Arc::clone(all),
-                            rc.heartbeat_period,
-                            rc.suspect_timeout,
-                            rc.beat_deadline(n),
-                        );
-                    }
+                    let proc = LodProc::new(
+                        rank,
+                        ws,
+                        Arc::clone(&all_seeds),
+                        cfg.memory,
+                        h0,
+                        live.clone(),
+                    )
+                    .with_ingest(
+                        cfg.detector,
+                        plan.n_epochs(),
+                        plan.emap.clone(),
+                    );
                     AnyProc::Lod(proc)
                 })
                 .collect()
@@ -395,7 +321,7 @@ pub(crate) fn build_procs_planned(
             (0..n)
                 .map(|rank| {
                     if layout.is_master(rank) {
-                        let mut proc = MasterProc::new(
+                        let proc = MasterProc::new(
                             rank,
                             dataset.decomp,
                             cfg.hybrid,
@@ -404,34 +330,22 @@ pub(crate) fn build_procs_planned(
                             layout.master_ranks(),
                             std::mem::take(&mut chunks[rank]),
                             0xC0FFEE ^ rank as u64,
+                            live.clone(),
                         )
                         .with_ingest(plan.n_epochs());
-                        if let Some(rc) = &rc {
-                            proc = proc.with_resilience(
-                                rc.heartbeat_period,
-                                rc.suspect_timeout,
-                                rc.beat_deadline(n),
-                            );
-                        }
                         AnyProc::Master(proc)
                     } else {
                         let ws = make_workspace(dataset, &store, cfg, cfg.cache_blocks);
-                        let mut proc = SlaveProc::new(
+                        let proc = SlaveProc::new(
                             rank,
                             layout.master_of(rank),
                             ws,
                             cfg.memory,
                             cfg.comm_geometry,
                             h0,
+                            live.clone(),
                         )
                         .with_ingest(cfg.detector, plan.emap.clone());
-                        if let Some(rc) = &rc {
-                            proc = proc.with_resilience(
-                                rc.heartbeat_period,
-                                rc.suspect_timeout,
-                                rc.beat_deadline(n),
-                            );
-                        }
                         AnyProc::Slave(proc)
                     }
                 })
@@ -444,7 +358,7 @@ pub(crate) fn build_procs_planned(
             (0..n)
                 .map(|rank| {
                     let ws = make_workspace(dataset, &store, cfg, cfg.cache_blocks);
-                    let mut proc = StealProc::new(
+                    let proc = StealProc::new(
                         rank,
                         n,
                         ws,
@@ -453,19 +367,13 @@ pub(crate) fn build_procs_planned(
                         cfg.comm_geometry,
                         h0,
                         cfg.steal,
+                        live.clone(),
                     )
                     .with_ingest(
                         cfg.detector,
                         plan.n_epochs(),
                         plan.emap.clone(),
                     );
-                    if let Some(rc) = &rc {
-                        proc = proc.with_resilience(
-                            rc.heartbeat_period,
-                            rc.suspect_timeout,
-                            rc.beat_deadline(n),
-                        );
-                    }
                     AnyProc::Steal(proc)
                 })
                 .collect()
@@ -655,17 +563,15 @@ pub(crate) fn collect_report(
     let mut pingponged: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
     let mut outcome = RunOutcome::Completed;
     for (rank, p) in procs.iter().enumerate() {
-        if let Some(s) = p.cache_stats() {
-            cache.merge(&s);
+        if let Some(ws) = p.workspace() {
+            cache.merge(&ws.cache_stats());
+            terminated += ws.terminated;
+            steps += ws.total_steps;
+            sampler_hits += ws.sampler_hits;
+            sampler_misses += ws.sampler_misses;
+            batched_lanes += ws.batched_lanes;
+            batch_calls += ws.batch_calls;
         }
-        terminated += p.terminated();
-        steps += p.total_steps();
-        let (hits, misses) = p.sampler_counters();
-        sampler_hits += hits;
-        sampler_misses += misses;
-        let (lanes, calls) = p.batch_counters();
-        batched_lanes += lanes;
-        batch_calls += calls;
         let (retries, failures, unavailable) = p.resilience_counters();
         load_retries += retries;
         load_failures += failures;
@@ -692,7 +598,8 @@ pub(crate) fn collect_report(
     let mut detection_latency_mean = 0.0;
     let mut detection_latency_max = 0.0;
     if !rank_deaths.is_empty() {
-        reassigned_streamlines = procs.iter().map(|p| p.reassigned()).sum();
+        reassigned_streamlines =
+            procs.iter().filter_map(|p| p.liveness()).map(|l| l.reassigned).sum();
         // Detection latency: per death, virtual time from the kill to the
         // first survivor suspecting that rank (deaths the run ended before
         // detecting are skipped).
@@ -700,7 +607,8 @@ pub(crate) fn collect_report(
         for &(dead_rank, kill_t) in &rank_deaths {
             let first = procs
                 .iter()
-                .flat_map(|p| p.suspected_at().iter())
+                .filter_map(|p| p.liveness())
+                .flat_map(|l| l.suspected_at.iter())
                 .filter(|&&(r, _)| r == dead_rank)
                 .map(|&(_, t)| t)
                 .fold(f64::INFINITY, f64::min);

@@ -8,12 +8,13 @@
 //! a pool drains, and master 0 maintains the global remaining count.
 
 use crate::config::HybridParams;
+use crate::liveness::{Liveness, WAKE_BEAT};
 use crate::msg::{Command, Msg, SlaveStatus};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use streamline_desim::{Context, Event, HeartbeatMonitor, Process};
+use streamline_desim::{Context, Event, Process};
 use streamline_field::block::BlockId;
 use streamline_field::decomp::BlockDecomposition;
 use streamline_integrate::StreamlineId;
@@ -22,56 +23,15 @@ use streamline_math::{rng, Vec3};
 /// Master 0 coordinates global termination.
 pub const ROOT_MASTER: usize = 0;
 
-/// Resilient mode only: periodic heartbeat-and-sweep tick.
-const WAKE_BEAT: u64 = 10;
-
-/// Per-rank fail-stop resilience state for a Hybrid master: a failure
-/// detector over its slaves, the quarantined assignment ledger (what was
-/// sent to whom, so a dead slave's work can be requeued exactly), and
-/// MasterBeat liveness traffic toward the slaves.
+/// Resilient-mode state of a Hybrid master: its failure detector over its
+/// slaves, and the requeue ledger (what was sent to whom, so a dead
+/// slave's work can be requeued exactly).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MasterResil {
-    /// Virtual seconds between heartbeat ticks.
-    pub heartbeat_period: f64,
-    /// Ticks stop re-arming past this virtual time, bounding the event
-    /// count of any death schedule.
-    pub beat_deadline: f64,
-    /// Failure detector over this master's slaves.
-    pub monitor: HeartbeatMonitor,
-    /// A heartbeat tick is armed.
-    pub beat_armed: bool,
-    /// Slaves (and peers) this master believes dead, sorted.
-    pub dead: Vec<u32>,
+    pub live: Liveness,
     /// Seeds assigned per slave and not yet acknowledged as terminated —
-    /// the quarantine ledger a dead slave's requeue draws from. Sorted by
-    /// slave rank.
+    /// the ledger a dead slave's requeue draws from. Sorted by slave rank.
     pub assigned: Vec<(u32, Vec<(StreamlineId, Vec3)>)>,
-    /// Streamlines requeued from dead slaves.
-    pub reassigned: u64,
-    /// `(rank, virtual time)` of each death this master's monitor detected.
-    pub suspected_at: Vec<(usize, f64)>,
-}
-
-impl MasterResil {
-    fn new(heartbeat_period: f64, suspect_timeout: f64, beat_deadline: f64) -> Self {
-        MasterResil {
-            heartbeat_period,
-            beat_deadline,
-            monitor: HeartbeatMonitor::new(suspect_timeout),
-            beat_armed: false,
-            dead: Vec::new(),
-            assigned: Vec::new(),
-            reassigned: 0,
-            suspected_at: Vec::new(),
-        }
-    }
-
-    fn record_assigned(&mut self, slave: usize, seeds: &[(StreamlineId, Vec3)]) {
-        match self.assigned.binary_search_by_key(&(slave as u32), |(s, _)| *s) {
-            Ok(i) => self.assigned[i].1.extend_from_slice(seeds),
-            Err(i) => self.assigned.insert(i, (slave as u32, seeds.to_vec())),
-        }
-    }
 }
 
 /// The master's model of one slave (§4.3: "The master algorithm maintains a
@@ -196,8 +156,9 @@ pub struct MasterProc {
     /// Diagnostics: commands issued, indexed as
     /// [assign, send-force, send-hint, load, terminate].
     pub cmd_counts: [u64; 5],
-    /// Fail-stop resilience machinery; `None` outside rank-chaos runs so
-    /// fault-free schedules are untouched.
+    /// Resilient mode: watch every slave, send them MasterBeat, requeue a
+    /// dead slave's ledger. `None` outside rank-chaos runs so fault-free
+    /// schedules are untouched.
     resil: Option<MasterResil>,
 }
 
@@ -212,6 +173,7 @@ impl MasterProc {
         masters: Vec<usize>,
         seeds: Vec<(StreamlineId, Vec3)>,
         seed: u64,
+        live: Option<Liveness>,
     ) -> Self {
         let mut pool: BTreeMap<BlockId, Vec<(StreamlineId, Vec3)>> = BTreeMap::new();
         let mut pre_terminated = 0u64;
@@ -249,7 +211,7 @@ impl MasterProc {
             reported_extra: BTreeMap::new(),
             done: false,
             cmd_counts: [0; 5],
-            resil: None,
+            resil: live.map(|live| MasterResil { live, assigned: Vec::new() }),
         }
     }
 
@@ -260,28 +222,10 @@ impl MasterProc {
         self
     }
 
-    /// Switch this master into resilient mode (rank-chaos runs only):
-    /// slave heartbeat monitoring, the assignment quarantine ledger, and
-    /// requeue-on-death.
-    pub fn with_resilience(
-        mut self,
-        heartbeat_period: f64,
-        suspect_timeout: f64,
-        beat_deadline: f64,
-    ) -> Self {
-        self.resil = Some(MasterResil::new(heartbeat_period, suspect_timeout, beat_deadline));
-        self
-    }
-
-    /// Deaths this master's own failure detector observed, as
-    /// `(rank, virtual suspicion time)`.
-    pub fn suspected_at(&self) -> &[(usize, f64)] {
-        self.resil.as_ref().map_or(&[], |r| r.suspected_at.as_slice())
-    }
-
-    /// Streamlines requeued from dead slaves.
-    pub fn reassigned(&self) -> u64 {
-        self.resil.as_ref().map_or(0, |r| r.reassigned)
+    /// This master's failure detector and membership view, in resilient
+    /// mode.
+    pub fn liveness(&self) -> Option<&Liveness> {
+        self.resil.as_ref().map(|r| &r.live)
     }
 
     pub fn rank(&self) -> usize {
@@ -380,7 +324,10 @@ impl MasterProc {
         // Quarantine ledger: remember what was assigned where, so a dead
         // slave's outstanding seeds can be requeued exactly.
         if let (Command::AssignSeeds { seeds, .. }, Some(r)) = (&cmd, self.resil.as_mut()) {
-            r.record_assigned(to, seeds);
+            match r.assigned.binary_search_by_key(&(to as u32), |(s, _)| *s) {
+                Ok(i) => r.assigned[i].1.extend_from_slice(seeds),
+                Err(i) => r.assigned.insert(i, (to as u32, seeds.clone())),
+            }
         }
         self.cmd_counts[match &cmd {
             Command::AssignSeeds { .. } => 0,
@@ -701,40 +648,6 @@ impl MasterProc {
         }
     }
 
-    fn arm_beat(&mut self, ctx: &mut dyn Context<Msg>) {
-        if let Some(r) = self.resil.as_mut() {
-            if !r.beat_armed {
-                r.beat_armed = true;
-                ctx.wake_after(r.heartbeat_period, WAKE_BEAT);
-            }
-        }
-    }
-
-    /// Heartbeat tick: sweep the failure detector (requeueing the work of
-    /// any newly dead slave), send MasterBeat to the surviving slaves so
-    /// they know this master lives, re-arm until the deadline.
-    fn on_beat_tick(&mut self, ctx: &mut dyn Context<Msg>) {
-        let now = ctx.now();
-        let newly = {
-            let Some(r) = self.resil.as_mut() else { return };
-            r.beat_armed = false;
-            r.monitor.sweep(now)
-        };
-        for rank in newly {
-            self.apply_slave_death(rank, now, ctx);
-        }
-        let beating = self.resil.as_ref().is_some_and(|r| now <= r.beat_deadline);
-        if beating {
-            let slaves: Vec<usize> = self.records.keys().copied().collect();
-            for s in slaves {
-                let m = Msg::MasterBeat;
-                let bytes = m.wire_bytes(self.comm_geometry);
-                ctx.send(s, m, bytes);
-            }
-            self.arm_beat(ctx);
-        }
-    }
-
     /// A slave is dead: drop its record (it leaves every scheduling rule)
     /// and requeue every seed from its quarantine ledger. Its durable
     /// completions are reconciled at collect time — here its count restarts
@@ -742,25 +655,20 @@ impl MasterProc {
     /// over-approximation that still drains to zero (or the run ends by
     /// natural drain; either way no schedule can hang the group).
     fn apply_slave_death(&mut self, slave: usize, now: f64, ctx: &mut dyn Context<Msg>) {
-        let seeds = {
-            let Some(r) = self.resil.as_mut() else { return };
-            let Err(i) = r.dead.binary_search(&(slave as u32)) else { return };
-            r.dead.insert(i, slave as u32);
-            r.suspected_at.push((slave, now));
-            r.monitor.unwatch(slave);
-            match r.assigned.binary_search_by_key(&(slave as u32), |(s, _)| *s) {
-                Ok(j) => std::mem::take(&mut r.assigned[j].1),
-                Err(_) => Vec::new(),
-            }
+        let Some(r) = self.resil.as_mut() else { return };
+        if !r.live.mark_dead(slave, now, true) {
+            return;
+        }
+        let seeds = match r.assigned.binary_search_by_key(&(slave as u32), |(s, _)| *s) {
+            Ok(j) => std::mem::take(&mut r.assigned[j].1),
+            Err(_) => Vec::new(),
         };
         if self.records.remove(&slave).is_none() {
             return; // a peer master or an already-forgotten rank
         }
+        r.live.reassigned += seeds.len() as u64;
         self.slaves.retain(|&s| s != slave);
         self.hint_after.remove(&slave);
-        if let Some(r) = self.resil.as_mut() {
-            r.reassigned += seeds.len() as u64;
-        }
         for (id, p) in seeds {
             match self.decomp.locate(p) {
                 Some(b) if self.quarantined.contains(&b) => self.group_unavailable += 1,
@@ -809,21 +717,16 @@ impl MasterProc {
 
 impl Process<Msg> for MasterProc {
     fn on_event(&mut self, ev: Event<Msg>, ctx: &mut dyn Context<Msg>) {
-        if let (Event::Message { from, .. }, Some(r)) = (&ev, self.resil.as_mut()) {
-            // Any message is proof of life from its sender.
-            r.monitor.beat(*from, ctx.now());
+        if let Some(r) = self.resil.as_mut() {
+            r.live.heard(&ev, ctx.now());
         }
         match ev {
             Event::Start => {
-                if self.resil.is_some() {
-                    let now = ctx.now();
-                    let slaves = self.slaves.clone();
-                    if let Some(r) = self.resil.as_mut() {
-                        for &s in &slaves {
-                            r.monitor.watch(s, now);
-                        }
+                if let Some(r) = self.resil.as_mut() {
+                    for &s in &self.slaves {
+                        r.live.monitor.watch(s, ctx.now());
                     }
-                    self.arm_beat(ctx);
+                    r.live.arm(ctx);
                 }
                 // Initial allocation: every slave gets N seeds through
                 // Assign-unloaded ("all slaves receive their initial
@@ -896,7 +799,28 @@ impl Process<Msg> for MasterProc {
                 Msg::OutOfMemory { .. } => {}
                 _ => {}
             },
-            Event::Wake(WAKE_BEAT) => self.on_beat_tick(ctx),
+            Event::Wake(WAKE_BEAT) => {
+                // Sweep (requeueing the work of any newly dead slave), then
+                // send MasterBeat to the surviving slaves so they know this
+                // master lives, and re-arm until the deadline.
+                let now = ctx.now();
+                let Some((newly, beat)) = self.resil.as_mut().map(|r| r.live.tick(now)) else {
+                    return;
+                };
+                for rank in newly {
+                    self.apply_slave_death(rank, now, ctx);
+                }
+                if let Some(r) = self.resil.as_mut().filter(|_| beat) {
+                    for &s in self.records.keys() {
+                        ctx.send(
+                            s,
+                            Msg::MasterBeat,
+                            Msg::MasterBeat.wire_bytes(self.comm_geometry),
+                        );
+                    }
+                    r.live.arm(ctx);
+                }
+            }
             Event::Wake(_) => {}
         }
     }
@@ -926,6 +850,7 @@ mod tests {
             vec![0],
             seeds,
             7,
+            None,
         )
     }
 
@@ -1366,6 +1291,7 @@ mod tests {
             vec![0, 9],
             vec![],
             7,
+            None,
         );
         let mut ctx = NullCtx::default();
         let seeds = vec![(StreamlineId(0), Vec3::splat(0.2)), (StreamlineId(1), Vec3::splat(0.7))];

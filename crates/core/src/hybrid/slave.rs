@@ -9,56 +9,16 @@
 
 use crate::config::MemoryBudget;
 use crate::ingest::EpochMap;
+use crate::liveness::{Liveness, WAKE_BEAT};
 use crate::msg::{Command, Msg, SlaveStatus};
 use crate::termination::{AnyDetector, DetectorKind, TerminationDetector};
 use crate::workspace::{BlockExit, Workspace, WorkspaceSnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use streamline_desim::{Context, Event, HeartbeatMonitor, Process};
+use streamline_desim::{Context, Event, Process};
 use streamline_field::block::BlockId;
 use streamline_integrate::{Streamline, StreamlineId, Termination};
 use streamline_iosim::StoreError;
-
-/// Resilient mode only: periodic heartbeat-and-sweep tick.
-const WAKE_BEAT: u64 = 10;
-
-/// Per-rank fail-stop resilience state for a Hybrid slave: a failure
-/// detector over its master (MasterBeat and every command are proof of
-/// life) and Beat traffic back so the master's detector sees this slave
-/// between statuses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SlaveResil {
-    /// Virtual seconds between heartbeat ticks.
-    pub heartbeat_period: f64,
-    /// Ticks stop re-arming past this virtual time, bounding the event
-    /// count of any death schedule.
-    pub beat_deadline: f64,
-    /// Failure detector over the master.
-    pub monitor: HeartbeatMonitor,
-    /// A heartbeat tick is armed.
-    pub beat_armed: bool,
-    /// The master went silent past the timeout: the group is headless. The
-    /// slave keeps integrating what it holds (completions stay durable) but
-    /// no new work can arrive; the run ends by natural drain and the driver
-    /// reports a typed `MasterLost` outcome instead of hanging.
-    pub master_lost: bool,
-    /// `(rank, virtual time)` of the master death if this slave's monitor
-    /// detected it.
-    pub suspected_at: Vec<(usize, f64)>,
-}
-
-impl SlaveResil {
-    fn new(heartbeat_period: f64, suspect_timeout: f64, beat_deadline: f64) -> Self {
-        SlaveResil {
-            heartbeat_period,
-            beat_deadline,
-            monitor: HeartbeatMonitor::new(suspect_timeout),
-            beat_armed: false,
-            master_lost: false,
-            suspected_at: Vec::new(),
-        }
-    }
-}
 
 /// Serializable image of a [`SlaveProc`] mid-run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -82,9 +42,10 @@ pub struct SlaveSnapshot {
     pub pingponged: Vec<u32>,
     #[serde(default)]
     pub pingpong_times: Vec<f64>,
-    /// Absent in pre-resilience snapshots.
+    /// The rank's failure detector and membership view (rank-chaos runs
+    /// only). Absent in pre-resilience snapshots.
     #[serde(default)]
-    pub resil: Option<SlaveResil>,
+    pub resil: Option<Liveness>,
     /// Absent in pre-ingestion snapshots (reconstructed on restore).
     #[serde(default)]
     pub detector: Option<AnyDetector>,
@@ -125,9 +86,15 @@ pub struct SlaveProc {
     pingponged: BTreeSet<u32>,
     /// Virtual times at which each ping-pong was first detected.
     pingpong_times: Vec<f64>,
-    /// Fail-stop resilience machinery; `None` outside rank-chaos runs so
-    /// fault-free schedules are untouched.
-    resil: Option<SlaveResil>,
+    /// Resilient mode: a failure detector over the master (MasterBeat and
+    /// every command are proof of life) and Beat traffic back so the
+    /// master's detector sees this slave between statuses. Once the master
+    /// is suspected the group is headless: the slave keeps integrating what
+    /// it holds (completions stay durable) but no new work can arrive, it
+    /// stops beating, and the run ends by natural drain with a typed
+    /// `MasterLost` outcome instead of hanging. `None` outside rank-chaos
+    /// runs so fault-free schedules are untouched.
+    live: Option<Liveness>,
     /// Per-epoch retirement ledger — slaves do the integration in this
     /// driver, so frontier folding reads slave ledgers (the masters only
     /// gate termination on ingest progress).
@@ -146,6 +113,7 @@ impl SlaveProc {
         memory: MemoryBudget,
         comm_geometry: bool,
         h0: f64,
+        live: Option<Liveness>,
     ) -> Self {
         SlaveProc {
             rank,
@@ -169,7 +137,7 @@ impl SlaveProc {
             seen: BTreeSet::new(),
             pingponged: BTreeSet::new(),
             pingpong_times: Vec::new(),
-            resil: None,
+            live,
             detector: AnyDetector::new(DetectorKind::ClosedSet),
             emap: EpochMap::default(),
             retired_seen: 0,
@@ -204,26 +172,9 @@ impl SlaveProc {
         }
     }
 
-    /// Switch this slave into resilient mode (rank-chaos runs only).
-    pub fn with_resilience(
-        mut self,
-        heartbeat_period: f64,
-        suspect_timeout: f64,
-        beat_deadline: f64,
-    ) -> Self {
-        self.resil = Some(SlaveResil::new(heartbeat_period, suspect_timeout, beat_deadline));
-        self
-    }
-
-    /// The master went silent past the suspicion timeout.
-    pub fn master_lost(&self) -> bool {
-        self.resil.as_ref().is_some_and(|r| r.master_lost)
-    }
-
-    /// Deaths this slave's own failure detector observed, as
-    /// `(rank, virtual suspicion time)`.
-    pub fn suspected_at(&self) -> &[(usize, f64)] {
-        self.resil.as_ref().map_or(&[], |r| r.suspected_at.as_slice())
+    /// This rank's failure detector and membership view, in resilient mode.
+    pub fn liveness(&self) -> Option<&Liveness> {
+        self.live.as_ref()
     }
 
     pub fn workspace(&self) -> &Workspace {
@@ -271,7 +222,7 @@ impl SlaveProc {
             seen: self.seen.iter().copied().collect(),
             pingponged: self.pingponged.iter().copied().collect(),
             pingpong_times: self.pingpong_times.clone(),
-            resil: self.resil.clone(),
+            resil: self.live.clone(),
             detector: Some(self.detector.clone()),
         }
     }
@@ -294,7 +245,7 @@ impl SlaveProc {
         self.seen = snap.seen.iter().copied().collect();
         self.pingponged = snap.pingponged.iter().copied().collect();
         self.pingpong_times = snap.pingpong_times.clone();
-        self.resil = snap.resil.clone();
+        self.live = snap.resil.clone();
         match &snap.detector {
             Some(d) => self.detector = d.clone(),
             None => {
@@ -307,43 +258,6 @@ impl SlaveProc {
         }
         self.retired_seen = self.finished.len();
         Ok(())
-    }
-
-    fn arm_beat(&mut self, ctx: &mut dyn Context<Msg>) {
-        if let Some(r) = self.resil.as_mut() {
-            if !r.beat_armed && !r.master_lost {
-                r.beat_armed = true;
-                ctx.wake_after(r.heartbeat_period, WAKE_BEAT);
-            }
-        }
-    }
-
-    /// Heartbeat tick: sweep the master watchdog, beat back so the master's
-    /// detector sees this slave between statuses, re-arm until the
-    /// deadline (or until the master is known dead — then there is nobody
-    /// to talk to and the rank goes silent).
-    fn on_beat_tick(&mut self, ctx: &mut dyn Context<Msg>) {
-        let now = ctx.now();
-        let master = self.master;
-        let newly = {
-            let Some(r) = self.resil.as_mut() else { return };
-            r.beat_armed = false;
-            r.monitor.sweep(now)
-        };
-        if newly.contains(&master) {
-            if let Some(r) = self.resil.as_mut() {
-                r.master_lost = true;
-                r.suspected_at.push((master, now));
-            }
-            return;
-        }
-        let beating = self.resil.as_ref().is_some_and(|r| now <= r.beat_deadline);
-        if beating {
-            let m = Msg::Beat { done: self.advanceable() == 0 };
-            let bytes = m.wire_bytes(self.comm_geometry);
-            ctx.send(master, m, bytes);
-            self.arm_beat(ctx);
-        }
     }
 
     fn check_memory(&mut self, ctx: &mut dyn Context<Msg>) -> bool {
@@ -537,25 +451,33 @@ impl SlaveProc {
 
 impl Process<Msg> for SlaveProc {
     fn on_event(&mut self, ev: Event<Msg>, ctx: &mut dyn Context<Msg>) {
-        if let (Event::Message { from, .. }, Some(r)) = (&ev, self.resil.as_mut()) {
-            // Any message is proof of life from its sender (the master's
-            // commands and MasterBeats both feed the watchdog).
-            r.monitor.beat(*from, ctx.now());
+        if let Some(l) = self.live.as_mut() {
+            l.heard(&ev, ctx.now());
         }
         match ev {
             Event::Start => {
-                if self.resil.is_some() {
-                    let now = ctx.now();
-                    let master = self.master;
-                    if let Some(r) = self.resil.as_mut() {
-                        r.monitor.watch(master, now);
-                    }
-                    self.arm_beat(ctx);
+                if let Some(l) = self.live.as_mut() {
+                    l.monitor.watch(self.master, ctx.now());
+                    l.arm(ctx);
                 }
                 // Work arrives from the master; announce readiness.
                 self.send_status(ctx, true);
             }
-            Event::Wake(WAKE_BEAT) => self.on_beat_tick(ctx),
+            Event::Wake(WAKE_BEAT) => {
+                // Sweep the master watchdog; while the master lives, beat
+                // back and re-arm until the deadline. A dead master leaves
+                // nobody to talk to, so the rank goes silent.
+                let now = ctx.now();
+                if let Some(l) = self.live.as_mut() {
+                    let (newly, beat) = l.tick(now);
+                    if newly.contains(&self.master) {
+                        l.mark_dead(self.master, now, true);
+                    } else if beat {
+                        ctx.send(self.master, Msg::Beat, Msg::Beat.wire_bytes(self.comm_geometry));
+                        l.arm(ctx);
+                    }
+                }
+            }
             Event::Message { msg: Msg::Command(cmd), .. } => self.handle_command(cmd, ctx),
             Event::Message { msg: Msg::Handoff { sl }, .. } => {
                 self.sent_idle_status = false;
@@ -602,7 +524,7 @@ mod tests {
             StepLimits::default(),
             1e-6,
         );
-        SlaveProc::new(1, 0, ws, MemoryBudget::unlimited(), true, 1e-2)
+        SlaveProc::new(1, 0, ws, MemoryBudget::unlimited(), true, 1e-2, None)
     }
 
     fn status_msgs(ctx: &NullCtx) -> Vec<&SlaveStatus> {
@@ -742,7 +664,8 @@ mod invariant_tests {
         let store = Arc::new(MemoryStore::build(&ds));
         let limits = StepLimits { max_steps: 50, ..StepLimits::default() };
         let ws = Workspace::new(ds.decomp, store, 3, DiskModel::paper_scale(), limits, 1e-6);
-        let mut s = SlaveProc::new(1, 0, ws, crate::config::MemoryBudget::unlimited(), true, 1e-2);
+        let mut s =
+            SlaveProc::new(1, 0, ws, crate::config::MemoryBudget::unlimited(), true, 1e-2, None);
         let mut ctx = NullCtx::default();
 
         // A deterministic pseudo-random command storm.

@@ -42,6 +42,7 @@ pub mod config;
 pub mod driver;
 pub mod hybrid;
 pub mod ingest;
+pub mod liveness;
 pub mod load_on_demand;
 pub mod msg;
 pub mod report;

@@ -12,13 +12,14 @@
 
 use crate::config::MemoryBudget;
 use crate::ingest::EpochMap;
+use crate::liveness::{Liveness, WAKE_BEAT};
 use crate::msg::Msg;
 use crate::termination::{AnyDetector, DetectorKind, TerminationDetector};
 use crate::workspace::{BlockExit, Workspace, WorkspaceSnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use streamline_desim::{Context, Event, HeartbeatMonitor, Process};
+use streamline_desim::{Context, Event, Process};
 use streamline_field::block::BlockId;
 use streamline_integrate::{Streamline, StreamlineId, Termination};
 use streamline_iosim::StoreError;
@@ -26,8 +27,6 @@ use streamline_math::Vec3;
 
 /// Round wake (the only wake token outside resilient mode).
 const WAKE_ROUND: u64 = 0;
-/// Resilient mode only: periodic heartbeat-and-sweep tick.
-const WAKE_BEAT: u64 = 10;
 
 /// One Load On Demand rank.
 ///
@@ -60,64 +59,19 @@ pub struct LodProc {
     /// are otherwise fully independent and never address each other).
     rank: usize,
     n_ranks: usize,
-    /// Fail-stop resilience machinery; `None` outside rank-chaos runs so
-    /// fault-free schedules are untouched (and the driver stays
-    /// communication-free, as §4.2 requires).
-    resil: Option<LodResil>,
+    /// Resilient mode: a heartbeat ring (each rank beats its live successor
+    /// and watches its live predecessor). On suspicion the watcher
+    /// re-integrates the dead rank's entire initial seed chunk — LOD
+    /// exchanges no work mid-run, so the initial assignment is the complete
+    /// recovery unit; ids the dead rank already finished are deduplicated
+    /// at collect time. `None` outside rank-chaos runs so fault-free
+    /// schedules are untouched (and the driver stays communication-free, as
+    /// §4.2 requires).
+    live: Option<Liveness>,
     /// Every rank's initial seed assignment (shared, read-only): the live
     /// successor of a dead rank re-integrates its chunk. Rebuilt from the
     /// run config, never snapshotted.
     all_seeds: Arc<Vec<Vec<(StreamlineId, Vec3)>>>,
-}
-
-/// Per-rank fail-stop resilience state for Load On Demand: a heartbeat ring
-/// (each rank beats its live successor and watches its live predecessor).
-/// On suspicion the watcher re-integrates the dead rank's entire initial
-/// seed chunk — LOD exchanges no work mid-run, so the initial assignment is
-/// the complete recovery unit; ids the dead rank already finished are
-/// deduplicated at collect time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LodResil {
-    /// Virtual seconds between heartbeat ticks.
-    pub heartbeat_period: f64,
-    /// Ticks stop re-arming past this virtual time, bounding the event
-    /// count of any death schedule.
-    pub beat_deadline: f64,
-    /// Failure detector over this rank's current watch target.
-    pub monitor: HeartbeatMonitor,
-    /// The live ring predecessor this rank watches for beats.
-    pub watch_target: Option<usize>,
-    /// A heartbeat tick is armed.
-    pub beat_armed: bool,
-    /// This rank's view of dead ranks, sorted.
-    pub dead: Vec<u32>,
-    /// Dead ranks whose initial seeds this rank has already re-integrated.
-    pub adopted: Vec<u32>,
-    /// `(rank, virtual time)` of each death this rank's monitor detected.
-    pub suspected_at: Vec<(usize, f64)>,
-    /// Streamlines this rank re-integrated on behalf of dead ranks.
-    #[serde(default)]
-    pub reassigned: u64,
-}
-
-impl LodResil {
-    fn new(heartbeat_period: f64, suspect_timeout: f64, beat_deadline: f64) -> Self {
-        LodResil {
-            heartbeat_period,
-            beat_deadline,
-            monitor: HeartbeatMonitor::new(suspect_timeout),
-            watch_target: None,
-            beat_armed: false,
-            dead: Vec::new(),
-            adopted: Vec::new(),
-            suspected_at: Vec::new(),
-            reassigned: 0,
-        }
-    }
-
-    fn is_dead(&self, rank: usize) -> bool {
-        self.dead.binary_search(&(rank as u32)).is_ok()
-    }
 }
 
 /// Serializable image of a [`LodProc`] mid-run.
@@ -129,9 +83,10 @@ pub struct LodSnapshot {
     pub finished: Vec<Streamline>,
     pub done: bool,
     pub failed_oom: bool,
-    /// Absent in pre-resilience snapshots.
+    /// The rank's failure detector and membership view (rank-chaos runs
+    /// only). Absent in pre-resilience snapshots.
     #[serde(default)]
-    pub resil: Option<LodResil>,
+    pub resil: Option<Liveness>,
     /// Absent in pre-detector snapshots — reconstructed from the parked /
     /// finished counts.
     #[serde(default)]
@@ -139,12 +94,17 @@ pub struct LodSnapshot {
 }
 
 impl LodProc {
+    /// Rank `rank` of `all_seeds.len()`, seeded with the chunk
+    /// `all_seeds[rank]`. `live` switches on resilient mode.
     pub fn new(
+        rank: usize,
         ws: Workspace,
-        seeds: Vec<(StreamlineId, Vec3)>,
+        all_seeds: Arc<Vec<Vec<(StreamlineId, Vec3)>>>,
         memory: MemoryBudget,
         h0: f64,
+        live: Option<Liveness>,
     ) -> Self {
+        let seeds = all_seeds[rank].clone();
         let n = seeds.len() as u32;
         let mut detector = AnyDetector::new(DetectorKind::ClosedSet);
         detector.seal(1);
@@ -160,10 +120,10 @@ impl LodProc {
             detector,
             emap: EpochMap::closed(n),
             retired_seen: 0,
-            rank: 0,
-            n_ranks: 1,
-            resil: None,
-            all_seeds: Arc::new(Vec::new()),
+            rank,
+            n_ranks: all_seeds.len(),
+            live,
+            all_seeds,
         }
     }
 
@@ -200,35 +160,9 @@ impl LodProc {
         }
     }
 
-    /// Switch this rank into resilient mode (rank-chaos runs only): ring
-    /// heartbeats until `beat_deadline`, a `suspect_timeout` failure
-    /// detector, and seed-chunk adoption by the watching successor.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_resilience(
-        mut self,
-        rank: usize,
-        n_ranks: usize,
-        all_seeds: Arc<Vec<Vec<(StreamlineId, Vec3)>>>,
-        heartbeat_period: f64,
-        suspect_timeout: f64,
-        beat_deadline: f64,
-    ) -> Self {
-        self.rank = rank;
-        self.n_ranks = n_ranks;
-        self.resil = Some(LodResil::new(heartbeat_period, suspect_timeout, beat_deadline));
-        self.all_seeds = all_seeds;
-        self
-    }
-
-    /// Deaths this rank's own failure detector observed, as
-    /// `(rank, virtual suspicion time)`.
-    pub fn suspected_at(&self) -> &[(usize, f64)] {
-        self.resil.as_ref().map_or(&[], |r| r.suspected_at.as_slice())
-    }
-
-    /// Streamlines this rank re-integrated on behalf of dead ranks.
-    pub fn reassigned(&self) -> u64 {
-        self.resil.as_ref().map_or(0, |r| r.reassigned)
+    /// This rank's failure detector and membership view, in resilient mode.
+    pub fn liveness(&self) -> Option<&Liveness> {
+        self.live.as_ref()
     }
 
     pub fn workspace(&self) -> &Workspace {
@@ -244,7 +178,7 @@ impl LodProc {
             finished: self.finished.clone(),
             done: self.done,
             failed_oom: self.failed_oom,
-            resil: self.resil.clone(),
+            resil: self.live.clone(),
             detector: Some(self.detector.clone()),
         }
     }
@@ -257,7 +191,7 @@ impl LodProc {
         self.finished = snap.finished.clone();
         self.done = snap.done;
         self.failed_oom = snap.failed_oom;
-        self.resil = snap.resil.clone();
+        self.live = snap.resil.clone();
         self.detector = match &snap.detector {
             Some(d) => d.clone(),
             // Pre-detector snapshot (closed run): everything admitted is
@@ -275,101 +209,23 @@ impl LodProc {
         Ok(())
     }
 
-    /// Ranks this rank believes alive, ascending. Always contains `rank`.
-    fn live_ranks(&self) -> Vec<usize> {
-        match &self.resil {
-            Some(r) => (0..self.n_ranks).filter(|&p| p == self.rank || !r.is_dead(p)).collect(),
-            None => (0..self.n_ranks).collect(),
-        }
-    }
-
-    /// Watch the live ring predecessor (the rank whose beats we receive).
-    fn rewatch(&mut self, now: f64) {
-        let live = self.live_ranks();
-        let m = live.len();
-        let i = live.iter().position(|&r| r == self.rank).expect("self is alive");
-        let pred = if m >= 2 { Some(live[(i + m - 1) % m]) } else { None };
-        let Some(r) = self.resil.as_mut() else { return };
-        if r.watch_target != pred {
-            if let Some(old) = r.watch_target.take() {
-                r.monitor.unwatch(old);
-            }
-            if let Some(p) = pred {
-                r.watch_target = Some(p);
-                r.monitor.watch(p, now);
-            }
-        }
-    }
-
-    fn arm_beat(&mut self, ctx: &mut dyn Context<Msg>) {
-        if let Some(r) = self.resil.as_mut() {
-            if !r.beat_armed {
-                r.beat_armed = true;
-                ctx.wake_after(r.heartbeat_period, WAKE_BEAT);
-            }
-        }
-    }
-
-    /// Heartbeat tick: sweep the failure detector (adopting the chunk of
-    /// any newly dead predecessor), beat the live successor, re-arm until
-    /// the deadline.
-    fn on_beat_tick(&mut self, ctx: &mut dyn Context<Msg>) {
-        let now = ctx.now();
-        let newly = {
-            let Some(r) = self.resil.as_mut() else { return };
-            r.beat_armed = false;
-            r.monitor.sweep(now)
-        };
-        for rank in newly {
-            self.apply_death(rank, now, ctx);
-            if self.failed_oom {
-                return;
-            }
-        }
-        let beating = self.resil.as_ref().is_some_and(|r| now <= r.beat_deadline);
-        if beating && self.n_ranks > 1 {
-            let live = self.live_ranks();
-            if live.len() >= 2 {
-                let i = live.iter().position(|&r| r == self.rank).expect("self is alive");
-                let m = Msg::Beat { done: self.done };
-                let bytes = m.wire_bytes(true);
-                ctx.send(live[(i + 1) % live.len()], m, bytes);
-            }
-            self.arm_beat(ctx);
-        }
-    }
-
     /// The watched predecessor is dead: record it, rewatch, and adopt its
     /// entire initial seed chunk (the complete recovery unit — LOD ranks
-    /// exchange no work mid-run). Ids the dead rank already finished are
-    /// deduplicated at collect time; work it held mid-flight that the chunk
-    /// replays is thereby recovered exactly.
+    /// exchange no work mid-run; a death is recorded, so adopted, once).
+    /// Ids the dead rank already finished are deduplicated at collect time;
+    /// work it held mid-flight that the chunk replays is thereby recovered
+    /// exactly.
     fn apply_death(&mut self, rank: usize, now: f64, ctx: &mut dyn Context<Msg>) {
-        let adopt = {
-            let Some(r) = self.resil.as_mut() else { return };
-            if let Err(i) = r.dead.binary_search(&(rank as u32)) {
-                r.dead.insert(i, rank as u32);
-                r.suspected_at.push((rank, now));
-            }
-            match r.adopted.binary_search(&(rank as u32)) {
-                Ok(_) => false,
-                Err(i) => {
-                    r.adopted.insert(i, rank as u32);
-                    true
-                }
-            }
-        };
-        self.rewatch(now);
-        if !adopt {
+        let Some(l) = self.live.as_mut() else { return };
+        if !l.mark_dead(rank, now, true) {
             return;
         }
+        l.watch_ring_predecessor(self.rank, self.n_ranks, now);
         let orphan_seeds = self.all_seeds.get(rank).cloned().unwrap_or_default();
         if orphan_seeds.is_empty() {
             return;
         }
-        if let Some(r) = self.resil.as_mut() {
-            r.reassigned += orphan_seeds.len() as u64;
-        }
+        l.reassigned += orphan_seeds.len() as u64;
         // Adopted work joins this rank's base-epoch ledger so the replayed
         // retirements stay balanced against what was opened here.
         self.detector.open(0, orphan_seeds.len() as u64);
@@ -478,11 +334,14 @@ impl LodProc {
 
 impl Process<Msg> for LodProc {
     fn on_event(&mut self, ev: Event<Msg>, ctx: &mut dyn Context<Msg>) {
+        if let Some(l) = self.live.as_mut() {
+            l.heard(&ev, ctx.now());
+        }
         match ev {
             Event::Start => {
-                if self.resil.is_some() && self.n_ranks > 1 {
-                    self.rewatch(ctx.now());
-                    self.arm_beat(ctx);
+                if let Some(l) = self.live.as_mut() {
+                    l.watch_ring_predecessor(self.rank, self.n_ranks, ctx.now());
+                    l.arm(ctx);
                 }
                 let seeds = std::mem::take(&mut self.seeds);
                 // Open the base epoch even when this rank's share is empty
@@ -504,7 +363,27 @@ impl Process<Msg> for LodProc {
                 self.round(ctx);
                 self.note_retirements(ctx.now());
             }
-            Event::Wake(WAKE_BEAT) => self.on_beat_tick(ctx),
+            Event::Wake(WAKE_BEAT) => {
+                // Sweep (adopting the chunk of any newly dead predecessor),
+                // then beat the live successor and re-arm until the
+                // deadline.
+                let now = ctx.now();
+                let Some((newly, beat)) = self.live.as_mut().map(|l| l.tick(now)) else { return };
+                for rank in newly {
+                    self.apply_death(rank, now, ctx);
+                    if self.failed_oom {
+                        return;
+                    }
+                }
+                if let Some(l) = self.live.as_mut().filter(|_| beat) {
+                    let live = l.live_ranks(self.rank, self.n_ranks);
+                    if live.len() >= 2 {
+                        let i = live.iter().position(|&r| r == self.rank).expect("self is alive");
+                        ctx.send(live[(i + 1) % live.len()], Msg::Beat, Msg::Beat.wire_bytes(true));
+                    }
+                    l.arm(ctx);
+                }
+            }
             Event::Wake(_) => {
                 self.round(ctx);
                 self.note_retirements(ctx.now());
@@ -536,11 +415,7 @@ impl Process<Msg> for LodProc {
             }
             // Load On Demand exchanges no work messages; beats are proof of
             // life for the failure detector.
-            Event::Message { from, .. } => {
-                if let Some(r) = self.resil.as_mut() {
-                    r.monitor.beat(from, ctx.now());
-                }
-            }
+            Event::Message { .. } => {}
         }
     }
 }
@@ -564,7 +439,7 @@ mod tests {
             StepLimits::default(),
             1e-6,
         );
-        LodProc::new(ws, seeds, MemoryBudget::unlimited(), 1e-2)
+        LodProc::new(0, ws, Arc::new(vec![seeds]), MemoryBudget::unlimited(), 1e-2, None)
     }
 
     /// Deliver Start, then pump the zero-delay wakes the rank schedules
@@ -651,10 +526,12 @@ mod tests {
         );
         // Budget below one block.
         let mut p = LodProc::new(
+            0,
             ws,
-            seeds,
+            Arc::new(vec![seeds]),
             MemoryBudget { bytes: Some(1.0), vertex_bytes: 64.0, stream_bytes: 65536.0 },
             1e-2,
+            None,
         );
         let mut ctx = NullCtx::default();
         run_rounds(&mut p, &mut ctx);

@@ -145,10 +145,9 @@ pub enum Msg {
         #[serde(default)]
         extra_ingested: u32,
     },
-    /// Liveness heartbeat (resilient mode only). `done` rides along so a
-    /// finished rank's beats also advertise that it holds no work — used by
-    /// static allocation's drain accounting.
-    Beat { done: bool },
+    /// Liveness heartbeat (resilient mode only). Carries nothing: its
+    /// arrival is the proof of life.
+    Beat,
     /// Hybrid: master → slave liveness heartbeat (any command also counts
     /// as proof of life; this fills the gaps between commands).
     MasterBeat,
@@ -201,7 +200,9 @@ impl Msg {
             // traffic costs what it always did; `extra_ingested` rides in
             // the existing padding (it is 0 on every closed run anyway).
             Msg::TermToken { dead, .. } => 24 + dead.len() * 4,
-            Msg::Beat { .. } => 9,
+            // 8-byte header plus one status byte, kept for wire-size
+            // stability of resilient-mode traffic totals.
+            Msg::Beat => 9,
             Msg::MasterBeat => 8,
             Msg::Ingest { seeds, .. } => 12 + seeds.len() * 28,
         }
@@ -267,7 +268,7 @@ mod tests {
                 .wire_bytes(true),
             32
         );
-        assert_eq!(Msg::Beat { done: false }.wire_bytes(true), 9);
+        assert_eq!(Msg::Beat.wire_bytes(true), 9);
         assert_eq!(Msg::MasterBeat.wire_bytes(true), 8);
         // A transfer is a refusal when empty, and costs geometry otherwise.
         assert_eq!(Msg::WorkTransfer { sls: vec![] }.wire_bytes(true), 8);

@@ -14,13 +14,14 @@
 
 use crate::config::MemoryBudget;
 use crate::ingest::EpochMap;
+use crate::liveness::{Liveness, WAKE_BEAT};
 use crate::msg::Msg;
 use crate::termination::{AnyDetector, DetectorKind, TerminationDetector};
 use crate::workspace::{BlockExit, Workspace, WorkspaceSnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use streamline_desim::{Context, Event, HeartbeatMonitor, Process};
+use streamline_desim::{Context, Event, Process};
 use streamline_field::block::BlockId;
 use streamline_integrate::{Streamline, StreamlineId};
 use streamline_iosim::StoreError;
@@ -28,9 +29,6 @@ use streamline_math::Vec3;
 
 /// Rank that maintains the global active-streamline count.
 pub const COUNT_RANK: usize = 0;
-
-/// Resilient mode only: periodic heartbeat-and-sweep tick.
-const WAKE_BEAT: u64 = 10;
 
 /// How blocks map to ranks. The paper's scheme is [`Self::Contiguous`]
 /// ("the first of n processors is assigned the first 1/n of the blocks");
@@ -82,55 +80,10 @@ pub struct StaticSnapshot {
     pub pingponged: Vec<u32>,
     #[serde(default)]
     pub pingpong_times: Vec<f64>,
-    /// Absent in pre-resilience snapshots.
+    /// The rank's failure detector and membership view (rank-chaos runs
+    /// only). Absent in pre-resilience snapshots.
     #[serde(default)]
-    pub resil: Option<StaticResil>,
-}
-
-/// Per-rank fail-stop resilience state for Static Allocation. Every rank
-/// beats every peer each heartbeat period and watches all of them, so each
-/// survivor detects each death independently (no gossip channel is needed)
-/// and all survivors converge on the same ownership rerouting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StaticResil {
-    /// Virtual seconds between heartbeat ticks.
-    pub heartbeat_period: f64,
-    /// Ticks stop re-arming past this virtual time, bounding the event
-    /// count of any death schedule.
-    pub beat_deadline: f64,
-    /// Failure detector over all peers.
-    pub monitor: HeartbeatMonitor,
-    /// A heartbeat tick is armed.
-    pub beat_armed: bool,
-    /// This rank's view of dead ranks, sorted.
-    pub dead: Vec<u32>,
-    /// Dead ranks whose initial seeds this rank has already re-seeded
-    /// (adoption happens once, surviving checkpoint/resume).
-    pub adopted: Vec<u32>,
-    /// `(rank, virtual time)` of each death this rank's monitor detected.
-    pub suspected_at: Vec<(usize, f64)>,
-    /// Streamlines this rank re-seeded on behalf of dead ranks.
-    #[serde(default)]
-    pub reassigned: u64,
-}
-
-impl StaticResil {
-    fn new(heartbeat_period: f64, suspect_timeout: f64, beat_deadline: f64) -> Self {
-        StaticResil {
-            heartbeat_period,
-            beat_deadline,
-            monitor: HeartbeatMonitor::new(suspect_timeout),
-            beat_armed: false,
-            dead: Vec::new(),
-            adopted: Vec::new(),
-            suspected_at: Vec::new(),
-            reassigned: 0,
-        }
-    }
-
-    fn is_dead(&self, rank: usize) -> bool {
-        self.dead.binary_search(&(rank as u32)).is_ok()
-    }
+    pub resil: Option<Liveness>,
 }
 
 /// One Static Allocation rank.
@@ -162,9 +115,11 @@ pub struct StaticProc {
     pingponged: BTreeSet<u32>,
     /// Virtual times at which each ping-pong was first detected.
     pingpong_times: Vec<f64>,
-    /// Fail-stop resilience machinery; `None` outside rank-chaos runs so
-    /// fault-free schedules are untouched.
-    resil: Option<StaticResil>,
+    /// Resilient mode: every rank beats and watches every peer, so each
+    /// survivor detects each death itself and all converge on the same
+    /// ownership rerouting. `None` outside rank-chaos runs so fault-free
+    /// schedules are untouched.
+    live: Option<Liveness>,
     /// Every rank's initial seed assignment (shared, read-only): the live
     /// successor of a dead rank re-seeds its slice. Rebuilt from the run
     /// config, never snapshotted.
@@ -173,22 +128,25 @@ pub struct StaticProc {
 
 impl StaticProc {
     #[allow(clippy::too_many_arguments)]
+    /// Rank `rank` of `all_seeds.len()`, seeded with `all_seeds[rank]`.
+    /// `live` switches on resilient mode: handoffs reroute around dead
+    /// owners and a dead rank's first live successor re-seeds its slice.
     pub fn new(
         rank: usize,
-        n_procs: usize,
         ws: Workspace,
-        seeds: Vec<(StreamlineId, Vec3)>,
+        all_seeds: Arc<Vec<Vec<(StreamlineId, Vec3)>>>,
         memory: MemoryBudget,
         comm_geometry: bool,
         h0: f64,
         total_streamlines: u64,
         partition: StaticPartition,
+        live: Option<Liveness>,
     ) -> Self {
         StaticProc {
             rank,
-            n_procs,
+            n_procs: all_seeds.len(),
             ws,
-            seeds,
+            seeds: all_seeds[rank].clone(),
             finished: Vec::new(),
             memory,
             comm_geometry,
@@ -204,8 +162,8 @@ impl StaticProc {
             seen: BTreeSet::new(),
             pingponged: BTreeSet::new(),
             pingpong_times: Vec::new(),
-            resil: None,
-            all_seeds: Arc::new(Vec::new()),
+            live,
+            all_seeds,
         }
     }
 
@@ -229,31 +187,9 @@ impl StaticProc {
         &self.detector
     }
 
-    /// Switch this rank into resilient mode (rank-chaos runs only):
-    /// all-peer heartbeats until `beat_deadline`, a `suspect_timeout`
-    /// failure detector, handoff rerouting around dead owners, and seed
-    /// adoption by the dead rank's first live successor.
-    pub fn with_resilience(
-        mut self,
-        all_seeds: Arc<Vec<Vec<(StreamlineId, Vec3)>>>,
-        heartbeat_period: f64,
-        suspect_timeout: f64,
-        beat_deadline: f64,
-    ) -> Self {
-        self.resil = Some(StaticResil::new(heartbeat_period, suspect_timeout, beat_deadline));
-        self.all_seeds = all_seeds;
-        self
-    }
-
-    /// Deaths this rank's own failure detector observed, as
-    /// `(rank, virtual suspicion time)`.
-    pub fn suspected_at(&self) -> &[(usize, f64)] {
-        self.resil.as_ref().map_or(&[], |r| r.suspected_at.as_slice())
-    }
-
-    /// Streamlines this rank re-seeded on behalf of dead ranks.
-    pub fn reassigned(&self) -> u64 {
-        self.resil.as_ref().map_or(0, |r| r.reassigned)
+    /// This rank's failure detector and membership view, in resilient mode.
+    pub fn liveness(&self) -> Option<&Liveness> {
+        self.live.as_ref()
     }
 
     pub fn workspace(&self) -> &Workspace {
@@ -290,7 +226,7 @@ impl StaticProc {
             seen: self.seen.iter().copied().collect(),
             pingponged: self.pingponged.iter().copied().collect(),
             pingpong_times: self.pingpong_times.clone(),
-            resil: self.resil.clone(),
+            resil: self.live.clone(),
         }
     }
 
@@ -311,7 +247,7 @@ impl StaticProc {
         self.seen = snap.seen.iter().copied().collect();
         self.pingponged = snap.pingponged.iter().copied().collect();
         self.pingpong_times = snap.pingpong_times.clone();
-        self.resil = snap.resil.clone();
+        self.live = snap.resil.clone();
         Ok(())
     }
 
@@ -320,10 +256,10 @@ impl StaticProc {
     /// id). All survivors with converged views route identically.
     fn effective_owner(&self, block: BlockId) -> usize {
         let owner = self.partition.owner_of(block, self.ws.decomp.num_blocks(), self.n_procs);
-        match &self.resil {
-            Some(r) if r.is_dead(owner) => (1..self.n_procs)
+        match &self.live {
+            Some(l) if l.is_dead(owner) => (1..self.n_procs)
                 .map(|k| (owner + k) % self.n_procs)
-                .find(|&p| p == self.rank || !r.is_dead(p))
+                .find(|&p| p == self.rank || !l.is_dead(p))
                 .unwrap_or(self.rank),
             _ => owner,
         }
@@ -492,7 +428,7 @@ impl StaticProc {
         // Re-seeded work after a death can legitimately over-count; outside
         // resilient mode an underflow is still a protocol bug.
         debug_assert!(
-            self.resil.is_some() || self.detector.outstanding() >= count,
+            self.live.is_some() || self.detector.outstanding() >= count,
             "count underflow"
         );
         let now = ctx.now();
@@ -509,75 +445,29 @@ impl StaticProc {
         }
     }
 
-    fn arm_beat(&mut self, ctx: &mut dyn Context<Msg>) {
-        if let Some(r) = self.resil.as_mut() {
-            if !r.beat_armed {
-                r.beat_armed = true;
-                ctx.wake_after(r.heartbeat_period, WAKE_BEAT);
-            }
-        }
-    }
-
-    /// Heartbeat tick: sweep the failure detector (adopting the work of any
-    /// newly dead rank), beat every live peer, re-arm until the deadline.
-    fn on_beat_tick(&mut self, ctx: &mut dyn Context<Msg>) {
-        let now = ctx.now();
-        let newly = {
-            let Some(r) = self.resil.as_mut() else { return };
-            r.beat_armed = false;
-            r.monitor.sweep(now)
-        };
-        for rank in newly {
-            self.apply_death(rank, now, ctx);
-            if self.failed_oom {
-                return;
-            }
-        }
-        let beating = self.resil.as_ref().is_some_and(|r| now <= r.beat_deadline);
-        if beating && self.n_procs > 1 {
-            let peers: Vec<usize> = (0..self.n_procs)
-                .filter(|&p| p != self.rank && !self.resil.as_ref().is_some_and(|r| r.is_dead(p)))
-                .collect();
-            for p in peers {
-                let m = Msg::Beat { done: false };
-                let bytes = m.wire_bytes(self.comm_geometry);
-                ctx.send(p, m, bytes);
-            }
-            self.arm_beat(ctx);
-        }
-    }
-
     /// A peer is now known dead: record it, and — if this rank is the dead
-    /// rank's first live successor — adopt its initial seed assignment.
-    /// Streamlines the dead rank held mid-flight are unrecoverable and are
-    /// synthesized as [`streamline_integrate::Termination::RankLost`] when
-    /// the run is collected; ids the adopter re-integrates are deduplicated
-    /// there by id.
+    /// rank's first live successor — adopt its initial seed assignment
+    /// (once: a death is recorded once). Streamlines the dead rank held
+    /// mid-flight are unrecoverable and are synthesized as
+    /// [`streamline_integrate::Termination::RankLost`] when the run is
+    /// collected; ids the adopter re-integrates are deduplicated there by
+    /// id.
     fn apply_death(&mut self, rank: usize, now: f64, ctx: &mut dyn Context<Msg>) {
-        {
-            let Some(r) = self.resil.as_mut() else { return };
-            let Err(i) = r.dead.binary_search(&(rank as u32)) else { return };
-            r.dead.insert(i, rank as u32);
-            r.suspected_at.push((rank, now));
-        }
-        let r = self.resil.as_ref().expect("resilient mode");
-        let adopter = (1..self.n_procs)
-            .map(|k| (rank + k) % self.n_procs)
-            .find(|&p| p == self.rank || !r.is_dead(p));
-        let already = r.adopted.binary_search(&(rank as u32));
-        if adopter != Some(self.rank) || already.is_ok() {
+        let Some(l) = self.live.as_mut() else { return };
+        if !l.mark_dead(rank, now, true) {
             return;
         }
-        if let Err(i) = already {
-            self.resil.as_mut().expect("resilient mode").adopted.insert(i, rank as u32);
+        let adopter = (1..self.n_procs)
+            .map(|k| (rank + k) % self.n_procs)
+            .find(|&p| p == self.rank || !l.is_dead(p));
+        if adopter != Some(self.rank) {
+            return;
         }
         let orphan_seeds = self.all_seeds.get(rank).cloned().unwrap_or_default();
         if orphan_seeds.is_empty() {
             return;
         }
-        if let Some(r) = self.resil.as_mut() {
-            r.reassigned += orphan_seeds.len() as u64;
-        }
+        l.reassigned += orphan_seeds.len() as u64;
         let mut created: Vec<Streamline> = Vec::with_capacity(orphan_seeds.len());
         for (id, seed) in orphan_seeds {
             self.note_arrival(id, now);
@@ -597,21 +487,17 @@ impl StaticProc {
 
 impl Process<Msg> for StaticProc {
     fn on_event(&mut self, ev: Event<Msg>, ctx: &mut dyn Context<Msg>) {
-        if let (Event::Message { from, .. }, Some(r)) = (&ev, self.resil.as_mut()) {
-            // Any message is proof of life from its sender.
-            r.monitor.beat(*from, ctx.now());
+        if let Some(l) = self.live.as_mut() {
+            l.heard(&ev, ctx.now());
         }
         match ev {
             Event::Start => {
-                if self.resil.is_some() && self.n_procs > 1 {
+                if let Some(l) = self.live.as_mut() {
                     let now = ctx.now();
-                    let peers: Vec<usize> = (0..self.n_procs).filter(|&p| p != self.rank).collect();
-                    if let Some(r) = self.resil.as_mut() {
-                        for p in peers {
-                            r.monitor.watch(p, now);
-                        }
+                    for p in (0..self.n_procs).filter(|&p| p != self.rank) {
+                        l.monitor.watch(p, now);
                     }
-                    self.arm_beat(ctx);
+                    l.arm(ctx);
                 }
                 // Instantiate the entire local seed set before integrating —
                 // the initialization pattern that makes dense seeding fatal
@@ -677,7 +563,26 @@ impl Process<Msg> for StaticProc {
             Event::Message { msg: Msg::OutOfMemory { .. }, .. } => {
                 // Another rank died; the world is already stopping.
             }
-            Event::Wake(WAKE_BEAT) => self.on_beat_tick(ctx),
+            Event::Wake(WAKE_BEAT) => {
+                // Sweep (adopting the work of any newly dead rank), then
+                // beat every live peer and re-arm until the deadline.
+                let now = ctx.now();
+                let Some((newly, beat)) = self.live.as_mut().map(|l| l.tick(now)) else { return };
+                for rank in newly {
+                    self.apply_death(rank, now, ctx);
+                    if self.failed_oom {
+                        return;
+                    }
+                }
+                if let Some(l) = self.live.as_mut().filter(|_| beat) {
+                    for p in l.live_ranks(self.rank, self.n_procs) {
+                        if p != self.rank {
+                            ctx.send(p, Msg::Beat, Msg::Beat.wire_bytes(self.comm_geometry));
+                        }
+                    }
+                    l.arm(ctx);
+                }
+            }
             Event::Message { .. } | Event::Wake(_) => {}
         }
     }

@@ -32,12 +32,13 @@
 
 use crate::config::{MemoryBudget, StealParams};
 use crate::ingest::EpochMap;
+use crate::liveness::{Liveness, WAKE_BEAT};
 use crate::msg::Msg;
 use crate::termination::{AnyDetector, DetectorKind, TerminationDetector};
 use crate::workspace::{BlockExit, Workspace, WorkspaceSnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use streamline_desim::{Context, Event, HeartbeatMonitor, Process};
+use streamline_desim::{Context, Event, Process};
 use streamline_field::block::BlockId;
 use streamline_integrate::{Streamline, StreamlineId, Termination};
 use streamline_iosim::StoreError;
@@ -49,8 +50,6 @@ const WAKE_ROUND: u64 = 0;
 const WAKE_TICK: u64 = 1;
 /// Rank 0 re-arms the termination token after a failed circulation.
 const WAKE_TOKEN_RETRY: u64 = 2;
-/// Resilient mode only: periodic heartbeat-and-sweep tick.
-const WAKE_RESIL: u64 = 3;
 
 /// Lifeline out-neighbors of `rank`: `(rank + 2^j) mod n` for
 /// `j in 0..degree`, deduplicated, never including `rank` itself. The
@@ -120,8 +119,10 @@ pub struct StealProc {
     /// Balancing-protocol traffic (reports, probes, transfers, tokens).
     pub balance_msgs: u64,
     pub balance_bytes: u64,
-    /// Fail-stop resilience machinery; `None` outside rank-chaos runs so
-    /// fault-free schedules are untouched.
+    /// Resilient mode: ring heartbeats (beat the live successor, watch the
+    /// live predecessor), membership-aware lifelines and termination.
+    /// `None` outside rank-chaos runs so fault-free schedules are
+    /// untouched.
     resil: Option<StealResil>,
     /// Per-epoch retirement ledger. Work migrates freely between steal
     /// ranks, so the `opened` side is meaningless here — only retirements
@@ -140,25 +141,13 @@ pub struct StealProc {
     n_epochs: u32,
 }
 
-/// Per-rank fail-stop resilience state for the steal driver: ring
-/// heartbeats, a failure detector, per-peer Safra balances (so lost
-/// messages to/from dead ranks can be excluded exactly), and the membership
-/// view the token gossips.
+/// Resilient-mode state of a steal rank: its failure detector and
+/// membership view, plus what its recovery needs — per-peer Safra balances
+/// (so lost messages to/from dead ranks can be excluded exactly), the probe
+/// to repair if its victim dies, and the membership view the token gossips.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StealResil {
-    /// Virtual seconds between heartbeat ticks.
-    pub heartbeat_period: f64,
-    /// Ticks stop re-arming past this virtual time, bounding the event
-    /// count of any death schedule (set from [`crate::RankChaos::beat_deadline`]).
-    pub beat_deadline: f64,
-    /// Failure detector over this rank's current watch target.
-    pub monitor: HeartbeatMonitor,
-    /// The live ring predecessor this rank watches for beats.
-    pub watch_target: Option<usize>,
-    /// A heartbeat tick is armed.
-    pub beat_armed: bool,
-    /// This rank's view of dead ranks, sorted.
-    pub dead: Vec<u32>,
+    pub live: Liveness,
     /// Safra per-peer balance: basic messages sent to / received from each
     /// rank, so the balance can be restricted to live peers exactly.
     pub sent_to: Vec<i64>,
@@ -167,41 +156,13 @@ pub struct StealResil {
     pub probe_target: Option<usize>,
     /// Dead set carried by the held token (empty when none held).
     pub held_dead: Vec<u32>,
-    /// `(rank, virtual time)` of each death this rank's own monitor
-    /// detected — the raw material for detection-latency accounting.
-    pub suspected_at: Vec<(usize, f64)>,
 }
 
 impl StealResil {
-    fn new(
-        n_ranks: usize,
-        heartbeat_period: f64,
-        suspect_timeout: f64,
-        beat_deadline: f64,
-    ) -> Self {
-        StealResil {
-            heartbeat_period,
-            beat_deadline,
-            monitor: HeartbeatMonitor::new(suspect_timeout),
-            watch_target: None,
-            beat_armed: false,
-            dead: Vec::new(),
-            sent_to: vec![0; n_ranks],
-            recv_from: vec![0; n_ranks],
-            probe_target: None,
-            held_dead: Vec::new(),
-            suspected_at: Vec::new(),
-        }
-    }
-
-    fn is_dead(&self, rank: usize) -> bool {
-        self.dead.binary_search(&(rank as u32)).is_ok()
-    }
-
     /// Basic-message balance restricted to peers this rank believes alive.
     fn live_balance(&self) -> i64 {
         (0..self.sent_to.len())
-            .filter(|&p| !self.is_dead(p))
+            .filter(|&p| !self.live.is_dead(p))
             .map(|p| self.sent_to[p] - self.recv_from[p])
             .sum()
     }
@@ -255,6 +216,7 @@ impl StealProc {
         comm_geometry: bool,
         h0: f64,
         params: StealParams,
+        live: Option<Liveness>,
     ) -> Self {
         StealProc {
             rank,
@@ -285,7 +247,13 @@ impl StealProc {
             pingpong_times: Vec::new(),
             balance_msgs: 0,
             balance_bytes: 0,
-            resil: None,
+            resil: live.map(|live| StealResil {
+                live,
+                sent_to: vec![0; n_ranks],
+                recv_from: vec![0; n_ranks],
+                probe_target: None,
+                held_dead: Vec::new(),
+            }),
             detector: AnyDetector::new(DetectorKind::ClosedSet),
             emap: EpochMap::default(),
             retired_seen: 0,
@@ -324,24 +292,9 @@ impl StealProc {
         }
     }
 
-    /// Switch this rank into resilient mode (rank-chaos runs only): ring
-    /// heartbeats until `beat_deadline`, a `suspect_timeout` failure
-    /// detector, per-peer Safra balances and membership-aware termination.
-    pub fn with_resilience(
-        mut self,
-        heartbeat_period: f64,
-        suspect_timeout: f64,
-        beat_deadline: f64,
-    ) -> Self {
-        self.resil =
-            Some(StealResil::new(self.n_ranks, heartbeat_period, suspect_timeout, beat_deadline));
-        self
-    }
-
-    /// Deaths this rank's own failure detector observed, as
-    /// `(rank, virtual suspicion time)`.
-    pub fn suspected_at(&self) -> &[(usize, f64)] {
-        self.resil.as_ref().map_or(&[], |r| r.suspected_at.as_slice())
+    /// This rank's failure detector and membership view, in resilient mode.
+    pub fn liveness(&self) -> Option<&Liveness> {
+        self.resil.as_ref().map(|r| &r.live)
     }
 
     pub fn workspace(&self) -> &Workspace {
@@ -437,7 +390,7 @@ impl StealProc {
     /// Ranks this rank believes alive, ascending. Always contains `rank`.
     fn live_ranks(&self) -> Vec<usize> {
         match &self.resil {
-            Some(r) => (0..self.n_ranks).filter(|&p| p == self.rank || !r.is_dead(p)).collect(),
+            Some(r) => r.live.live_ranks(self.rank, self.n_ranks),
             None => (0..self.n_ranks).collect(),
         }
     }
@@ -466,31 +419,13 @@ impl StealProc {
         }
     }
 
-    /// Watch the live ring predecessor (the rank whose beats we receive).
-    fn rewatch(&mut self, now: f64) {
-        let live = self.live_ranks();
-        let m = live.len();
-        let i = live.iter().position(|&r| r == self.rank).expect("self is alive");
-        let pred = if m >= 2 { Some(live[(i + m - 1) % m]) } else { None };
-        let Some(r) = self.resil.as_mut() else { return };
-        if r.watch_target != pred {
-            if let Some(old) = r.watch_target.take() {
-                r.monitor.unwatch(old);
-            }
-            if let Some(p) = pred {
-                r.watch_target = Some(p);
-                r.monitor.watch(p, now);
-            }
-        }
-    }
-
     /// The token initiator: rank 0 normally; after its death, the lowest
     /// rank this rank believes alive (views may briefly disagree — duplicate
     /// tokens are tolerated, termination is declared by whoever sees a clean
     /// wave).
     fn is_initiator(&self) -> bool {
         match &self.resil {
-            Some(r) => (0..self.rank).all(|p| r.is_dead(p)),
+            Some(r) => (0..self.rank).all(|p| r.live.is_dead(p)),
             None => self.rank == 0,
         }
     }
@@ -510,8 +445,8 @@ impl StealProc {
     fn note_probe(&mut self, to: usize, now: f64) {
         if let Some(r) = self.resil.as_mut() {
             r.probe_target = Some(to);
-            if r.watch_target != Some(to) {
-                r.monitor.watch(to, now);
+            if r.live.ring_watch != Some(to) {
+                r.live.monitor.watch(to, now);
             }
         }
     }
@@ -520,8 +455,8 @@ impl StealProc {
     fn clear_probe(&mut self) {
         if let Some(r) = self.resil.as_mut() {
             if let Some(t) = r.probe_target.take() {
-                if r.watch_target != Some(t) {
-                    r.monitor.unwatch(t);
+                if r.live.ring_watch != Some(t) {
+                    r.live.monitor.unwatch(t);
                 }
             }
         }
@@ -547,21 +482,15 @@ impl StealProc {
         if rank == self.rank {
             return; // a false suspicion of ourselves, gossiped back
         }
-        {
-            let Some(r) = self.resil.as_mut() else { return };
-            let Err(i) = r.dead.binary_search(&(rank as u32)) else { return };
-            r.dead.insert(i, rank as u32);
-            if own_detection {
-                r.suspected_at.push((rank, now));
-            }
-            r.monitor.unwatch(rank);
+        let Some(r) = self.resil.as_mut() else { return };
+        if !r.live.mark_dead(rank, now, own_detection) {
+            return;
         }
+        r.live.watch_ring_predecessor(self.rank, self.n_ranks, now);
+        let stranded = self.hunting && r.probe_target == Some(rank);
         self.recompute_neighbors();
-        self.rewatch(now);
         // Probe repair: the victim died before answering — treat it as a
         // refusal and restart the idle sweep over the repaired lifelines.
-        let stranded =
-            self.hunting && self.resil.as_ref().is_some_and(|r| r.probe_target == Some(rank));
         if stranded {
             self.clear_probe();
             self.hunting = false;
@@ -575,39 +504,6 @@ impl StealProc {
         // duplicate token is tolerated — it just circulates dirty.
         if self.is_initiator() {
             self.token_out = false;
-        }
-    }
-
-    fn arm_resil(&mut self, ctx: &mut dyn Context<Msg>) {
-        if let Some(r) = self.resil.as_mut() {
-            if !r.beat_armed {
-                r.beat_armed = true;
-                ctx.wake_after(r.heartbeat_period, WAKE_RESIL);
-            }
-        }
-    }
-
-    /// Heartbeat tick: sweep the failure detector, beat the ring successor,
-    /// re-arm until the beat deadline (which bounds the event count of any
-    /// death schedule).
-    fn on_resil_tick(&mut self, ctx: &mut dyn Context<Msg>) {
-        let now = ctx.now();
-        let newly = {
-            let Some(r) = self.resil.as_mut() else { return };
-            r.beat_armed = false;
-            r.monitor.sweep(now)
-        };
-        for rank in newly {
-            self.apply_death(rank, now, true, ctx);
-        }
-        let beating = self.resil.as_ref().is_some_and(|r| now <= r.beat_deadline);
-        if beating && self.n_ranks > 1 {
-            let msg = Msg::Beat { done: self.done };
-            let bytes = msg.wire_bytes(self.comm_geometry);
-            self.balance_msgs += 1;
-            self.balance_bytes += bytes as u64;
-            ctx.send(self.ring_successor(), msg, bytes);
-            self.arm_resil(ctx);
         }
     }
 
@@ -640,7 +536,7 @@ impl StealProc {
     }
 
     fn send_token(&mut self, count: i64, black: bool, extra: u32, ctx: &mut dyn Context<Msg>) {
-        let dead = self.resil.as_ref().map_or_else(Vec::new, |r| r.dead.clone());
+        let dead = self.resil.as_ref().map_or_else(Vec::new, |r| r.live.dead.clone());
         let msg = Msg::TermToken { count, black, dead, extra_ingested: extra };
         let bytes = msg.wire_bytes(self.comm_geometry);
         self.balance_msgs += 1;
@@ -877,7 +773,7 @@ impl StealProc {
         }
         // Sole survivor: nobody left to count with — local quiescence is
         // global quiescence (once every ingest epoch has been delivered).
-        if self.resil.as_ref().is_some_and(|r| r.dead.len() + 1 >= self.n_ranks)
+        if self.resil.as_ref().is_some_and(|r| r.live.dead.len() + 1 >= self.n_ranks)
             && self.extra_ingested + 1 >= self.n_epochs
         {
             self.done = true;
@@ -892,7 +788,7 @@ impl StealProc {
                 let tdead = held_dead(self);
                 // The circulation only counts if every rank folded the same
                 // membership we hold now; a view change mid-hold dirties it.
-                let consistent = self.resil.as_ref().is_none_or(|r| r.dead == tdead);
+                let consistent = self.resil.as_ref().is_none_or(|r| r.live.dead == tdead);
                 // Every live rank must have observed every ingest epoch —
                 // the token carries the minimum fold, so a wave that beat an
                 // arrival to any rank cannot declare termination.
@@ -935,6 +831,9 @@ impl StealProc {
 
 impl Process<Msg> for StealProc {
     fn on_event(&mut self, ev: Event<Msg>, ctx: &mut dyn Context<Msg>) {
+        if let Some(r) = self.resil.as_mut() {
+            r.live.heard(&ev, ctx.now());
+        }
         match ev {
             Event::Start => {
                 let now = ctx.now();
@@ -952,22 +851,35 @@ impl Process<Msg> for StealProc {
                         }
                     }
                 }
-                if self.resil.is_some() && self.n_ranks > 1 {
-                    self.rewatch(ctx.now());
-                    self.arm_resil(ctx);
+                if let Some(r) = self.resil.as_mut() {
+                    r.live.watch_ring_predecessor(self.rank, self.n_ranks, ctx.now());
+                    r.live.arm(ctx);
                 }
                 self.round(ctx);
             }
             Event::Wake(WAKE_ROUND) => self.round(ctx),
             Event::Wake(WAKE_TICK) => self.on_tick(ctx),
             Event::Wake(WAKE_TOKEN_RETRY) => self.retry_armed = false,
-            Event::Wake(WAKE_RESIL) => self.on_resil_tick(ctx),
+            Event::Wake(WAKE_BEAT) => {
+                // Sweep, then beat the ring successor and re-arm until the
+                // deadline.
+                let now = ctx.now();
+                if let Some((newly, beat)) = self.resil.as_mut().map(|r| r.live.tick(now)) {
+                    for rank in newly {
+                        self.apply_death(rank, now, true, ctx);
+                    }
+                    let to = self.ring_successor();
+                    if let Some(r) = self.resil.as_mut().filter(|_| beat) {
+                        let bytes = Msg::Beat.wire_bytes(self.comm_geometry);
+                        self.balance_msgs += 1;
+                        self.balance_bytes += bytes as u64;
+                        ctx.send(to, Msg::Beat, bytes);
+                        r.live.arm(ctx);
+                    }
+                }
+            }
             Event::Wake(_) => {}
             Event::Message { from, msg } => {
-                // Any message is proof of life from its sender.
-                if let Some(r) = self.resil.as_mut() {
-                    r.monitor.beat(from, ctx.now());
-                }
                 match msg {
                     Msg::LoadReport { load } => self.on_load_report(from, load, ctx),
                     Msg::StealRequest => self.on_steal_request(from, ctx),
@@ -1011,18 +923,17 @@ impl Process<Msg> for StealProc {
                         // A token carrying a different membership view than
                         // ours dirties this circulation (either side may be
                         // ahead) before the views merge.
-                        if self.resil.as_ref().is_some_and(|r| r.dead != dead) {
+                        if self.resil.as_ref().is_some_and(|r| r.live.dead != dead) {
                             self.black = true;
                         }
                         self.merge_dead(&dead, ctx.now(), ctx);
-                        let merged = self.resil.as_ref().map_or_else(Vec::new, |r| r.dead.clone());
                         self.held_token = Some((count, black));
                         self.held_extra = extra_ingested;
                         if let Some(r) = self.resil.as_mut() {
-                            r.held_dead = merged;
+                            r.held_dead = r.live.dead.clone();
                         }
                     }
-                    Msg::Beat { .. } => {}
+                    Msg::Beat => {}
                     // Protocol messages of the other drivers never reach a
                     // steal rank.
                     _ => {}
@@ -1062,6 +973,7 @@ mod tests {
             true,
             1e-2,
             StealParams::default(),
+            None,
         )
     }
 
