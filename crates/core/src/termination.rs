@@ -151,10 +151,6 @@ impl FrontierDetector {
     pub fn ledgers(&self) -> &[EpochLedger] {
         &self.epochs
     }
-
-    pub fn sealed_epochs(&self) -> Option<u32> {
-        self.sealed
-    }
 }
 
 impl TerminationDetector for FrontierDetector {

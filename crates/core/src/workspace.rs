@@ -12,6 +12,9 @@ use streamline_field::decomp::BlockDecomposition;
 use streamline_integrate::{Dopri5, StepLimits, Streamline, Termination};
 use streamline_iosim::{BlockStore, CacheStats, DiskModel, LruCache, StoreError};
 
+/// Load attempts per block before a load is abandoned as unavailable.
+pub const MAX_LOAD_ATTEMPTS: u32 = 3;
+
 /// Serializable image of a [`Workspace`]'s mutable state: the LRU residency
 /// manifest (coldest first), the cache counters, and every accounting
 /// counter. Block *contents* are not stored — on restore they are reloaded
@@ -86,8 +89,6 @@ pub struct Workspace {
     pub batched_lanes: u64,
     /// Batch-kernel invocations on this rank.
     pub batch_calls: u64,
-    /// Load attempts per block before giving up (>= 1).
-    max_load_attempts: u32,
     /// Maximum lanes per [`Workspace::advance_batch_in`] group; the
     /// driver's drain loops chunk their per-block queues to this.
     batch_lanes: usize,
@@ -125,7 +126,6 @@ impl Workspace {
             unavailable: 0,
             batched_lanes: 0,
             batch_calls: 0,
-            max_load_attempts: 3,
             batch_lanes: BatchParams::AUTO_LANES,
             batch: StreamlineBatch::new(),
         }
@@ -142,12 +142,6 @@ impl Workspace {
     /// queues to this.
     pub fn batch_lanes(&self) -> usize {
         self.batch_lanes
-    }
-
-    /// Override the per-block load-attempt budget (default 3; must be >= 1).
-    pub fn set_max_load_attempts(&mut self, attempts: u32) {
-        assert!(attempts >= 1, "need at least one load attempt");
-        self.max_load_attempts = attempts;
     }
 
     /// Override the logical per-vertex geometry cost (default 24 B — bare
@@ -183,7 +177,7 @@ impl Workspace {
     /// Get a resident block or load it with a bounded retry budget, charging
     /// the disk model's load time for *every* attempt (a failed read still
     /// occupied the I/O system). Transient store faults are retried up to
-    /// `max_load_attempts` times; exhaustion is counted in `load_failures`
+    /// [`MAX_LOAD_ATTEMPTS`] times; exhaustion is counted in `load_failures`
     /// and the cache records a failed (non-)load.
     pub fn try_acquire(
         &mut self,
@@ -203,7 +197,7 @@ impl Workspace {
                     return Ok(b);
                 }
                 Err(e) => {
-                    if attempt >= self.max_load_attempts {
+                    if attempt >= MAX_LOAD_ATTEMPTS {
                         self.cache.record_failed();
                         self.load_failures += 1;
                         return Err(e);

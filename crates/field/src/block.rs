@@ -149,12 +149,6 @@ impl Block {
         Aabb::new(self.origin, hi)
     }
 
-    /// True when `p` lies in the block's core region.
-    #[inline]
-    pub fn contains_core(&self, p: Vec3) -> bool {
-        self.bounds.contains(p)
-    }
-
     /// Trilinear interpolation of the field at `p`. Valid anywhere in
     /// [`Self::interp_bounds`] (core plus ghost margin); `None` outside.
     #[inline]

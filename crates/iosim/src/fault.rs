@@ -444,11 +444,6 @@ impl FaultStore {
         }
     }
 
-    /// Number of attempts seen so far for `id`.
-    pub fn attempts_for(&self, id: BlockId) -> u64 {
-        self.attempts.lock().get(&id).copied().unwrap_or(0)
-    }
-
     fn injected_path(id: BlockId) -> PathBuf {
         PathBuf::from(format!("fault://block_{:05}", id.0))
     }

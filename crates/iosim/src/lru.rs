@@ -198,12 +198,6 @@ impl LruCache {
         self.stats = stats;
     }
 
-    /// Overwrite the stats counters (checkpoint restore of a cache whose
-    /// residency is rebuilt elsewhere, e.g. the serve shared cache).
-    pub fn set_stats(&mut self, stats: CacheStats) {
-        self.stats = stats;
-    }
-
     /// Drop everything (counts purges — a purge is a purge).
     pub fn clear(&mut self) {
         self.stats.purged += self.entries.len() as u64;

@@ -122,11 +122,6 @@ impl Vec3 {
         [self.x, self.y, self.z]
     }
 
-    #[inline]
-    pub fn from_array(a: [f64; 3]) -> Vec3 {
-        Vec3::new(a[0], a[1], a[2])
-    }
-
     /// Lossy narrowing to `f32` components, used by the on-disk block format.
     #[inline]
     pub fn to_f32_array(self) -> [f32; 3] {

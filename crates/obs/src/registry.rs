@@ -260,10 +260,6 @@ impl MetricsRegistry {
         self.counter(name).set(v);
     }
 
-    pub fn add_counter(&self, name: &str, v: u64) {
-        self.counter(name).add(v);
-    }
-
     pub fn set_gauge(&self, name: &str, v: f64) {
         self.gauge(name).set(v);
     }

@@ -119,11 +119,6 @@ impl PhaseTimeline {
             .unwrap_or(0.0)
     }
 
-    /// Mean utilization across ranks for one bucket.
-    pub fn mean_utilization(&self, bucket: usize) -> f64 {
-        (0..self.n_ranks).map(|r| self.utilization(r, bucket)).sum::<f64>() / self.n_ranks as f64
-    }
-
     /// Seconds of `phase` recorded for `rank`, across all buckets.
     pub fn phase_total(&self, rank: usize, phase: Phase) -> f64 {
         let k = phase.index();
