@@ -538,6 +538,15 @@ fn termination_rank(s: &streamline_integrate::Streamline) -> u8 {
     }
 }
 
+/// Whether rank-fault recovery may have duplicated or dropped work: a rank
+/// died, or some rank suspected a peer — rightly or not — and recovered
+/// its work (a falsely suspected rank's work runs twice, and what it
+/// reports after being written off can be ignored).
+fn recovery_ran(rank_deaths: &[(usize, f64)], procs: &[AnyProc]) -> bool {
+    !rank_deaths.is_empty()
+        || procs.iter().filter_map(AnyProc::liveness).any(|l| !l.dead.is_empty())
+}
+
 pub(crate) fn collect_report(
     dataset: &Dataset,
     seeds: &SeedSet,
@@ -597,7 +606,7 @@ pub(crate) fn collect_report(
     let mut reassigned_streamlines = 0;
     let mut detection_latency_mean = 0.0;
     let mut detection_latency_max = 0.0;
-    if !rank_deaths.is_empty() {
+    if recovery_ran(&rank_deaths, procs) {
         reassigned_streamlines =
             procs.iter().filter_map(|p| p.liveness()).map(|l| l.reassigned).sum();
         // Detection latency: per death, virtual time from the kill to the
@@ -621,8 +630,8 @@ pub(crate) fn collect_report(
             detection_latency_max = latencies.iter().cloned().fold(0.0, f64::max);
         }
         // Exact conservation under faults: recovery can re-run work a dead
-        // rank had already finished (per-rank `terminated` counters then
-        // overcount) and quarantined pool seeds never materialize at all.
+        // (or falsely suspected) rank had already finished (per-rank
+        // `terminated` counters then overcount) and quarantined pool seeds never materialize at all.
         // Re-derive the buckets from the deduplicated union of finished
         // streamlines — strongest record wins per id, and an id with no
         // record anywhere is a rank-lost seed. By construction
@@ -707,20 +716,22 @@ pub(crate) fn collect_report(
 
 /// Drain, deduplicate and complete the finished streamlines of a run.
 /// Fault-free runs just concatenate and sort — bit-identical to the
-/// pre-fault collector. After rank deaths the union can hold duplicates
-/// (recovery re-ran work a dead rank had already finished) and holes
-/// (seeds whose in-flight state died with a rank): keep the strongest
-/// record per id and synthesize a `RankLost` placeholder for every missing
-/// seed, so the result always has exactly one entry per seed.
+/// pre-fault collector. After rank deaths or suspicions the union can hold
+/// duplicates (recovery re-ran work a dead or falsely suspected rank had
+/// already finished) and holes (seeds whose in-flight state died with a
+/// rank or was written off with it): keep the strongest record per id and
+/// synthesize a `RankLost` placeholder for every missing seed, so the
+/// result always has exactly one entry per seed.
 pub(crate) fn drain_finished(
     seeds: &SeedSet,
     cfg: &RunConfig,
     rank_deaths: &[(usize, f64)],
     procs: &mut [AnyProc],
 ) -> Vec<streamline_integrate::Streamline> {
+    let recovered = recovery_ran(rank_deaths, procs);
     let mut finished: Vec<streamline_integrate::Streamline> =
         procs.iter_mut().flat_map(|p| p.take_finished()).collect();
-    if !rank_deaths.is_empty() {
+    if recovered {
         use streamline_integrate::{Streamline, Termination};
         let mut best: Vec<Option<Streamline>> = (0..seeds.len()).map(|_| None).collect();
         for s in finished.drain(..) {

@@ -93,6 +93,42 @@ proptest! {
             }
         }
     }
+
+    /// False suspicion: with a heartbeat far shorter than a block load (a
+    /// rank busy loading cannot beat), survivors suspect live peers and
+    /// recover work that was never lost. Nobody is killed, yet the books
+    /// must still balance — one result per seed, every seed in exactly one
+    /// bucket. A falsely suspected peer's work can really go missing (the
+    /// hybrid master ignores its later statuses), so "no deaths, nothing
+    /// lost" is deliberately not asserted here.
+    #[test]
+    fn false_suspicion_conserves_work_and_terminates(
+        seed in 0u64..u64::MAX,
+        heartbeat in 1.0e-4f64..5.0e-3,
+        timeout_beats in 2.0f64..8.0,
+    ) {
+        let ds = dataset();
+        let seeds = ds.seeds_with_count(Seeding::Sparse, 24);
+        let n = seeds.points.len() as u64;
+        let mut chaos = RankChaos::seeded(seed);
+        chaos.kill_prob = 0.0;
+        chaos.heartbeat_period = heartbeat;
+        chaos.suspect_timeout = heartbeat * timeout_beats;
+        for algo in Algorithm::ALL {
+            let mut cfg = cfg(algo);
+            cfg.rank_chaos = Some(chaos);
+            let RunOutput { report, finished: lines, .. } = Run::new(&ds, &cfg, &seeds).go().unwrap();
+            prop_assert!(report.rank_deaths.is_empty(), "{:?}: kill_prob 0 kills nobody", algo);
+            prop_assert_eq!(lines.len() as u64, n, "{:?}: one result per seed", algo);
+            let (done, unavail, lost) = buckets(&lines);
+            prop_assert_eq!(done + unavail + lost, n, "{:?}: buckets cover every seed", algo);
+            prop_assert_eq!(report.terminated, n, "{:?}: report agrees", algo);
+            prop_assert_eq!(
+                report.rank_lost_streamlines, lost,
+                "{:?}: reported rank-lost matches the curves", algo
+            );
+        }
+    }
 }
 
 /// Resilient mode armed but no rank ever killed: heartbeats fly, yet the
