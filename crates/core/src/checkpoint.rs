@@ -750,6 +750,68 @@ mod tests {
         }
     }
 
+    /// The failure detector and membership view a rank snapshot carries.
+    fn liveness_of(snap: &RankSnapshot) -> Option<&crate::liveness::Liveness> {
+        match snap {
+            RankSnapshot::Static(s) => s.resil.as_ref(),
+            RankSnapshot::Lod(s) => s.resil.as_ref(),
+            RankSnapshot::Master(s) => s.resil.as_ref().map(|r| &r.live),
+            RankSnapshot::Slave(s) => s.resil.as_ref(),
+            RankSnapshot::Steal(s) => s.resil.as_ref().map(|r| &r.live),
+        }
+    }
+
+    /// Crash/restart *mid-recovery*: the cut lands after the first survivor
+    /// suspected the dead rank, so the snapshot carries a non-empty
+    /// membership view together with the recovery state built on it
+    /// (adopted seeds, the master's requeued ledger, steal's token dead
+    /// set) — and resuming from it is still byte-identical to the
+    /// uninterrupted run, for every driver.
+    #[test]
+    fn kill_and_resume_mid_recovery_is_bit_identical() {
+        for algo in Algorithm::ALL {
+            let (ds, seeds, mut cfg) = fixture(algo);
+            let mut chaos = crate::config::RankChaos::one_kill(3, 1.0e-3);
+            chaos.heartbeat_period = 0.05;
+            chaos.suspect_timeout = 0.5;
+            cfg.rank_chaos = Some(chaos);
+            let reference = Run::new(&ds, &cfg, &seeds).go().unwrap();
+            let r = &reference.report;
+            assert_eq!(r.rank_deaths, vec![(3, 1.0e-3)], "{algo:?}");
+            assert!(r.detection_latency_mean > 0.0, "{algo:?}: the death must be detected");
+            let suspected = 1.0e-3 + r.detection_latency_mean;
+            assert!(suspected < r.wall, "{algo:?}: recovery must outlast the suspicion");
+            // The second cut falls midway between the suspicion and the end.
+            let dir = tempdir(&format!("midrecovery-{}", cfg.algorithm.label()));
+            let mut opts = CheckpointOptions::new(&dir, (suspected + r.wall) / 4.0);
+            opts.kill_after = Some(2);
+            killed(Run::new(&ds, &cfg, &seeds), opts);
+
+            let latest = latest_checkpoint(&dir).unwrap().expect("snapshots on disk");
+            let file = CkptFile::read(&latest).expect("readable snapshot");
+            let taken_at = file.meta().expect("META section").taken_at;
+            let ranks: Vec<RankSnapshot> = file.value(RANK_TAG).expect("RANK section");
+            let first_suspicion = ranks
+                .iter()
+                .filter_map(liveness_of)
+                .flat_map(|l| l.suspected_at.iter().map(|&(_, t)| t))
+                .fold(f64::INFINITY, f64::min);
+            assert!(
+                taken_at > first_suspicion,
+                "{algo:?}: cut at {taken_at} must follow the first suspicion at {first_suspicion}"
+            );
+
+            let resumed =
+                Run::new(&ds, &cfg, &seeds).resume(&latest).go().expect("resume mid-recovery");
+            assert_eq!(
+                resumed.finished, reference.finished,
+                "{algo:?}: streamlines diverged after resume"
+            );
+            assert_eq!(report_json(&resumed.report), report_json(r), "{algo:?}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
     fn open_fixture(algorithm: Algorithm) -> (Dataset, SeedSource, RunConfig) {
         let (ds, _, cfg) = fixture(algorithm);
         // Two arrival epochs: the first lands before the earliest snapshot,

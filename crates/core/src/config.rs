@@ -229,7 +229,9 @@ impl RankChaos {
         // A busy rank defers beat processing for as long as one handler
         // charges — block loads are ~28 ms and a drain sweep can charge
         // many of them — so the timeout is generous to keep false suspicion
-        // rare (a false suspicion is safe, merely wasteful).
+        // rare. Rare is not never: a falsely suspected rank's work is
+        // recovered as if it had died, so it can run twice or be lost;
+        // collection still accounts every seed exactly once.
         RankChaos {
             seed,
             kill_prob: 0.5,
