@@ -67,17 +67,6 @@ impl AnyProc {
         }
     }
 
-    /// Block-fault counters `(load_retries, load_failures, unavailable)`
-    /// from this rank's workspace; masters contribute their quarantined
-    /// pool seeds as unavailable terminations.
-    fn resilience_counters(&self) -> (u64, u64, u64) {
-        match (self, self.workspace()) {
-            (AnyProc::Master(p), _) => (0, 0, p.unavailable_seeds()),
-            (_, Some(ws)) => (ws.load_retries, ws.load_failures, ws.unavailable),
-            (_, None) => (0, 0, 0),
-        }
-    }
-
     fn failed_oom(&self) -> bool {
         match self {
             AnyProc::Static(p) => p.failed_oom,
@@ -580,15 +569,16 @@ pub(crate) fn collect_report(
             sampler_misses += ws.sampler_misses;
             batched_lanes += ws.batched_lanes;
             batch_calls += ws.batch_calls;
+            load_retries += ws.load_retries;
+            load_failures += ws.load_failures;
+            unavailable_terminations += ws.unavailable;
         }
-        let (retries, failures, unavailable) = p.resilience_counters();
-        load_retries += retries;
-        load_failures += failures;
-        unavailable_terminations += unavailable;
         if p.failed_oom() && outcome == RunOutcome::Completed {
             outcome = RunOutcome::OutOfMemory { rank };
         }
         match p {
+            // Quarantined pool seeds count as unavailable terminations.
+            AnyProc::Master(p) => unavailable_terminations += p.unavailable_seeds(),
             AnyProc::Static(p) => pingponged.extend(p.pingponged().iter().copied()),
             AnyProc::Slave(p) => pingponged.extend(p.pingponged().iter().copied()),
             AnyProc::Steal(p) => {
@@ -596,7 +586,7 @@ pub(crate) fn collect_report(
                 balance_msgs += p.balance_msgs;
                 balance_bytes += p.balance_bytes;
             }
-            AnyProc::Lod(_) | AnyProc::Master(_) => {}
+            AnyProc::Lod(_) => {}
         }
     }
     // --- Rank fail-stop accounting -------------------------------------

@@ -200,8 +200,7 @@ impl Msg {
             // traffic costs what it always did; `extra_ingested` rides in
             // the existing padding (it is 0 on every closed run anyway).
             Msg::TermToken { dead, .. } => 24 + dead.len() * 4,
-            // 8-byte header plus one status byte, kept for wire-size
-            // stability of resilient-mode traffic totals.
+            // The modelled beat frame; rank-chaos byte totals depend on it.
             Msg::Beat => 9,
             Msg::MasterBeat => 8,
             Msg::Ingest { seeds, .. } => 12 + seeds.len() * 28,
