@@ -144,7 +144,7 @@ pub struct StealProc {
 /// Resilient-mode state of a steal rank: its failure detector and
 /// membership view, plus what its recovery needs — per-peer Safra balances
 /// (so lost messages to/from dead ranks can be excluded exactly), the probe
-/// to repair if its victim dies, and the membership view the token gossips.
+/// to repair if its victim dies, and the dead set a held token carries.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StealResil {
     pub live: Liveness,
