@@ -17,7 +17,8 @@ use streamline_serve::{Request, Ring, ServiceConfig, SubmitError, Ticket};
 
 /// Tuning knobs for [`ClusterService::start`]. Per-replica knobs mirror
 /// [`streamline_serve::ServiceConfig`]; each replica runs one worker thread
-/// (the replica is the unit of parallelism, like a rank in the paper).
+/// and one I/O thread (the replica is the unit of parallelism, like a rank
+/// in the paper).
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of service replicas behind the router.
@@ -31,8 +32,6 @@ pub struct ClusterConfig {
     pub hot_k: usize,
     /// Per-replica block cache capacity.
     pub cache_blocks: usize,
-    /// Lock shards per replica cache.
-    pub cache_shards: usize,
     /// Per-replica admission bound (seeds admitted but unresolved).
     pub queue_capacity: usize,
     pub retry: RetryPolicy,
@@ -60,7 +59,6 @@ impl Default for ClusterConfig {
             vnodes: 64,
             hot_k: 8,
             cache_blocks: 64,
-            cache_shards: 8,
             queue_capacity: 4096,
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
@@ -115,6 +113,13 @@ pub struct ClusterMetrics {
     pub replica_deaths: u64,
     pub hot_local_hits: u64,
     pub worker_panics: u64,
+    pub deadline_expired: u64,
+    pub partial: u64,
+    pub load_retries: u64,
+    pub load_failures: u64,
+    pub sampler_hits: u64,
+    pub sampler_misses: u64,
+    pub batched_lanes: u64,
     pub latency_p50_ms: f64,
     pub latency_p95_ms: f64,
     pub latency_p99_ms: f64,
@@ -130,8 +135,8 @@ impl ClusterMetrics {
 }
 
 impl ClusterService {
-    /// Spawn `cfg.replicas` replicas of one worker each plus the monitor,
-    /// and start routing requests.
+    /// Spawn `cfg.replicas` replicas of one worker and one I/O thread each,
+    /// plus the monitor, and start routing requests.
     pub fn start(
         decomp: BlockDecomposition,
         store: Arc<dyn BlockStore>,
@@ -153,8 +158,14 @@ impl ClusterService {
             replica_deaths: registry.counter(names::CLUSTER_REPLICA_DEATHS_TOTAL),
             hot_local_hits: registry.counter(names::CLUSTER_HOT_LOCAL_HITS_TOTAL),
             worker_panics: registry.counter(names::CLUSTER_WORKER_PANICS_TOTAL),
+            deadline_expired: registry.counter(names::CLUSTER_DEADLINE_EXPIRED_TOTAL),
+            partial: registry.counter(names::CLUSTER_PARTIAL_TOTAL),
+            load_retries: registry.counter(names::CLUSTER_LOAD_RETRIES_TOTAL),
+            load_failures: registry.counter(names::CLUSTER_LOAD_FAILURES_TOTAL),
+            sampler_hits: registry.counter(names::CLUSTER_SAMPLER_HITS_TOTAL),
+            sampler_misses: registry.counter(names::CLUSTER_SAMPLER_MISSES_TOTAL),
+            batched_lanes: registry.counter(names::CLUSTER_BATCHED_LANES_TOTAL),
             latency: LatencyHistogram::in_registry(&registry, names::CLUSTER_LATENCY_NANOSECONDS),
-            ..Counters::default()
         };
         let reg = Arc::clone(&registry);
         let replica_counters = move |r| ReplicaCounters {
@@ -172,7 +183,6 @@ impl ClusterService {
         let per_replica = ServiceConfig {
             workers: 1,
             cache_blocks: cfg.cache_blocks,
-            cache_shards: cfg.cache_shards,
             queue_capacity: cfg.queue_capacity,
             retry: cfg.retry,
             breaker: cfg.breaker,
@@ -219,7 +229,7 @@ impl ClusterService {
         for (r, rep) in engine.replicas.iter().enumerate().filter(|&(r, _)| alive[r]) {
             let mut blocks = engine.routing.ring.shard(r, &alive, engine.decomp.num_blocks());
             blocks.truncate(rep.cache.capacity());
-            let manifest = WarmStartManifest { blocks, shards: rep.cache.shard_count() };
+            let manifest = WarmStartManifest { blocks };
             total += manifest.prefetch(&rep.cache, engine.store.as_ref());
         }
         total
@@ -367,6 +377,13 @@ fn snapshot(engine: &Engine) -> ClusterMetrics {
         replica_deaths: c.replica_deaths.get(),
         hot_local_hits: c.hot_local_hits.get(),
         worker_panics: c.worker_panics.get(),
+        deadline_expired: c.deadline_expired.get(),
+        partial: c.partial.get(),
+        load_retries: c.load_retries.get(),
+        load_failures: c.load_failures.get(),
+        sampler_hits: c.sampler_hits.get(),
+        sampler_misses: c.sampler_misses.get(),
+        batched_lanes: c.batched_lanes.get(),
         latency_p50_ms: q(&c.latency, 0.50),
         latency_p95_ms: q(&c.latency, 0.95),
         latency_p99_ms: q(&c.latency, 0.99),

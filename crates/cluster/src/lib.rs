@@ -8,7 +8,8 @@
 //! shard is parked with the owner as a hand-off whose wire cost is the
 //! curve's, geometry and all — exactly the batch drivers' `Msg::Handoff`.
 //! A [`streamline_serve::Service`] is that engine with one replica;
-//! [`ClusterService`] runs N replicas of one worker each.
+//! [`ClusterService`] runs N replicas of one worker and one I/O thread
+//! each.
 //!
 //! What this crate adds is only what N > 1 needs:
 //! - **fail-stop replica recovery** — a monitor thread declares a replica

@@ -521,3 +521,66 @@ fn seeds_with_no_live_owner_resolve_unavailable_without_leaking_seats() {
         assert_eq!(r.queue_depth, 0, "no admission seat leaks");
     }
 }
+
+#[test]
+fn engine_counters_are_exported_under_cluster_names() {
+    use streamline_field::block::BlockId;
+    use streamline_obs::{names, prom};
+
+    // One permanently failing block (failures, partial answers, unavailable
+    // streamlines), every other block failing once (retries), and a request
+    // past its deadline: every engine counter moves.
+    let dataset = tiny_dataset();
+    let clean: Arc<dyn BlockStore> = Arc::new(MemoryStore::build(&dataset));
+    let seeds = dataset.seeds_with_count(Seeding::Sparse, 16);
+    let failing = dataset.decomp.locate(seeds.points[0]).expect("seed in domain");
+    let mut plan = FaultPlan::new().permanent(failing);
+    for b in (0..8).map(BlockId).filter(|&b| b != failing) {
+        plan = plan.transient(b, 1);
+    }
+    let store: Arc<dyn BlockStore> = Arc::new(FaultStore::new(clean, plan));
+    let cluster = fast_cluster(
+        &dataset,
+        store,
+        ClusterConfig {
+            replicas: 2,
+            retry: RetryPolicy {
+                max_attempts: 3,
+                base: Duration::from_micros(100),
+                max: Duration::from_micros(500),
+            },
+            ..ClusterConfig::default()
+        },
+    );
+    let partial = cluster
+        .submit(Request::new(seeds.points.clone()).with_limits(limits()))
+        .expect("admitted")
+        .wait()
+        .expect("cluster answers");
+    assert!(matches!(partial.outcome, Outcome::Partial { .. }), "{:?}", partial.outcome);
+    let late = std::time::Instant::now() - Duration::from_millis(1);
+    let expired = cluster
+        .submit(Request::new(seeds.points.clone()).with_limits(limits()).with_deadline(late))
+        .expect("admitted")
+        .wait()
+        .expect("cluster answers");
+    assert!(matches!(expired.outcome, Outcome::DeadlineExceeded { .. }), "{:?}", expired.outcome);
+
+    let parsed = prom::parse_text(&cluster.dump_metrics()).expect("the dump parses");
+    let m = cluster.metrics();
+    for (name, engine) in [
+        (names::CLUSTER_LOAD_RETRIES_TOTAL, m.load_retries),
+        (names::CLUSTER_LOAD_FAILURES_TOTAL, m.load_failures),
+        (names::CLUSTER_DEADLINE_EXPIRED_TOTAL, m.deadline_expired),
+        (names::CLUSTER_PARTIAL_TOTAL, m.partial),
+        (names::CLUSTER_STREAMLINES_UNAVAILABLE_TOTAL, m.streamlines_unavailable),
+        (names::CLUSTER_SAMPLER_HITS_TOTAL, m.sampler_hits),
+        (names::CLUSTER_SAMPLER_MISSES_TOTAL, m.sampler_misses),
+        (names::CLUSTER_BATCHED_LANES_TOTAL, m.batched_lanes),
+    ] {
+        let Some(&dumped) = parsed.get(name) else { panic!("{name} missing from the dump") };
+        assert_eq!(dumped, engine as f64, "{name} disagrees with its engine counter");
+        assert!(engine > 0, "{name} did not move");
+    }
+    cluster.shutdown();
+}

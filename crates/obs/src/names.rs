@@ -150,6 +150,14 @@ pub const CLUSTER_REPLICA_DEATHS_TOTAL: &str = "streamline_cluster_replica_death
 pub const CLUSTER_HOT_LOCAL_HITS_TOTAL: &str = "streamline_cluster_hot_local_hits_total";
 pub const CLUSTER_HOT_BLOCKS: &str = "streamline_cluster_hot_blocks";
 pub const CLUSTER_WORKER_PANICS_TOTAL: &str = "streamline_cluster_worker_panics_total";
+pub const CLUSTER_DEADLINE_EXPIRED_TOTAL: &str =
+    "streamline_cluster_requests_deadline_expired_total";
+pub const CLUSTER_PARTIAL_TOTAL: &str = "streamline_cluster_requests_partial_total";
+pub const CLUSTER_LOAD_RETRIES_TOTAL: &str = "streamline_cluster_load_retries_total";
+pub const CLUSTER_LOAD_FAILURES_TOTAL: &str = "streamline_cluster_load_failures_total";
+pub const CLUSTER_SAMPLER_HITS_TOTAL: &str = "streamline_cluster_sampler_hits_total";
+pub const CLUSTER_SAMPLER_MISSES_TOTAL: &str = "streamline_cluster_sampler_misses_total";
+pub const CLUSTER_BATCHED_LANES_TOTAL: &str = "streamline_cluster_batched_lanes_total";
 pub const CLUSTER_LATENCY_NANOSECONDS: &str = "streamline_cluster_request_latency_nanoseconds";
 
 // Per-replica bases (suffix with [`per_replica`]).

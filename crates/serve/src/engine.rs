@@ -1,9 +1,9 @@
 //! The serving engine: N replicas behind a block→replica owner lookup.
 //!
-//! A [`Replica`] holds a shared block cache, per-block circuit breakers,
-//! per-block queues of parked streamlines, admission seats and worker
-//! threads. [`crate::Service`] runs one replica with
-//! [`ServiceConfig::workers`] threads; the cluster front runs one worker
+//! A [`Replica`] holds a block cache, per-block circuit breakers, per-block
+//! queues of parked streamlines, admission seats, worker threads and as
+//! many I/O threads. [`crate::Service`] runs one replica with
+//! [`ServiceConfig::workers`] workers; the cluster front runs one worker
 //! per replica and adds failure detection, hot-set upkeep and bootstrap on
 //! top of the same engine.
 //!
@@ -17,11 +17,16 @@
 //!    whole request with [`SubmitError::Overloaded`], immediately and
 //!    without enqueuing anything. Ids follow seed order, exactly like the
 //!    single-shot driver.
-//! 2. A replica's workers repeatedly claim the *entire queue* of the block
-//!    with the most parked items (ties toward the lowest block id), acquire
-//!    that block once through the replica's cache, and advance every parked
-//!    streamline through it — the request-coalescing analogue of the
-//!    paper's Load-On-Demand locality.
+//! 2. Work parked on a block that is neither resident nor loading queues
+//!    that block for the replica's I/O threads, which start loads in the
+//!    order work arrived on the blocks, one load per thread at a time. A
+//!    block with parked work is pinned: eviction never drops it. A
+//!    replica's workers only ever claim the *entire queue* of a *resident*
+//!    block — the one with the most parked items, ties toward the lowest
+//!    block id — and advance every parked streamline through it, so no
+//!    worker waits on block I/O. That is the paper's §4.2 Load On Demand
+//!    rule: load a block only for work that cannot proceed on the blocks
+//!    in memory.
 //! 3. A streamline that exits into another block is parked with that
 //!    block's owner: locally when this replica owns it (always, with one
 //!    replica), otherwise as a hand-off — the paper's rank hand-off, charged
@@ -40,13 +45,13 @@
 //! [`StepLimits`] — on any replica, at any batch width.
 
 use crate::breaker::{Admit, BlockBreakers, RetryPolicy};
-use crate::cache::SharedBlockCache;
+use crate::cache::{Begin, Follower, Leader, SharedBlockCache};
 use crate::metrics::LatencyHistogram;
 use crate::ring::Ring;
 use crate::service::{Outcome, Request, Response, ServiceConfig, SubmitError, Ticket};
 use crossbeam::channel::{bounded, Sender};
 use parking_lot::{Condvar, Mutex};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -174,6 +179,10 @@ impl RequestState {
 #[derive(Default)]
 struct Sched {
     queues: BTreeMap<BlockId, Vec<WorkItem>>,
+    /// The I/O threads' FIFO: blocks whose parked work waits for a load, in
+    /// the order that work arrived. Entries go stale when the block loads
+    /// or its work leaves; the I/O threads skip those.
+    cold: VecDeque<BlockId>,
     /// Set when the replica is declared dead; nothing may park here
     /// afterwards (parkers re-route to the block's new owner).
     dead: bool,
@@ -185,8 +194,12 @@ pub struct Replica {
     pub breakers: BlockBreakers,
     pub counters: ReplicaCounters,
     sched: Mutex<Sched>,
-    /// Signalled when work arrives, on a kill, and on the final drain.
+    /// Signalled when work arrives, when a block loads, on a kill, and on
+    /// the final drain.
     work_ready: Condvar,
+    /// Signalled when a block joins the I/O threads' FIFO, on a kill, and
+    /// on the final drain.
+    io_ready: Condvar,
     /// Seeds admitted with their seat here and not yet resolved.
     seats: AtomicUsize,
     /// Cleared once, when the replica is declared dead.
@@ -233,8 +246,8 @@ pub struct Engine {
     retry: RetryPolicy,
     shutting_down: AtomicBool,
     next_request_id: AtomicU64,
-    /// Per-block access counts feeding the hot set.
-    access: Vec<AtomicU64>,
+    /// Per-block access counts feeding the hot set and ranking eviction.
+    access: Arc<[AtomicU64]>,
     /// Per-block "currently hot" flags, set by [`Engine::refresh_hot_set`].
     hot: Vec<AtomicBool>,
     /// Hand-off wall times (secs since start), collected while tracing.
@@ -259,21 +272,24 @@ impl Engine {
         counters: Counters,
         replica_counters: impl FnMut(usize) -> ReplicaCounters,
     ) -> Engine {
+        let n_blocks = decomp.num_blocks();
+        let access: Arc<[AtomicU64]> = (0..n_blocks).map(|_| AtomicU64::new(0)).collect();
         let replicas: Vec<Replica> = (0..routing.ring.replicas())
             .map(replica_counters)
             .map(|counters| Replica {
-                cache: SharedBlockCache::new(cfg.cache_blocks, cfg.cache_shards),
+                cache: SharedBlockCache::new(cfg.cache_blocks)
+                    .with_access_counts(Arc::clone(&access)),
                 breakers: BlockBreakers::new(cfg.breaker),
                 counters,
                 sched: Mutex::new(Sched::default()),
                 work_ready: Condvar::new(),
+                io_ready: Condvar::new(),
                 seats: AtomicUsize::new(0),
                 alive: AtomicBool::new(true),
                 killed_at: OnceLock::new(),
             })
             .collect();
         let workers = cfg.workers.max(1);
-        let n_blocks = decomp.num_blocks();
         Engine {
             decomp,
             store,
@@ -289,7 +305,7 @@ impl Engine {
             retry: cfg.retry,
             shutting_down: AtomicBool::new(false),
             next_request_id: AtomicU64::new(0),
-            access: (0..n_blocks).map(|_| AtomicU64::new(0)).collect(),
+            access,
             hot: (0..n_blocks).map(|_| AtomicBool::new(false)).collect(),
             handoff_times: Mutex::new(Vec::new()),
             deaths: Mutex::new(Vec::new()),
@@ -397,6 +413,7 @@ impl Engine {
         }
         let _st = rep.sched.lock();
         rep.work_ready.notify_all();
+        rep.io_ready.notify_all();
         true
     }
 
@@ -417,7 +434,13 @@ impl Engine {
             let mut st = rep.sched.lock();
             st.dead = true;
             rep.work_ready.notify_all();
-            std::mem::take(&mut st.queues)
+            rep.io_ready.notify_all();
+            st.cold.clear();
+            let queues = std::mem::take(&mut st.queues);
+            for &block in queues.keys() {
+                rep.cache.unpin(block);
+            }
+            queues
         };
         let comm_start = self.trace.as_ref().map(|_| Instant::now());
         for (block, items) in evacuated {
@@ -474,6 +497,7 @@ impl Engine {
         for rep in &self.replicas {
             let _st = rep.sched.lock();
             rep.work_ready.notify_all();
+            rep.io_ready.notify_all();
         }
     }
 
@@ -492,16 +516,28 @@ impl Engine {
         }
     }
 
-    /// Park `items` in `target`'s queue for `block`. If `target` is dead,
-    /// re-route to the block's current owner; with no live owner at all the
-    /// items terminate `BlockUnavailable` — typed, never a hang.
+    /// Park `items` in `target`'s queue for `block`, pinning the block in
+    /// the cache, and queue it for the I/O threads if it is not resident. If
+    /// `target` is dead, re-route to the block's current owner; with no
+    /// live owner at all the items terminate `BlockUnavailable` — typed,
+    /// never a hang.
     fn park(&self, mut target: usize, block: BlockId, mut items: Vec<WorkItem>) {
         loop {
             let rep = &self.replicas[target];
             let mut st = rep.sched.lock();
             if !st.dead {
-                st.queues.entry(block).or_default().append(&mut items);
-                rep.work_ready.notify_one();
+                let queue = st.queues.entry(block).or_default();
+                let first = queue.is_empty();
+                queue.append(&mut items);
+                // A block a warm-start is loading goes on the FIFO too: an
+                // I/O thread then waits for that load and wakes the workers
+                // once it lands.
+                if first && !rep.cache.pin(block) {
+                    st.cold.push_back(block);
+                    rep.io_ready.notify_one();
+                } else {
+                    rep.work_ready.notify_one();
+                }
                 return;
             }
             drop(st);
@@ -631,24 +667,28 @@ impl Engine {
         let _ = req.tx.send(Response { request_id: req.id, outcome, streamlines, latency });
     }
 
-    /// Claim the fullest queue of `replica` (ties toward the lowest block
-    /// id). Returns `None` once the replica is killed, or when the engine
-    /// is drained.
-    fn claim_batch(&self, replica: usize) -> Option<(BlockId, Vec<WorkItem>)> {
+    /// Claim the fullest queue of `replica` whose block is resident (ties
+    /// toward the lowest block id), with the block itself; work on cold
+    /// blocks waits for the I/O threads. Returns `None` once the replica is
+    /// killed, or when the engine is drained.
+    fn claim_batch(&self, replica: usize) -> Option<(BlockId, Arc<Block>, Vec<WorkItem>)> {
         let rep = &self.replicas[replica];
         let mut st = rep.sched.lock();
         loop {
             if rep.killed_at.get().is_some() {
                 return None;
             }
-            if let Some(block) = st
+            if let Some(block_id) = st
                 .queues
                 .iter()
+                .filter(|(&id, _)| rep.cache.contains(id))
                 .min_by_key(|(id, items)| (std::cmp::Reverse(items.len()), **id))
                 .map(|(id, _)| *id)
             {
-                let items = st.queues.remove(&block).expect("queue just observed");
-                return Some((block, items));
+                let items = st.queues.remove(&block_id).expect("queue just observed");
+                let block = rep.cache.claim(block_id).expect("a pinned block stays resident");
+                rep.cache.unpin(block_id);
+                return Some((block_id, block, items));
             }
             if self.drained() {
                 return None;
@@ -679,25 +719,124 @@ impl Engine {
             if let (Some(tl), Some(ws)) = (self.trace.as_ref(), wait_start) {
                 tl.record(rank, Phase::Idle, ws, ws.elapsed());
             }
-            let Some((block_id, items)) = claimed else { break };
-            self.process_batch(replica, rank, block_id, items, &mut scratch);
+            let Some((block_id, block, items)) = claimed else { break };
+            self.process_batch(replica, rank, block_id, &block, items, &mut scratch);
         }
     }
 
-    /// Acquire `block_id` through `replica`'s cache with the configured
-    /// retry budget (one attempt only for a half-open probe). Each retry
-    /// sleeps the deterministic backoff schedule salted by the block id.
-    fn load_with_retry(
-        &self,
-        replica: usize,
-        block_id: BlockId,
-        probe: bool,
-    ) -> Option<Arc<Block>> {
-        let cache = &self.replicas[replica].cache;
+    /// One of the replica's I/O threads: load the blocks parked work waits
+    /// on, one at a time, taking them in the order the work arrived. Exits
+    /// once the replica is killed or the engine is drained.
+    fn io_loop(&self, replica: usize) {
+        let rep = &self.replicas[replica];
+        loop {
+            let task = {
+                let mut st = rep.sched.lock();
+                loop {
+                    if rep.killed_at.get().is_some() || self.drained() {
+                        return;
+                    }
+                    match self.next_load(rep, &mut st) {
+                        Some(task) => break task,
+                        None => rep.io_ready.wait(&mut st),
+                    }
+                }
+            };
+            match task {
+                IoTask::Load(block_id, leader) => self.load_block(replica, block_id, leader),
+                IoTask::Follow(block_id, follower) => {
+                    let loaded = follower.wait().is_some();
+                    let mut st = rep.sched.lock();
+                    if loaded {
+                        rep.work_ready.notify_one();
+                    } else if st.queues.contains_key(&block_id) {
+                        // The other load failed: take the block back on.
+                        st.cold.push_front(block_id);
+                    }
+                }
+                IoTask::Full(seen) => rep.cache.wait_for_room(seen),
+            }
+        }
+    }
+
+    /// An I/O thread's next task: the first block on the FIFO that still
+    /// has parked work and is not resident. `None` when there is none.
+    /// Never blocks; when no slot is free the block stays first in line.
+    fn next_load<'a>(&self, rep: &'a Replica, st: &mut Sched) -> Option<IoTask<'a>> {
+        while let Some(&block_id) = st.cold.front() {
+            let task = if !st.queues.contains_key(&block_id) {
+                None
+            } else {
+                match rep.cache.reserve(block_id) {
+                    Begin::Hit(_) => {
+                        rep.work_ready.notify_one();
+                        None
+                    }
+                    Begin::Follow(follower) => Some(IoTask::Follow(block_id, follower)),
+                    Begin::Lead(leader) => Some(IoTask::Load(block_id, leader)),
+                    Begin::Full(seen) => return Some(IoTask::Full(seen)),
+                }
+            };
+            st.cold.pop_front();
+            if task.is_some() {
+                return task;
+            }
+        }
+        None
+    }
+
+    /// Load `block_id` into its reserved slot for the work parked on it:
+    /// breaker admission, then the retry budget. On success the workers
+    /// are woken to claim it. Otherwise the parked work takes the degraded
+    /// path: it terminates `BlockUnavailable` — typed, with the curve
+    /// computed so far — instead of wedging its requests, and
+    /// already-expired items are dropped as usual.
+    fn load_block(&self, replica: usize, block_id: BlockId, mut leader: Leader<'_>) {
+        let rep = &self.replicas[replica];
+        let loaded = match rep.breakers.admit(block_id) {
+            Admit::FastFail => false,
+            admit => {
+                let ok = self.load_with_retry(&mut leader, block_id, admit == Admit::Probe);
+                if ok {
+                    rep.breakers.on_success(block_id);
+                } else {
+                    self.counters.load_failures.inc();
+                    rep.breakers.on_failure(block_id);
+                }
+                ok
+            }
+        };
+        // A failed leader releases its slot.
+        drop(leader);
+        let mut st = rep.sched.lock();
+        if loaded {
+            rep.work_ready.notify_one();
+            return;
+        }
+        // On a killed replica the parked work waits for its re-dispatch.
+        if rep.killed_at.get().is_some() {
+            return;
+        }
+        let Some(items) = st.queues.remove(&block_id) else { return };
+        rep.cache.unpin(block_id);
+        drop(st);
+        for item in items {
+            if item.req.expired.load(Ordering::Relaxed) {
+                self.finish_item(item.home, &item.req, None);
+            } else {
+                self.terminate(item, Termination::BlockUnavailable);
+            }
+        }
+    }
+
+    /// Attempt `leader`'s load up to the configured retry budget (one
+    /// attempt only for a half-open probe). Each retry sleeps the
+    /// deterministic backoff schedule salted by the block id.
+    fn load_with_retry(&self, leader: &mut Leader<'_>, block_id: BlockId, probe: bool) -> bool {
         let attempts = if probe { 1 } else { self.retry.max_attempts.max(1) };
         for attempt in 1..=attempts {
-            match cache.get_or_load(block_id, self.store.as_ref()) {
-                Ok((b, _hit)) => return Some(b),
+            match leader.attempt(self.store.as_ref()) {
+                Ok(_) => return true,
                 Err(_) if attempt < attempts => {
                     self.counters.load_retries.inc();
                     std::thread::sleep(self.retry.backoff(attempt, u64::from(block_id.0)));
@@ -705,7 +844,7 @@ impl Engine {
                 Err(_) => {}
             }
         }
-        None
+        false
     }
 
     fn process_batch(
@@ -713,6 +852,7 @@ impl Engine {
         replica: usize,
         rank: usize,
         block_id: BlockId,
+        block: &Block,
         items: Vec<WorkItem>,
         scratch: &mut StreamlineBatch,
     ) {
@@ -729,46 +869,6 @@ impl Engine {
             }
             return;
         }
-
-        // Block acquisition (cache probe, store load, retry sleeps) is the
-        // I/O phase of this batch.
-        let io_start = trace.map(|_| Instant::now());
-        let block = match rep.breakers.admit(block_id) {
-            Admit::FastFail => None,
-            admit => {
-                let b = self.load_with_retry(replica, block_id, admit == Admit::Probe);
-                match &b {
-                    Some(_) => rep.breakers.on_success(block_id),
-                    None => {
-                        self.counters.load_failures.inc();
-                        rep.breakers.on_failure(block_id);
-                    }
-                }
-                b
-            }
-        };
-        if let (Some(tl), Some(t0)) = (trace, io_start) {
-            tl.record(rank, Phase::Io, t0, t0.elapsed());
-        }
-        let Some(block) = block else {
-            // Degraded mode: the block cannot be produced (retries exhausted
-            // or its breaker is open). The affected streamlines terminate
-            // `BlockUnavailable` — typed, with the curve computed so far —
-            // instead of wedging their requests forever; already-expired
-            // items are dropped as usual.
-            let comm_start = trace.map(|_| Instant::now());
-            for item in items {
-                if item.req.expired.load(Ordering::Relaxed) {
-                    self.finish_item(item.home, &item.req, None);
-                } else {
-                    self.terminate(item, Termination::BlockUnavailable);
-                }
-            }
-            if let (Some(tl), Some(t0)) = (trace, comm_start) {
-                tl.record(rank, Phase::Comm, t0, t0.elapsed());
-            }
-            return;
-        };
 
         let mut finished: Vec<(usize, Arc<RequestState>, Option<Streamline>)> = Vec::new();
         let compute_start = trace.map(|_| Instant::now());
@@ -814,7 +914,7 @@ impl Engine {
                 let mut exits = Vec::with_capacity(sls.len());
                 for chunk in sls.chunks_mut(self.batch) {
                     let (ex, stats) =
-                        advance_batch_in_block(chunk, &block, &self.decomp, &limits, scratch);
+                        advance_batch_in_block(chunk, block, &self.decomp, &limits, scratch);
                     self.counters.total_steps.add(stats.steps);
                     self.counters.sampler_hits.add(stats.sampler_hits);
                     self.counters.sampler_misses.add(stats.sampler_misses);
@@ -870,6 +970,16 @@ impl Engine {
     }
 }
 
+/// What one of a replica's I/O threads does next.
+enum IoTask<'a> {
+    /// Load this block into the slot reserved for it.
+    Load(BlockId, Leader<'a>),
+    /// Wait for another caller's load of this block, then wake a worker.
+    Follow(BlockId, Follower<'a>),
+    /// Every slot is pinned or loading: wait for one to free.
+    Full(u64),
+}
+
 /// Modelled wire bytes of moving `items` between replicas: each curve
 /// travels geometry and all, exactly what `Msg::Handoff` charges the batch
 /// drivers (§8). The "network" is a queue move; the cost model is the
@@ -887,13 +997,16 @@ pub struct EngineHandle {
 }
 
 impl EngineHandle {
-    /// Spawn `engine.workers` worker threads per replica.
+    /// Spawn `engine.workers` worker threads and as many I/O threads per
+    /// replica. Each worker used to load its own blocks; its I/O thread
+    /// keeps those loads overlapping without a worker waiting on one.
     pub fn start(engine: Engine) -> EngineHandle {
         let mut handle = EngineHandle { engine: Arc::new(engine), threads: Vec::new() };
         for r in 0..handle.replicas.len() {
             for w in 0..handle.workers {
                 let rank = r * handle.workers + w;
                 handle.spawn(&format!("serve-r{r}-w{w}"), move |e| e.worker_loop(r, rank));
+                handle.spawn(&format!("serve-r{r}-io{w}"), move |e| e.io_loop(r));
             }
         }
         handle
@@ -943,11 +1056,58 @@ mod tests {
     use streamline_field::dataset::{Dataset, DatasetConfig, Seeding};
     use streamline_iosim::{FaultPlan, FaultStore, MemoryStore};
 
-    #[test]
-    fn expired_handoff_on_a_failed_load_releases_its_home_seat() {
+    fn tiny_dataset() -> Dataset {
         let mut dcfg = DatasetConfig::tiny();
         dcfg.blocks_per_axis = [2, 2, 2];
-        let dataset = Dataset::thermal_hydraulics(dcfg);
+        Dataset::thermal_hydraulics(dcfg)
+    }
+
+    /// An engine with no threads: every step is driven by hand.
+    fn engine(
+        dataset: &Dataset,
+        store: Arc<dyn BlockStore>,
+        cfg: &ServiceConfig,
+        routing: Routing,
+    ) -> Engine {
+        let registry = Arc::new(MetricsRegistry::new());
+        Engine::new(dataset.decomp, store, cfg, routing, registry, Counters::default(), |_| {
+            ReplicaCounters::default()
+        })
+    }
+
+    /// `n` work items of one request, at `p`, with their seat on replica 0.
+    fn items(p: streamline_math::Vec3, n: usize) -> Vec<WorkItem> {
+        let (tx, _rx) = bounded(1);
+        let request = Request::new(vec![p; n]);
+        let req = Arc::new(RequestState::new(0, &request, 0, tx));
+        (0..n)
+            .map(|i| WorkItem {
+                sl: Streamline::new_lean(StreamlineId(i as u32), p, request.limits.h0),
+                req: Arc::clone(&req),
+                home: 0,
+            })
+            .collect()
+    }
+
+    /// One step of one of `replica`'s I/O threads, driven by hand.
+    fn io_step(engine: &Engine, replica: usize) -> Option<IoTask<'_>> {
+        let rep = &engine.replicas[replica];
+        engine.next_load(rep, &mut rep.sched.lock())
+    }
+
+    fn load_next(engine: &Engine, replica: usize) -> BlockId {
+        match io_step(engine, replica) {
+            Some(IoTask::Load(block_id, leader)) => {
+                engine.load_block(replica, block_id, leader);
+                block_id
+            }
+            _ => panic!("an I/O thread has a block to load"),
+        }
+    }
+
+    #[test]
+    fn expired_handoff_on_a_failed_load_releases_its_home_seat() {
+        let dataset = tiny_dataset();
         let seed = dataset.seeds_with_count(Seeding::Sparse, 1).points[0];
         let block = dataset.decomp.locate(seed).expect("seed in domain");
         let mem: Arc<dyn BlockStore> = Arc::new(MemoryStore::build(&dataset));
@@ -957,20 +1117,11 @@ mod tests {
             ..ServiceConfig::default()
         };
         let routing = Routing { ring: Ring::new(2, 8), replication: 1, hot_k: 0 };
-        let registry = Arc::new(MetricsRegistry::new());
-        let engine = Engine::new(
-            dataset.decomp,
-            store,
-            &cfg,
-            routing,
-            registry,
-            Counters::default(),
-            |_| ReplicaCounters::default(),
-        );
+        let engine = engine(&dataset, store, &cfg, routing);
 
         // A seed admitted on replica 0, handed off to replica 1, and past
         // its deadline by the time replica 1's load of its block fails. No
-        // worker threads: the batch is driven by hand.
+        // threads: replica 1's I/O is driven by hand.
         let (tx, rx) = bounded(1);
         let request =
             Request::new(vec![seed]).with_deadline(Instant::now() - Duration::from_millis(1));
@@ -979,7 +1130,8 @@ mod tests {
         engine.replicas[0].seats.fetch_add(1, Ordering::SeqCst);
         let sl = Streamline::new_lean(StreamlineId(0), seed, request.limits.h0);
         let item = WorkItem { sl, req, home: 0 };
-        engine.process_batch(1, 1, block, vec![item], &mut StreamlineBatch::new());
+        engine.park(1, block, vec![item]);
+        assert_eq!(load_next(&engine, 1), block);
 
         for (r, rep) in engine.replicas.iter().enumerate() {
             assert_eq!(rep.queue_depth(), 0, "replica {r} holds a seat after the item resolved");
@@ -987,5 +1139,58 @@ mod tests {
         let resp = rx.recv().expect("the request is answered");
         assert_eq!(resp.outcome, Outcome::DeadlineExceeded { dropped: 1 });
         assert_eq!(engine.counters.load_failures.get(), 1);
+        assert!(!engine.replicas[1].cache.contains(block), "a failed load leaves no slot behind");
+    }
+
+    #[test]
+    fn claim_takes_a_shorter_resident_queue_over_a_longer_cold_one() {
+        let dataset = tiny_dataset();
+        let store: Arc<dyn BlockStore> = Arc::new(MemoryStore::build(&dataset));
+        let engine =
+            engine(&dataset, Arc::clone(&store), &ServiceConfig::default(), Routing::single());
+        let (cold, warm) = (BlockId(0), BlockId(1));
+        let p = dataset.decomp.block_bounds(cold).center();
+        engine.replicas[0].cache.get_or_load(warm, store.as_ref()).expect("loads");
+        engine.park(0, cold, items(p, 5));
+        engine.park(0, warm, items(p, 2));
+
+        let (block_id, _, claimed) = engine.claim_batch(0).expect("a resident queue");
+        assert_eq!((block_id, claimed.len()), (warm, 2));
+        assert!(!engine.replicas[0].cache.contains(cold), "no worker loaded the cold block");
+
+        // An I/O thread loads the cold block; then it is claimable.
+        assert_eq!(load_next(&engine, 0), cold);
+        let (block_id, _, claimed) = engine.claim_batch(0).expect("now resident");
+        assert_eq!((block_id, claimed.len()), (cold, 5));
+        assert!(io_step(&engine, 0).is_none(), "nothing left to load");
+    }
+
+    #[test]
+    fn parked_work_pins_its_block_and_the_io_thread_waits_for_a_slot() {
+        let dataset = tiny_dataset();
+        let store: Arc<dyn BlockStore> = Arc::new(MemoryStore::build(&dataset));
+        let cfg = ServiceConfig { cache_blocks: 1, ..ServiceConfig::default() };
+        let engine = engine(&dataset, store, &cfg, Routing::single());
+        let cache = &engine.replicas[0].cache;
+        let (a, b) = (BlockId(0), BlockId(1));
+        let p = dataset.decomp.block_bounds(a).center();
+
+        engine.park(0, a, items(p, 1));
+        assert_eq!(load_next(&engine, 0), a);
+        engine.park(0, b, items(p, 1));
+        // The one slot holds `a`, pinned by its parked work: `b` must wait.
+        assert!(matches!(io_step(&engine, 0), Some(IoTask::Full(_))));
+        assert!(cache.contains(a));
+        assert!(!cache.contains(b));
+        assert_eq!((cache.stats().loaded, cache.stats().purged), (1, 0));
+
+        // Claiming `a` unpins it; now an I/O thread may evict it for `b`.
+        let (block_id, _, _) = engine.claim_batch(0).expect("`a` is resident");
+        assert_eq!(block_id, a);
+        assert_eq!(load_next(&engine, 0), b);
+        assert!(cache.contains(b));
+        assert!(!cache.contains(a));
+        assert_eq!((cache.stats().loaded, cache.stats().purged), (2, 1));
+        assert_eq!(cache.stats().hits, 0, "each claim's acquisition was its block's load");
     }
 }

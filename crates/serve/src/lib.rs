@@ -7,14 +7,14 @@
 //! requests instead of within a single run.
 //!
 //! There is one serving [`engine`]: N replicas, each with a block cache,
-//! circuit breakers, per-block queues, admission seats and worker threads,
-//! behind a block→replica owner lookup on a consistent-hash [`Ring`]. A
-//! streamline that leaves a replica's blocks is parked with their owner —
-//! the paper's §4.1 hand-off, and the only decision that depends on the
-//! replica count. [`Service`] is the one-replica case, run with
-//! [`ServiceConfig::workers`] threads; the `streamline-cluster` crate runs
-//! the same engine as N replicas and adds failure detection, hot-block
-//! replication and bootstrap.
+//! circuit breakers, per-block queues, admission seats, worker threads and
+//! as many I/O threads, behind a block→replica owner lookup on a
+//! consistent-hash [`Ring`]. A streamline that leaves a replica's blocks is
+//! parked with their owner — the paper's §4.1 hand-off, and the only
+//! decision that depends on the replica count. [`Service`] is the
+//! one-replica case, run with [`ServiceConfig::workers`] threads; the
+//! `streamline-cluster` crate runs the same engine as N replicas and adds
+//! failure detection, hot-block replication and bootstrap.
 //!
 //! Architecture:
 //!
@@ -26,11 +26,15 @@
 //! * **Batch former** — pending streamlines are parked per owning block
 //!   (the same parking discipline as the Load-On-Demand rank, see
 //!   `streamline_core::load_on_demand`). Workers repeatedly claim the
-//!   block with the most parked work, so one cache acquisition serves an
-//!   entire coalesced batch — possibly spanning many requests.
-//! * **Shared block cache** — a process-wide sharded LRU
-//!   ([`cache::SharedBlockCache`]) built over `streamline_iosim::LruCache`,
-//!   reporting the paper's block efficiency `E = (B_L − B_P)/B_L` at the
+//!   *resident* block with the most parked work, so one cache acquisition
+//!   serves an entire coalesced batch — possibly spanning many requests.
+//! * **Block cache and I/O threads** — one cache per replica
+//!   ([`cache::SharedBlockCache`]) of exactly `cache_blocks` slots, with
+//!   single-flight loads outside its lock. A replica's I/O threads, one
+//!   per worker, load the blocks parked work waits on, in arrival order,
+//!   so workers never wait on block I/O. Eviction keeps every block with
+//!   parked work and otherwise drops the least-accessed block. The cache
+//!   reports the paper's block efficiency `E = (B_L − B_P)/B_L` at the
 //!   service level.
 //! * **Degraded mode** — failed block loads are retried with bounded
 //!   exponential backoff and deterministic jitter; blocks that keep
@@ -54,8 +58,8 @@
 //!   (throughput, queue depth, p50/p95/p99 latency, cache behavior) and
 //!   [`Service::dump_metrics`] renders it in Prometheus text format.
 //!   With [`service::ServiceConfig::trace_bucket`] set, workers also
-//!   record a wall-clock idle/io/compute/comm timeline exposed by
-//!   [`Service::timeline`].
+//!   record a wall-clock idle/compute/comm timeline exposed by
+//!   [`Service::timeline`]; a worker waiting for a block load is idle.
 //!
 //! Streamlines computed here are bit-identical to the single-shot drivers:
 //! both advance through `streamline_core::advance`.

@@ -125,13 +125,15 @@ pub struct ServiceMetrics {
     pub latency_p50_ms: f64,
     pub latency_p95_ms: f64,
     pub latency_p99_ms: f64,
-    /// Merged counters from the shared block cache.
+    /// Counters from the shared block cache.
     pub cache: CacheStats,
     /// Blocks resident in the shared cache right now.
     pub cache_resident: usize,
-    /// Total block capacity of the shared cache.
+    /// Block capacity of the shared cache: exactly `cache_blocks`.
     pub cache_capacity: usize,
-    /// Fraction of block requests served without a load: hits/(hits+loaded).
+    /// Fraction of block acquisitions served without a load:
+    /// hits/(hits+loaded). A batch claiming a block that was loaded for it
+    /// is that load, not a hit.
     pub cache_hit_rate: f64,
     /// The paper's block efficiency E = (B_L - B_P)/B_L over the shared
     /// cache (Eq. 2): 1.0 means nothing loaded was ever evicted.

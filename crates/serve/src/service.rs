@@ -5,7 +5,8 @@
 //! [`Service::submit`] checks admission (live seeds < queue capacity; over
 //! capacity ⇒ [`SubmitError::Overloaded`], immediately, without blocking),
 //! parks one work item per seed in the queue of the block that owns it, and
-//! returns a [`Ticket`]. Workers claim whole block queues, so one cache
+//! returns a [`Ticket`]. I/O threads load the blocks that parked work
+//! needs; workers claim whole queues of resident blocks, so one cache
 //! acquisition serves a coalesced batch spanning many requests; the ticket
 //! unblocks when the request's last seed resolves. Served streamlines are
 //! bit-identical to single-shot runs with the same [`StepLimits`].
@@ -32,20 +33,20 @@ use {
 /// Tuning knobs for [`Service::start`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads advancing streamlines.
+    /// Worker threads advancing streamlines. The service runs as many I/O
+    /// threads, which make every block load.
     pub workers: usize,
-    /// Total block capacity of the shared cache.
+    /// Block capacity of the shared cache: resident plus loading blocks
+    /// never exceed it.
     pub cache_blocks: usize,
-    /// Lock shards in the shared cache.
-    pub cache_shards: usize,
     /// Admission bound: maximum seeds admitted but not yet resolved.
     pub queue_capacity: usize,
     /// Backoff schedule for failed block loads.
     pub retry: RetryPolicy,
     /// Per-block circuit breaker tuning.
     pub breaker: BreakerConfig,
-    /// When set, record a wall-clock phase timeline (idle/io/compute/comm
-    /// per worker) at this bucket resolution, exposed via
+    /// When set, record a wall-clock phase timeline (idle/compute/comm per
+    /// worker; workers do no I/O) at this bucket resolution, exposed via
     /// [`Service::timeline`]. `None` (the default) costs nothing.
     pub trace_bucket: Option<Duration>,
     /// Batch width for the advection kernel: a worker drains a claimed
@@ -63,7 +64,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 4,
             cache_blocks: 64,
-            cache_shards: 8,
             queue_capacity: 4096,
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
@@ -890,6 +890,23 @@ mod tests {
         assert_eq!(m.requests_gone, 1);
         assert_eq!(m.completed, 1, "only the healthy request counts as completed");
         assert_eq!(m.queue_depth, 0, "panic recovery released every admission seat");
+    }
+
+    #[test]
+    fn the_cache_holds_exactly_cache_blocks() {
+        for cache_blocks in [1, 4, 12] {
+            let (svc, dataset) = tiny_service(ServiceConfig { cache_blocks, ..Default::default() });
+            let seeds = dataset.seeds_with_count(Seeding::Dense, 32);
+            let resp = svc
+                .submit(Request::new(seeds.points.clone()).with_limits(limits()))
+                .expect("admitted")
+                .wait()
+                .expect("service answers");
+            assert_eq!(resp.outcome, Outcome::Completed);
+            let m = svc.shutdown();
+            assert_eq!(m.cache_capacity, cache_blocks);
+            assert!(m.cache_resident <= cache_blocks, "{} resident", m.cache_resident);
+        }
     }
 
     #[test]

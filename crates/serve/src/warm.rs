@@ -22,21 +22,19 @@ use streamline_field::block::BlockId;
 use streamline_iosim::BlockStore;
 
 /// The persisted residency set of a drained service.
+///
+/// Manifests written before the cache lost its shards also carry a
+/// `shards` count; fields are read by name, so they still read.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WarmStartManifest {
-    /// Resident blocks in deterministic prefetch order (per-shard LRU
-    /// order, coldest first, shards in index order).
+    /// Resident blocks in prefetch order: LRU order, coldest first.
     pub blocks: Vec<BlockId>,
-    /// Shard count of the cache that produced the manifest. Prefetching
-    /// into a differently-sharded cache still works — the order is merely
-    /// less faithful — so this is informational, not enforced.
-    pub shards: usize,
 }
 
 impl WarmStartManifest {
     /// Capture the current residency of `cache`.
     pub fn of(cache: &SharedBlockCache) -> Self {
-        WarmStartManifest { blocks: cache.manifest(), shards: cache.shard_count() }
+        WarmStartManifest { blocks: cache.manifest() }
     }
 
     /// Serialize into the checkpoint container (`kind = warm-start`).
@@ -97,7 +95,7 @@ mod tests {
     #[test]
     fn manifest_roundtrips_through_disk_and_rewarms_a_cold_cache() {
         let st = store(8);
-        let cache = SharedBlockCache::new(4, 2);
+        let cache = SharedBlockCache::new(4);
         for i in [0u32, 1, 2, 3, 5, 7] {
             cache.get_or_load(BlockId(i), &st).unwrap();
         }
@@ -109,7 +107,7 @@ mod tests {
         let back = WarmStartManifest::read(&path).unwrap();
         assert_eq!(back, manifest);
 
-        let cold = SharedBlockCache::new(4, 2);
+        let cold = SharedBlockCache::new(4);
         let loaded = back.prefetch(&cold, &st);
         assert_eq!(loaded, manifest.blocks.len());
         let mut got = cold.resident();
@@ -128,11 +126,32 @@ mod tests {
     #[test]
     fn missing_blocks_are_skipped_not_fatal() {
         let st = store(2);
-        let manifest =
-            WarmStartManifest { blocks: vec![BlockId(0), BlockId(9), BlockId(1)], shards: 1 };
-        let cache = SharedBlockCache::new(4, 1);
+        let manifest = WarmStartManifest { blocks: vec![BlockId(0), BlockId(9), BlockId(1)] };
+        let cache = SharedBlockCache::new(4);
         assert_eq!(manifest.prefetch(&cache, &st), 2);
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn a_manifest_written_with_a_shard_count_still_reads() {
+        // The shape manifests had while the cache was split into shards.
+        #[derive(Serialize)]
+        struct ShardedManifest {
+            blocks: Vec<BlockId>,
+            shards: usize,
+        }
+        let old = ShardedManifest { blocks: vec![BlockId(3), BlockId(0), BlockId(5)], shards: 8 };
+        let mut w = CkptWriter::new();
+        let mut meta = Meta::new(KIND_WARM_START);
+        meta.dataset = "test-dataset".to_string();
+        meta.cache_blocks = 16;
+        w.section_value(streamline_ckpt::META_TAG, &meta);
+        w.section_value(RESD_TAG, &old);
+        let path = tmp("sharded");
+        write_atomic(&path, &w.finish()).unwrap();
+        let back = WarmStartManifest::read(&path).expect("an older manifest still reads");
+        assert_eq!(back.blocks, old.blocks);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -1,18 +1,23 @@
 //! End-to-end checks of the `streamline-serve` query service against the
 //! single-shot driver: identical trajectories, typed overload rejection,
-//! graceful drain, answers that store faults degrade but never corrupt, and
-//! a cluster whose books balance across a replica kill.
+//! graceful drain, answers that store faults degrade but never corrupt, a
+//! cluster whose books balance across a replica kill, and block loads that
+//! run only on the replicas' I/O threads.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use streamline_cluster::{ClusterConfig, ClusterService};
 use streamline_obs::prom;
 use streamline_repro::core::{Algorithm, MemoryBudget, Run, RunConfig, RunOutput};
+use streamline_repro::field::block::{Block, BlockId};
 use streamline_repro::field::dataset::{Dataset, DatasetConfig, Seeding};
 use streamline_repro::integrate::{StepLimits, Streamline, StreamlineStatus, Termination};
+use streamline_repro::iosim::StoreError;
 use streamline_repro::iosim::{BlockStore, ChaosParams, FaultPlan, FaultStore, MemoryStore};
 use streamline_repro::math::Vec3;
-use streamline_repro::serve::{Outcome, Request, Service, ServiceConfig, SubmitError};
+use streamline_repro::serve::{
+    Outcome, Request, Service, ServiceConfig, SubmitError, WarmStartManifest,
+};
 
 fn astro() -> Dataset {
     let cfg = DatasetConfig {
@@ -322,4 +327,89 @@ fn replica_kill_under_load_balances_the_books() {
     assert_eq!((m.completed, m.requests_gone), (answered, gone));
     assert_eq!(m.completed + m.requests_gone, m.submitted, "admitted requests went missing");
     assert_eq!(m.submitted, 16);
+}
+
+/// A store that records which thread made each `try_load` call, once
+/// switched on.
+struct ThreadLog {
+    inner: MemoryStore,
+    on: std::sync::atomic::AtomicBool,
+    names: std::sync::Mutex<Vec<String>>,
+}
+
+impl ThreadLog {
+    fn record(&self, on: bool) {
+        self.on.store(on, std::sync::atomic::Ordering::SeqCst);
+    }
+}
+
+impl BlockStore for ThreadLog {
+    fn try_load(&self, id: BlockId) -> Result<Arc<Block>, StoreError> {
+        if self.on.load(std::sync::atomic::Ordering::SeqCst) {
+            let name = std::thread::current().name().unwrap_or("<unnamed>").to_string();
+            self.names.lock().unwrap().push(name);
+        }
+        self.inner.try_load(id)
+    }
+
+    fn num_blocks(&self) -> usize {
+        self.inner.num_blocks()
+    }
+}
+
+/// Workers never wait on block I/O: while a single service and a cluster
+/// serve concurrent clients through caches far smaller than the dataset,
+/// every store call is made by a replica's I/O thread. Warm-start and
+/// bootstrap prefetches run on the caller's thread before traffic and are
+/// not recorded.
+#[test]
+fn only_io_threads_load_blocks_while_serving() {
+    const CLIENTS: usize = 4;
+    const REQUESTS: usize = 4;
+    let ds = astro();
+    let pool = ds.seeds_with_count(Seeding::Dense, CLIENTS * 4).points;
+    let log = Arc::new(ThreadLog {
+        inner: MemoryStore::build(&ds),
+        on: Default::default(),
+        names: Default::default(),
+    });
+    let traffic = |submit: &(dyn Fn(Request) -> Outcome + Sync)| {
+        std::thread::scope(|s| {
+            for seeds in pool.chunks(4) {
+                s.spawn(move || {
+                    for _ in 0..REQUESTS {
+                        let req = Request::new(seeds.to_vec()).with_limits(limits());
+                        assert_eq!(submit(req), Outcome::Completed);
+                    }
+                });
+            }
+        });
+    };
+
+    let svc = Service::start(
+        ds.decomp,
+        Arc::clone(&log) as Arc<dyn BlockStore>,
+        ServiceConfig { workers: 3, cache_blocks: 6, ..ServiceConfig::default() },
+    );
+    svc.warm_start(&WarmStartManifest { blocks: (0..6).map(BlockId).collect() });
+    log.record(true);
+    traffic(&|req| svc.submit(req).expect("admitted").wait().expect("answered").outcome);
+    svc.shutdown();
+    log.record(false);
+
+    let cluster = ClusterService::start(
+        ds.decomp,
+        Arc::clone(&log) as Arc<dyn BlockStore>,
+        ClusterConfig { replicas: 3, cache_blocks: 4, ..ClusterConfig::default() },
+    );
+    cluster.bootstrap();
+    log.record(true);
+    traffic(&|req| cluster.submit(req).expect("admitted").wait().expect("answered").outcome);
+    cluster.shutdown();
+
+    let names = log.names.lock().unwrap().clone();
+    assert!(names.len() > 20, "the workload must miss the cache: {} loads", names.len());
+    for name in &names {
+        assert!(name.starts_with("serve-r") && name.contains("-io"), "{name} loaded a block");
+    }
 }
