@@ -744,16 +744,7 @@ impl Engine {
             };
             match task {
                 IoTask::Load(block_id, leader) => self.load_block(replica, block_id, leader),
-                IoTask::Follow(block_id, follower) => {
-                    let loaded = follower.wait().is_some();
-                    let mut st = rep.sched.lock();
-                    if loaded {
-                        rep.work_ready.notify_one();
-                    } else if st.queues.contains_key(&block_id) {
-                        // The other load failed: take the block back on.
-                        st.cold.push_front(block_id);
-                    }
-                }
+                IoTask::Follow(block_id, follower) => self.follow_load(replica, block_id, follower),
                 IoTask::Full(seen) => rep.cache.wait_for_room(seen),
             }
         }
@@ -826,6 +817,21 @@ impl Engine {
             } else {
                 self.terminate(item, Termination::BlockUnavailable);
             }
+        }
+    }
+
+    /// Wait for another caller's load of `block_id` (a warm-start racing
+    /// traffic), then wake a worker to claim it; if that load failed, put
+    /// the block back first in line for an I/O thread.
+    fn follow_load(&self, replica: usize, block_id: BlockId, follower: Follower<'_>) {
+        let rep = &self.replicas[replica];
+        let loaded = follower.wait().is_some();
+        let mut st = rep.sched.lock();
+        if loaded {
+            rep.work_ready.notify_one();
+        } else if st.queues.contains_key(&block_id) {
+            st.cold.push_front(block_id);
+            rep.io_ready.notify_one();
         }
     }
 
@@ -1163,6 +1169,41 @@ mod tests {
         let (block_id, _, claimed) = engine.claim_batch(0).expect("now resident");
         assert_eq!((block_id, claimed.len()), (cold, 5));
         assert!(io_step(&engine, 0).is_none(), "nothing left to load");
+    }
+
+    #[test]
+    fn work_parked_on_a_block_another_caller_is_loading_follows_that_load() {
+        let dataset = tiny_dataset();
+        let store: Arc<dyn BlockStore> = Arc::new(MemoryStore::build(&dataset));
+        let engine =
+            engine(&dataset, Arc::clone(&store), &ServiceConfig::default(), Routing::single());
+        let cache = &engine.replicas[0].cache;
+        let (a, b) = (BlockId(0), BlockId(1));
+        let p = dataset.decomp.block_bounds(a).center();
+
+        // A warm-start is mid-load on `a` when work parks there: the I/O
+        // thread follows that load instead of issuing its own.
+        let Begin::Lead(mut warm) = cache.begin(a) else { panic!("the warm-start leads") };
+        engine.park(0, a, items(p, 3));
+        let Some(IoTask::Follow(block_id, follower)) = io_step(&engine, 0) else {
+            panic!("the I/O thread follows the warm-start's load")
+        };
+        warm.attempt(store.as_ref()).expect("loads");
+        engine.follow_load(0, block_id, follower);
+        let (claimed, _, items_a) = engine.claim_batch(0).expect("`a` landed");
+        assert_eq!((claimed, items_a.len()), (a, 3));
+        assert_eq!(cache.stats().loaded, 1, "one store call between them");
+
+        // If the other load fails, the block goes back to the I/O thread.
+        let Begin::Lead(warm) = cache.begin(b) else { panic!("the warm-start leads") };
+        engine.park(0, b, items(p, 1));
+        let Some(IoTask::Follow(block_id, follower)) = io_step(&engine, 0) else {
+            panic!("the I/O thread follows the warm-start's load")
+        };
+        drop(warm);
+        engine.follow_load(0, block_id, follower);
+        assert_eq!(load_next(&engine, 0), b);
+        assert_eq!(engine.claim_batch(0).expect("`b` loaded").0, b);
     }
 
     #[test]
