@@ -9,9 +9,9 @@
 //! which is exactly the configured block count.
 //!
 //! Loads run *outside* the cache lock and are single-flight: the first
-//! caller to miss a block becomes its [`Leader`], reserving one slot for
-//! it; every later caller for the same block becomes a [`Follower`] that
-//! waits for that load instead of issuing its own. A failed load releases
+//! caller to miss a block becomes its leader, reserving one slot for it;
+//! every later caller for the same block becomes a follower that waits
+//! for that load instead of issuing its own. A failed load releases
 //! its slot and its followers, who may then try again.
 //!
 //! Eviction never drops a *pinned* block: the engine pins every block that
@@ -88,8 +88,8 @@ impl Flight {
     }
 }
 
-/// What [`SharedBlockCache::begin`] found. Never blocks.
-pub enum Begin<'a> {
+/// What a lookup found. Never blocks.
+pub(crate) enum Begin<'a> {
     /// The block is resident.
     Hit(Arc<Block>),
     /// Another caller is loading it: wait for that load.
@@ -102,7 +102,7 @@ pub enum Begin<'a> {
 }
 
 /// A caller waiting for another caller's load of the same block.
-pub struct Follower<'a> {
+pub(crate) struct Follower<'a> {
     cache: &'a SharedBlockCache,
     flight: Arc<Flight>,
     acquire: bool,
@@ -111,7 +111,7 @@ pub struct Follower<'a> {
 impl Follower<'_> {
     /// Wait for the load. A success is counted as a hit; `None` means the
     /// load failed and the caller may begin again.
-    pub fn wait(self) -> Option<Arc<Block>> {
+    pub(crate) fn wait(self) -> Option<Arc<Block>> {
         let block = self.flight.wait()?;
         if self.acquire {
             self.cache.state.lock().stats.hits += 1;
@@ -123,7 +123,7 @@ impl Follower<'_> {
 /// The one caller loading a block, holding its reserved slot. Dropping it
 /// before a successful [`attempt`](Leader::attempt) releases the slot and
 /// tells the followers the load failed.
-pub struct Leader<'a> {
+pub(crate) struct Leader<'a> {
     cache: &'a SharedBlockCache,
     id: BlockId,
     flight: Arc<Flight>,
@@ -135,7 +135,7 @@ impl Leader<'_> {
     /// One load attempt, outside every lock. Success makes the block
     /// resident, counts one load and hands the block to every follower. An
     /// error counts one failed load and keeps the slot for a retry.
-    pub fn attempt(&mut self, store: &dyn BlockStore) -> Result<Arc<Block>, StoreError> {
+    pub(crate) fn attempt(&mut self, store: &dyn BlockStore) -> Result<Arc<Block>, StoreError> {
         assert!(!self.loaded, "block {} already loaded by this leader", self.id);
         let result = store.try_load(self.id);
         let mut st = self.cache.state.lock();
@@ -190,7 +190,7 @@ impl SharedBlockCache {
 
     /// Rank eviction victims by `access[block]`, lowest first; ties go to
     /// the least recently used.
-    pub fn with_access_counts(mut self, access: Arc<[AtomicU64]>) -> Self {
+    pub(crate) fn with_access_counts(mut self, access: Arc<[AtomicU64]>) -> Self {
         self.access = Some(access);
         self
     }
@@ -202,19 +202,23 @@ impl SharedBlockCache {
             .map_or(0, |a| a.load(Ordering::Relaxed))
     }
 
-    /// Find `id` and, on a miss, reserve a slot to load it into. A hit is
-    /// counted here; see [`Begin`] for the rest.
-    pub fn begin(&self, id: BlockId) -> Begin<'_> {
-        self.start(&mut self.state.lock(), id, true)
-    }
-
-    /// Like [`begin`](Self::begin), for a load on behalf of parked work:
-    /// nothing is acquired now, so nothing is counted. The work's later
-    /// [`claim`](Self::claim) is the acquisition.
+    /// Find `id` and, on a miss, reserve a slot to load it into, on behalf
+    /// of parked work: nothing is acquired now, so nothing is counted. The
+    /// work's later [`claim`](Self::claim) is the acquisition.
     pub(crate) fn reserve(&self, id: BlockId) -> Begin<'_> {
         self.start(&mut self.state.lock(), id, false)
     }
 
+    /// The lookup `get_or_load` makes, without blocking: a caller that
+    /// stops between its steps, as tests do.
+    #[cfg(test)]
+    pub(crate) fn begin(&self, id: BlockId) -> Begin<'_> {
+        self.start(&mut self.state.lock(), id, true)
+    }
+
+    /// Find `id` and, on a miss, reserve a slot to load it into. With
+    /// `acquire`, the caller takes the block now: a hit (or a follower's
+    /// success) is counted, and a loaded block is not left fresh.
     fn start(&self, st: &mut State, id: BlockId, acquire: bool) -> Begin<'_> {
         st.tick += 1;
         if let Some(e) = st.resident.get_mut(&id) {
@@ -256,7 +260,7 @@ impl SharedBlockCache {
 
     /// Block until a slot may have freed since [`Begin::Full`] returned
     /// `seen`.
-    pub fn wait_for_room(&self, seen: u64) {
+    pub(crate) fn wait_for_room(&self, seen: u64) {
         let mut st = self.state.lock();
         while st.frees == seen {
             self.room.wait(&mut st);
@@ -326,7 +330,7 @@ impl SharedBlockCache {
     }
 
     /// Whether `id` is resident (touches nothing).
-    pub fn contains(&self, id: BlockId) -> bool {
+    pub(crate) fn contains(&self, id: BlockId) -> bool {
         self.state.lock().resident.contains_key(&id)
     }
 
