@@ -37,8 +37,9 @@
 //!    resolves, the [`Response`] is sent and the client's [`Ticket`]
 //!    unblocks.
 //!
-//! Workers exit once the engine is shutting down and no seat is held on any
-//! replica: a hand-off can land anywhere until the last seed resolves.
+//! Workers and I/O threads exit once the engine is shutting down and no
+//! seat is held on any replica: a hand-off can land anywhere until the last
+//! seed resolves.
 //!
 //! Advancement is [`advance_batch_in_block`], the batch drivers' kernel, so
 //! served streamlines are bit-identical to single-shot runs with the same
