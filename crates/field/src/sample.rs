@@ -11,6 +11,20 @@
 //!   averaging adjacent cells to each node." Used for the supernova dataset.
 //!
 //! Both produce identical lattices, so blocks are interchangeable downstream.
+//!
+//! **Shared faces.** Every interior face of the face pipeline's cell lattice
+//! belongs to two cells: it is the +x (+y, +z) face of one and the −x (−y,
+//! −z) face of the next. Each cell still computes its six face points as
+//! `center ± 0.5·h`, but a −face whose point is bit-equal (all three
+//! `f64::to_bits`, the key `FsalCache` uses) to the neighbour's +face takes
+//! the neighbour's component instead of calling the field again. That is
+//! exact because [`VectorField::eval`] is a pure function of its argument:
+//! the same bits in give the same bits out, so a reused component is the
+//! value a second call would return, and the cell and node sums run over the
+//! same operands in the same order. Where rounding leaves the two sides of a
+//! face a bit apart (non-dyadic spacings), the keys differ and the field is
+//! called, as it always was. On the default astrophysics dataset the field
+//! calls fall from 17.9 M to 9.46 M: 47 % of face points are reused.
 
 use crate::analytic::VectorField;
 use crate::block::{Block, BlockId};
@@ -58,41 +72,96 @@ pub fn sample_block_nodes(
 /// the two faces perpendicular to axis `c` (that is how a staggered
 /// face-centered representation collapses to cell centers). Nodes then
 /// average their up-to-8 adjacent cells.
+///
+/// Each face point is computed per cell as `center ± 0.5·h`, and a face
+/// shared by two cells is evaluated once: a cell's −x, −y and −z face takes
+/// the neighbour's +face component when the two points are equal bit for
+/// bit (see the module docs for why that is exact), and calls the field
+/// otherwise.
 pub fn sample_block_face_pipeline(
     field: &dyn VectorField,
     decomp: &BlockDecomposition,
     id: BlockId,
 ) -> Block {
     let mut b = empty_block(decomp, id);
-    let [nnx, nny, nnz] = b.nodes;
-    // Cell lattice covering the ghost-extended block: nodes − 1 per axis.
-    let (cx, cy, cz) = (nnx - 1, nny - 1, nnz - 1);
+    let cells = face_cells(field, &b);
+    cells_to_nodes(&mut b, &cells);
+    b
+}
+
+/// A face sample: the face point as three `f64::to_bits` and the one field
+/// component the cell pass keeps there.
+type FaceSample = ([u64; 3], f64);
+
+fn point_bits(p: Vec3) -> [u64; 3] {
+    [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()]
+}
+
+/// Component `axis` of `field` at face point `p`.
+fn eval_face(field: &dyn VectorField, p: Vec3, axis: usize) -> FaceSample {
+    (point_bits(p), field.eval(p)[axis])
+}
+
+/// Component `axis` of `field` at face point `p`, taken from `neighbour` when
+/// that sample was evaluated at exactly `p`.
+fn shared_face(
+    field: &dyn VectorField,
+    p: Vec3,
+    axis: usize,
+    neighbour: Option<FaceSample>,
+) -> f64 {
+    match neighbour {
+        Some((key, v)) if key == point_bits(p) => v,
+        _ => field.eval(p)[axis],
+    }
+}
+
+/// Center of cell `(i, j, k)` of `b`'s ghost-extended cell lattice.
+fn cell_center(b: &Block, i: usize, j: usize, k: usize) -> Vec3 {
     let h = b.spacing;
-    let mut cells = vec![[0.0f64; 3]; cx * cy * cz];
-    let cell_idx = |i: usize, j: usize, k: usize| (k * cy + j) * cx + i;
+    b.origin + Vec3::new((i as f64 + 0.5) * h.x, (j as f64 + 0.5) * h.y, (k as f64 + 0.5) * h.z)
+}
+
+/// Offsets from a cell center to its +x, +y and +z face centers.
+fn face_offsets(h: Vec3) -> [Vec3; 3] {
+    [Vec3::new(0.5 * h.x, 0.0, 0.0), Vec3::new(0.0, 0.5 * h.y, 0.0), Vec3::new(0.0, 0.0, 0.5 * h.z)]
+}
+
+/// Cell-centered values over `b`'s ghost-extended cell lattice (nodes − 1
+/// per axis), x fastest.
+///
+/// The loop carries the +faces its neighbours sampled: the previous cell's
+/// +x face, the previous row's +y faces and the previous plane's +z faces.
+fn face_cells(field: &dyn VectorField, b: &Block) -> Vec<[f64; 3]> {
+    let [cx, cy, cz] = b.nodes.map(|n| n - 1);
+    let [dx, dy, dz] = face_offsets(b.spacing);
+    let mut cells = Vec::with_capacity(cx * cy * cz);
+    let mut x_plus: FaceSample = ([0; 3], 0.0);
+    let mut y_plus: Vec<FaceSample> = vec![([0; 3], 0.0); cx];
+    let mut z_plus: Vec<FaceSample> = vec![([0; 3], 0.0); cx * cy];
     for k in 0..cz {
-        for j in 0..cy {
-            for i in 0..cx {
-                // Center of this cell.
-                let c = b.origin
-                    + Vec3::new(
-                        (i as f64 + 0.5) * h.x,
-                        (j as f64 + 0.5) * h.y,
-                        (k as f64 + 0.5) * h.z,
-                    );
-                // Face centers perpendicular to each axis.
-                let xm = field.eval(c - Vec3::new(0.5 * h.x, 0.0, 0.0)).x;
-                let xp = field.eval(c + Vec3::new(0.5 * h.x, 0.0, 0.0)).x;
-                let ym = field.eval(c - Vec3::new(0.0, 0.5 * h.y, 0.0)).y;
-                let yp = field.eval(c + Vec3::new(0.0, 0.5 * h.y, 0.0)).y;
-                let zm = field.eval(c - Vec3::new(0.0, 0.0, 0.5 * h.z)).z;
-                let zp = field.eval(c + Vec3::new(0.0, 0.0, 0.5 * h.z)).z;
-                cells[cell_idx(i, j, k)] = [0.5 * (xm + xp), 0.5 * (ym + yp), 0.5 * (zm + zp)];
+        for (j, z_row) in z_plus.chunks_exact_mut(cx).enumerate() {
+            for (i, (y_face, z_face)) in y_plus.iter_mut().zip(z_row).enumerate() {
+                let c = cell_center(b, i, j, k);
+                let xm = shared_face(field, c - dx, 0, (i > 0).then_some(x_plus));
+                let ym = shared_face(field, c - dy, 1, (j > 0).then_some(*y_face));
+                let zm = shared_face(field, c - dz, 2, (k > 0).then_some(*z_face));
+                x_plus = eval_face(field, c + dx, 0);
+                *y_face = eval_face(field, c + dy, 1);
+                *z_face = eval_face(field, c + dz, 2);
+                cells.push([0.5 * (xm + x_plus.1), 0.5 * (ym + y_face.1), 0.5 * (zm + z_face.1)]);
             }
         }
     }
-    // Node = average of adjacent cells (1, 2, 4 or 8 of them at
-    // corners/edges/faces/interior of the lattice).
+    cells
+}
+
+/// Node = average of adjacent cells (1, 2, 4 or 8 of them at
+/// corners/edges/faces/interior of the lattice).
+fn cells_to_nodes(b: &mut Block, cells: &[[f64; 3]]) {
+    let [nnx, nny, nnz] = b.nodes;
+    let (cx, cy, cz) = (nnx - 1, nny - 1, nnz - 1);
+    let cell_idx = |i: usize, j: usize, k: usize| (k * cy + j) * cx + i;
     for k in 0..nnz {
         for j in 0..nny {
             for i in 0..nnx {
@@ -127,7 +196,6 @@ pub fn sample_block_face_pipeline(
             }
         }
     }
-    b
 }
 
 /// Dispatch on [`SamplingMode`].
@@ -147,10 +215,200 @@ pub fn sample_block(
 mod tests {
     use super::*;
     use crate::analytic::{Uniform, VectorField};
+    use crate::dataset::{Dataset, DatasetConfig};
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use streamline_math::Aabb;
 
     fn decomp() -> BlockDecomposition {
         BlockDecomposition::new(Aabb::new(Vec3::ZERO, Vec3::splat(4.0)), [2, 2, 2], [4, 4, 4], 1)
+    }
+
+    /// The six-evaluation cell pass the face pipeline used before shared
+    /// faces were evaluated once: every cell evaluates all six of its face
+    /// points. Kept as the bit-identity oracle.
+    fn six_eval_cells(field: &dyn VectorField, b: &Block) -> Vec<[f64; 3]> {
+        let [cx, cy, cz] = b.nodes.map(|n| n - 1);
+        let h = b.spacing;
+        let mut cells = vec![[0.0f64; 3]; cx * cy * cz];
+        let cell_idx = |i: usize, j: usize, k: usize| (k * cy + j) * cx + i;
+        for k in 0..cz {
+            for j in 0..cy {
+                for i in 0..cx {
+                    let c = b.origin
+                        + Vec3::new(
+                            (i as f64 + 0.5) * h.x,
+                            (j as f64 + 0.5) * h.y,
+                            (k as f64 + 0.5) * h.z,
+                        );
+                    let xm = field.eval(c - Vec3::new(0.5 * h.x, 0.0, 0.0)).x;
+                    let xp = field.eval(c + Vec3::new(0.5 * h.x, 0.0, 0.0)).x;
+                    let ym = field.eval(c - Vec3::new(0.0, 0.5 * h.y, 0.0)).y;
+                    let yp = field.eval(c + Vec3::new(0.0, 0.5 * h.y, 0.0)).y;
+                    let zm = field.eval(c - Vec3::new(0.0, 0.0, 0.5 * h.z)).z;
+                    let zp = field.eval(c + Vec3::new(0.0, 0.0, 0.5 * h.z)).z;
+                    cells[cell_idx(i, j, k)] = [0.5 * (xm + xp), 0.5 * (ym + yp), 0.5 * (zm + zp)];
+                }
+            }
+        }
+        cells
+    }
+
+    fn six_eval_pipeline(
+        field: &dyn VectorField,
+        decomp: &BlockDecomposition,
+        id: BlockId,
+    ) -> Block {
+        let mut b = empty_block(decomp, id);
+        let cells = six_eval_cells(field, &b);
+        cells_to_nodes(&mut b, &cells);
+        b
+    }
+
+    /// Counts `eval` calls on the wrapped field.
+    struct Counting<'a> {
+        inner: &'a dyn VectorField,
+        calls: AtomicUsize,
+    }
+
+    impl<'a> Counting<'a> {
+        fn new(inner: &'a dyn VectorField) -> Self {
+            Counting { inner, calls: AtomicUsize::new(0) }
+        }
+
+        fn take(&self) -> usize {
+            self.calls.swap(0, Ordering::Relaxed)
+        }
+    }
+
+    impl VectorField for Counting<'_> {
+        fn eval(&self, p: Vec3) -> Vec3 {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.eval(p)
+        }
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+    }
+
+    /// A smooth field whose three components differ everywhere, so handing
+    /// over the wrong component of a shared face changes the block.
+    struct Skewed;
+    impl VectorField for Skewed {
+        fn eval(&self, p: Vec3) -> Vec3 {
+            Vec3::new(p.x.sin() + 0.3 * p.y, (0.7 * p.y).cos() * p.z, p.z * p.z - 2.0 * p.x + 5.0)
+        }
+        fn name(&self) -> &'static str {
+            "skewed"
+        }
+    }
+
+    fn node_bits(b: &Block) -> Vec<[u32; 3]> {
+        b.data.iter().map(|v| v.map(f32::to_bits)).collect()
+    }
+
+    /// Cells of the ghost-extended lattice of one block.
+    fn lattice_cells(d: &BlockDecomposition, id: BlockId) -> usize {
+        empty_block(d, id).nodes.iter().map(|n| n - 1).product()
+    }
+
+    /// Field calls of the face pipeline and of the six-evaluation oracle on
+    /// every block of `d`, after asserting that both build the same bits.
+    fn calls_on_every_block(field: &dyn VectorField, d: &BlockDecomposition) -> (usize, usize) {
+        let counting = Counting::new(field);
+        let (mut shared, mut six) = (0, 0);
+        for id in d.all_blocks() {
+            let new = sample_block_face_pipeline(&counting, d, id);
+            shared += counting.take();
+            let old = six_eval_pipeline(&counting, d, id);
+            six += counting.take();
+            assert!(node_bits(&new) == node_bits(&old), "{id} differs from the oracle in {d:?}");
+        }
+        (shared, six)
+    }
+
+    #[test]
+    fn shared_faces_match_the_six_eval_oracle_on_tiny_astrophysics() {
+        let ds = Dataset::astrophysics(DatasetConfig::tiny());
+        let cells: usize = ds.decomp.all_blocks().map(|id| lattice_cells(&ds.decomp, id)).sum();
+        let (shared, six) = calls_on_every_block(ds.field.as_ref(), &ds.decomp);
+        assert_eq!(six, 6 * cells);
+        // A dyadic lattice: nearly every interior face is handed over.
+        assert!(shared as f64 <= 0.56 * six as f64, "{shared} calls for {cells} cells");
+    }
+
+    #[test]
+    fn an_odd_decomposition_takes_the_miss_path() {
+        let d = BlockDecomposition::new(
+            Aabb::new(Vec3::new(-0.37, 1.13, -2.9), Vec3::new(1.91, 2.71, 0.3)),
+            [3, 2, 3],
+            [7, 5, 9],
+            2,
+        );
+        let (mut cells, mut floor) = (0, 0);
+        for id in d.all_blocks() {
+            let [cx, cy, cz] = empty_block(&d, id).nodes.map(|n| n - 1);
+            cells += cx * cy * cz;
+            // Three +faces per cell, plus the lattice's own −faces.
+            floor += 3 * cx * cy * cz + cy * cz + cx * cz + cx * cy;
+        }
+        let (shared, six) = calls_on_every_block(&Skewed, &d);
+        assert_eq!(six, 6 * cells);
+        assert!(shared > 3 * cells);
+        // Some interior faces are not bit-equal from their two sides.
+        assert!(shared > floor, "{shared} calls, {floor} with every interior face shared");
+    }
+
+    /// FNV-1a over the little-endian `f32` bits of every node of every
+    /// block, in block-id order.
+    fn blocks_digest(ds: &Dataset) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for id in ds.decomp.all_blocks() {
+            for v in &ds.build_block(id).data {
+                for byte in v.iter().flat_map(|c| c.to_bits().to_le_bytes()) {
+                    h ^= byte as u64;
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// Every block of the default astrophysics dataset, pinned to the bits
+    /// the six-evaluation pipeline built. Run it in release:
+    /// `cargo test --release -p streamline-field -- --ignored`.
+    #[test]
+    #[ignore = "builds 512 blocks; run in release with --ignored"]
+    fn default_astrophysics_blocks_match_the_golden_digest() {
+        let ds = Dataset::astrophysics(DatasetConfig::default());
+        assert_eq!(ds.decomp.num_blocks(), 512);
+        assert_eq!(blocks_digest(&ds), GOLDEN_DIGEST, "{:#018x}", blocks_digest(&ds));
+    }
+
+    const GOLDEN_DIGEST: u64 = 0xf4d1_0706_2e87_fb6a;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+        /// Over decompositions with non-dyadic bounds, the face pipeline
+        /// builds the oracle's bits on every block.
+        #[test]
+        fn shared_faces_match_the_six_eval_oracle(
+            lo in (-3.0f64..3.0, -3.0f64..3.0, -3.0f64..3.0),
+            size in (0.1f64..7.0, 0.1f64..7.0, 0.1f64..7.0),
+            blocks in (1usize..5, 1usize..5, 1usize..5),
+            cells in (1usize..10, 1usize..10, 1usize..10),
+            ghost in 0usize..3,
+        ) {
+            let min = Vec3::new(lo.0, lo.1, lo.2);
+            let cells = [cells.0, cells.1, cells.2];
+            let d = BlockDecomposition::new(
+                Aabb::new(min, min + Vec3::new(size.0, size.1, size.2)),
+                [blocks.0, blocks.1, blocks.2],
+                cells,
+                ghost.min(cells.into_iter().min().unwrap()),
+            );
+            calls_on_every_block(&Skewed, &d);
+        }
     }
 
     #[test]
