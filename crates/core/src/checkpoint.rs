@@ -94,13 +94,13 @@ impl IngestSpec {
 /// The SPEC section: everything a resume must agree on. `RunConfig`'s serde
 /// representation skips `limits` (non-finite defaults), so the bit-encoded
 /// [`LimitsBits`] rides alongside. Open-loop runs also record their ingest
-/// schedule; the field is skipped entirely on closed runs so closed SPEC
-/// sections stay byte-identical to pre-ingestion snapshots.
+/// schedule; closed runs write `"ingest":null`, and a SPEC section without
+/// the key (written before ingestion existed) still reads as closed.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SpecSection {
     pub config: RunConfig,
     pub limits: LimitsBits,
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(default)]
     pub ingest: Option<IngestSpec>,
 }
 
@@ -909,6 +909,20 @@ mod tests {
             .expect_err("closed resume of an open snapshot must be rejected");
         assert!(is_mismatch(&err), "{err:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A closed run's SPEC writes `"ingest":null`, and one without the key
+    /// (written before ingestion existed) reads back as the same closed SPEC.
+    #[test]
+    fn a_closed_spec_writes_a_null_ingest_and_reads_without_one() {
+        let (_, seeds, cfg) = fixture(Algorithm::LoadOnDemand);
+        let json = serde_json::to_string(&SpecSection::new(&cfg, &SeedSource::closed(&seeds)))
+            .expect("spec serializes");
+        assert!(json.ends_with(r#","ingest":null}"#), "{json}");
+        let legacy = json.replace(r#","ingest":null"#, "");
+        let read: SpecSection = serde_json::from_str(&legacy).expect("legacy spec reads");
+        assert!(read.ingest.is_none());
+        assert_eq!(serde_json::to_string(&read).expect("spec serializes"), json);
     }
 
     /// Snapshots taken at different points of the same run must all resume
