@@ -116,17 +116,6 @@ fn shared_face(
     }
 }
 
-/// Center of cell `(i, j, k)` of `b`'s ghost-extended cell lattice.
-fn cell_center(b: &Block, i: usize, j: usize, k: usize) -> Vec3 {
-    let h = b.spacing;
-    b.origin + Vec3::new((i as f64 + 0.5) * h.x, (j as f64 + 0.5) * h.y, (k as f64 + 0.5) * h.z)
-}
-
-/// Offsets from a cell center to its +x, +y and +z face centers.
-fn face_offsets(h: Vec3) -> [Vec3; 3] {
-    [Vec3::new(0.5 * h.x, 0.0, 0.0), Vec3::new(0.0, 0.5 * h.y, 0.0), Vec3::new(0.0, 0.0, 0.5 * h.z)]
-}
-
 /// Cell-centered values over `b`'s ghost-extended cell lattice (nodes − 1
 /// per axis), x fastest.
 ///
@@ -134,7 +123,11 @@ fn face_offsets(h: Vec3) -> [Vec3; 3] {
 /// +x face, the previous row's +y faces and the previous plane's +z faces.
 fn face_cells(field: &dyn VectorField, b: &Block) -> Vec<[f64; 3]> {
     let [cx, cy, cz] = b.nodes.map(|n| n - 1);
-    let [dx, dy, dz] = face_offsets(b.spacing);
+    let h = b.spacing;
+    // Offsets from a cell center to its +x, +y and +z face centers.
+    let dx = Vec3::new(0.5 * h.x, 0.0, 0.0);
+    let dy = Vec3::new(0.0, 0.5 * h.y, 0.0);
+    let dz = Vec3::new(0.0, 0.0, 0.5 * h.z);
     let mut cells = Vec::with_capacity(cx * cy * cz);
     let mut x_plus: FaceSample = ([0; 3], 0.0);
     let mut y_plus: Vec<FaceSample> = vec![([0; 3], 0.0); cx];
@@ -142,7 +135,12 @@ fn face_cells(field: &dyn VectorField, b: &Block) -> Vec<[f64; 3]> {
     for k in 0..cz {
         for (j, z_row) in z_plus.chunks_exact_mut(cx).enumerate() {
             for (i, (y_face, z_face)) in y_plus.iter_mut().zip(z_row).enumerate() {
-                let c = cell_center(b, i, j, k);
+                let c = b.origin
+                    + Vec3::new(
+                        (i as f64 + 0.5) * h.x,
+                        (j as f64 + 0.5) * h.y,
+                        (k as f64 + 0.5) * h.z,
+                    );
                 let xm = shared_face(field, c - dx, 0, (i > 0).then_some(x_plus));
                 let ym = shared_face(field, c - dy, 1, (j > 0).then_some(*y_face));
                 let zm = shared_face(field, c - dz, 2, (k > 0).then_some(*z_face));
