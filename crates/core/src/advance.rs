@@ -1,11 +1,12 @@
 //! The block-local advance step shared by every execution engine.
 //!
-//! [`Workspace::advance_in`](crate::workspace::Workspace::advance_in) (the
-//! simulated-cluster ranks) and the `streamline-serve` query service both
-//! advance a streamline through one resident block with *exactly* this
-//! function, so a streamline computed by the service is bit-identical to
-//! one computed by the single-shot drivers: same stepper, same limits, same
-//! shared-face nudge, same termination decisions.
+//! The `streamline-serve` query service and the scalar oracle of this
+//! crate's bit-identity tests (`Workspace::advance_in`) both advance a
+//! streamline through one resident block with *exactly* this function, and
+//! the simulated-cluster ranks' batch kernel is bit-identical to it, so a
+//! streamline computed by the service is bit-identical to one computed by
+//! the single-shot drivers: same stepper, same limits, same shared-face
+//! nudge, same termination decisions.
 //!
 //! [`advance_batch_in_block`] is the batched (SoA) counterpart: it advances
 //! a whole group of streamlines through one block with the stage-major

@@ -750,6 +750,59 @@ mod tests {
         }
     }
 
+    /// Static ranks whose snapshot holds parked handoffs (a non-empty
+    /// inbox) in the checkpoint at `path`.
+    fn ranks_with_parked_handoffs(path: &Path) -> Vec<usize> {
+        let file = CkptFile::read(path).expect("readable snapshot");
+        let ranks: Vec<RankSnapshot> = file.value(RANK_TAG).expect("RANK section");
+        (0..ranks.len())
+            .filter(|&r| matches!(&ranks[r], RankSnapshot::Static(s) if !s.inbox.is_empty()))
+            .collect()
+    }
+
+    /// Crash/restart while handoffs sit in a static rank's inbox: the cut
+    /// carries the inbox and its pending pump wake, and resuming from it is
+    /// byte-identical to the uninterrupted run.
+    #[test]
+    fn kill_and_resume_with_parked_static_handoffs_is_bit_identical() {
+        let (ds, seeds, cfg) = fixture(Algorithm::StaticAllocation);
+        let reference = Run::new(&ds, &cfg, &seeds).go().unwrap();
+
+        // Find the first cut that lands between a handoff's arrival at a
+        // busy rank and that rank's pump.
+        let dir = tempdir("static-inbox");
+        let opts = CheckpointOptions::new(&dir, 5.0e-5);
+        let out = Run::new(&ds, &cfg, &seeds).checkpoint(opts).go().expect("checkpointed run");
+        let kill_after = out
+            .checkpoints
+            .iter()
+            .position(|snap| !ranks_with_parked_handoffs(snap).is_empty())
+            .expect("some cut must land with handoffs parked") as u64
+            + 1;
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let dir = tempdir("static-inbox-kill");
+        let mut opts = CheckpointOptions::new(&dir, 5.0e-5);
+        opts.kill_after = Some(kill_after);
+        killed(Run::new(&ds, &cfg, &seeds), opts);
+        let latest = latest_checkpoint(&dir).unwrap().expect("snapshots on disk");
+        let parked = ranks_with_parked_handoffs(&latest);
+        assert!(!parked.is_empty(), "the kill must land on the parked cut");
+        let state: SimStateDto =
+            CkptFile::read(&latest).expect("readable").value(SIM_TAG).expect("SIMS section");
+        for rank in parked {
+            assert!(
+                state.pending.iter().any(|p| p.to == rank && matches!(p.ev, EventDto::Wake(_))),
+                "rank {rank}: a parked inbox must have its pump wake in the cut"
+            );
+        }
+
+        let resumed = Run::new(&ds, &cfg, &seeds).resume(&latest).go().expect("resume");
+        assert_eq!(resumed.finished, reference.finished, "streamlines diverged after resume");
+        assert_eq!(report_json(&resumed.report), report_json(&reference.report));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// The failure detector and membership view a rank snapshot carries.
     fn liveness_of(snap: &RankSnapshot) -> Option<&crate::liveness::Liveness> {
         match snap {

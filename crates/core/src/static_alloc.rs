@@ -30,6 +30,9 @@ use streamline_math::Vec3;
 /// Rank that maintains the global active-streamline count.
 pub const COUNT_RANK: usize = 0;
 
+/// Wake token of the deferred handoff pump (see [`StaticProc`]'s `inbox`).
+const WAKE_PUMP: u64 = 0;
+
 /// How blocks map to ranks. The paper's scheme is [`Self::Contiguous`]
 /// ("the first of n processors is assigned the first 1/n of the blocks");
 /// [`Self::RoundRobin`] is the classic alternative, ablated by
@@ -84,6 +87,11 @@ pub struct StaticSnapshot {
     /// only). Absent in pre-resilience snapshots.
     #[serde(default)]
     pub resil: Option<Liveness>,
+    /// Handed-in streamlines waiting for the pump wake, which is still
+    /// pending in the cut whenever this is non-empty. Absent in snapshots
+    /// from before the deferred pump.
+    #[serde(default)]
+    pub inbox: Vec<Streamline>,
 }
 
 /// One Static Allocation rank.
@@ -93,6 +101,12 @@ pub struct StaticProc {
     ws: Workspace,
     /// Seeds assigned to this rank (they lie in its owned blocks).
     seeds: Vec<(StreamlineId, Vec3)>,
+    /// Handed-in streamlines not yet integrated. Every `Handoff` that
+    /// reaches a busy rank parks here, and one zero-delay pump wake
+    /// (armed when the inbox becomes non-empty) advances them all through
+    /// the batch kernel together: the MPI "probe everything, then compute"
+    /// loop. A non-empty inbox is exactly "a pump wake is pending".
+    inbox: Vec<Streamline>,
     /// Finished streamlines kept for inspection (geometry stays resident,
     /// which is what the memory model charges).
     pub finished: Vec<Streamline>,
@@ -147,6 +161,7 @@ impl StaticProc {
             n_procs: all_seeds.len(),
             ws,
             seeds: all_seeds[rank].clone(),
+            inbox: Vec::new(),
             finished: Vec::new(),
             memory,
             comm_geometry,
@@ -227,6 +242,7 @@ impl StaticProc {
             pingponged: self.pingponged.iter().copied().collect(),
             pingpong_times: self.pingpong_times.clone(),
             resil: self.live.clone(),
+            inbox: self.inbox.clone(),
         }
     }
 
@@ -248,6 +264,7 @@ impl StaticProc {
         self.pingponged = snap.pingponged.iter().copied().collect();
         self.pingpong_times = snap.pingpong_times.clone();
         self.live = snap.resil.clone();
+        self.inbox = snap.inbox.clone();
         Ok(())
     }
 
@@ -283,58 +300,23 @@ impl StaticProc {
         false
     }
 
-    /// Integrate `sl` through this rank's blocks; hand off or finish.
-    /// Returns the number of streamlines that terminated here (0 or 1).
-    fn process(&mut self, mut sl: Streamline, ctx: &mut dyn Context<Msg>) -> u64 {
-        let mut cur = match self.ws.locate(sl.state.position) {
-            Some(b) => b,
-            None => {
-                // Seeded outside the domain: terminates immediately.
-                sl.terminate(streamline_integrate::Termination::ExitedDomain);
-                self.ws.terminated += 1;
-                self.ws.retire_object();
-                self.finished.push(sl);
-                return 1;
-            }
-        };
-        loop {
-            if !self.owns(cur) {
-                self.ws.release(&sl);
-                let m = Msg::Handoff { sl: Box::new(sl) };
-                let bytes = m.wire_bytes(self.comm_geometry);
-                let to = self.effective_owner(cur);
-                ctx.send(to, m, bytes);
-                return 0;
-            }
-            if self.ws.try_acquire(cur, ctx).is_err() {
-                // The block is gone for good (retries exhausted): the
-                // streamline cannot proceed. Terminate it here so it still
-                // counts toward the global active count and no rank blocks
-                // forever waiting for it.
-                self.ws.terminate_unavailable(&mut sl);
-                self.finished.push(sl);
-                return 1;
-            }
-            match self.ws.advance_in(&mut sl, cur, ctx) {
-                BlockExit::MovedTo(next) => cur = next,
-                BlockExit::Done(_) => {
-                    self.finished.push(sl);
-                    return 1;
-                }
-            }
-            if self.check_memory(ctx) {
-                return 0;
-            }
-        }
+    /// Send `sl` to the rank that owns `block`; it leaves this rank's books.
+    fn hand_off(&mut self, sl: Streamline, block: BlockId, ctx: &mut dyn Context<Msg>) {
+        self.ws.release(&sl);
+        let m = Msg::Handoff { sl: Box::new(sl) };
+        let bytes = m.wire_bytes(self.comm_geometry);
+        let to = self.effective_owner(block);
+        ctx.send(to, m, bytes);
     }
 
-    /// Integrate a whole locally-seeded group through this rank's blocks via
-    /// the batch kernel: lanes are grouped by current block (lowest id
-    /// first), each block's queue is advanced in chunks of the workspace
-    /// batch width, and lanes that cross into another owned block rejoin the
-    /// worklist. Lanes crossing into foreign blocks hand off; lanes in
-    /// unloadable blocks terminate typed. Returns the number of streamlines
-    /// that terminated here.
+    /// Integrate a group of streamlines (seeds, or the handoff inbox)
+    /// through this rank's blocks via the batch kernel: lanes are grouped by
+    /// current block (lowest id first), each block's queue is advanced in
+    /// chunks of the workspace batch width, and lanes that cross into
+    /// another owned block rejoin the worklist. A lane in a foreign block is
+    /// handed off as soon as its chunk returns, not when the worklist
+    /// reaches that block; lanes in unloadable blocks terminate typed.
+    /// Returns the number of streamlines that terminated here.
     fn process_group(&mut self, group: Vec<Streamline>, ctx: &mut dyn Context<Msg>) -> u64 {
         let lanes = self.ws.batch_lanes();
         let mut done = 0;
@@ -342,7 +324,8 @@ impl StaticProc {
             std::collections::BTreeMap::new();
         for mut sl in group {
             match self.ws.locate(sl.state.position) {
-                Some(b) => worklist.entry(b).or_default().push(sl),
+                Some(b) if self.owns(b) => worklist.entry(b).or_default().push(sl),
+                Some(b) => self.hand_off(sl, b, ctx),
                 None => {
                     sl.terminate(streamline_integrate::Termination::ExitedDomain);
                     self.ws.terminated += 1;
@@ -352,19 +335,11 @@ impl StaticProc {
                 }
             }
         }
-        while let Some((&block, _)) = worklist.iter().next() {
-            let mut list = worklist.remove(&block).expect("key just found");
-            if !self.owns(block) {
-                let to = self.effective_owner(block);
-                for sl in list {
-                    self.ws.release(&sl);
-                    let m = Msg::Handoff { sl: Box::new(sl) };
-                    let bytes = m.wire_bytes(self.comm_geometry);
-                    ctx.send(to, m, bytes);
-                }
-                continue;
-            }
+        while let Some((block, mut list)) = worklist.pop_first() {
             if self.ws.try_acquire(block, ctx).is_err() {
+                // The block is gone for good (retries exhausted): terminate
+                // its lanes here so they still count toward the global
+                // active count and no rank waits forever for them.
                 for mut sl in list {
                     self.ws.terminate_unavailable(&mut sl);
                     self.finished.push(sl);
@@ -379,7 +354,10 @@ impl StaticProc {
                 let exits = self.ws.advance_batch_in(&mut chunk, block, ctx);
                 for (sl, exit) in chunk.into_iter().zip(exits) {
                     match exit {
-                        BlockExit::MovedTo(next) => worklist.entry(next).or_default().push(sl),
+                        BlockExit::MovedTo(next) if self.owns(next) => {
+                            worklist.entry(next).or_default().push(sl)
+                        }
+                        BlockExit::MovedTo(next) => self.hand_off(sl, next, ctx),
                         BlockExit::Done(_) => {
                             self.finished.push(sl);
                             done += 1;
@@ -551,7 +529,14 @@ impl Process<Msg> for StaticProc {
             Event::Message { msg: Msg::Handoff { sl }, .. } => {
                 self.note_arrival(sl.id, ctx.now());
                 self.ws.admit(&sl);
-                let done = self.process(*sl, ctx);
+                if self.inbox.is_empty() {
+                    ctx.wake_after(0.0, WAKE_PUMP);
+                }
+                self.inbox.push(*sl);
+            }
+            Event::Wake(WAKE_PUMP) => {
+                let inbox = std::mem::take(&mut self.inbox);
+                let done = self.process_group(inbox, ctx);
                 if self.failed_oom {
                     return;
                 }
@@ -591,6 +576,59 @@ impl Process<Msg> for StaticProc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{uniform_x_dataset, NullCtx};
+    use streamline_integrate::StepLimits;
+    use streamline_iosim::{DiskModel, MemoryStore};
+
+    #[test]
+    fn handoffs_before_the_pump_share_one_batch() {
+        // Uniform +x field, 2×2×2 blocks, two ranks: rank 1 owns the z ≥ 0.5
+        // half. Both streamlines start in block (1, 0, 1) and run out of
+        // the domain there.
+        let ds = uniform_x_dataset();
+        let store = Arc::new(MemoryStore::build(&ds));
+        let ws = Workspace::new(
+            ds.decomp,
+            store,
+            8,
+            DiskModel::paper_scale(),
+            StepLimits::default(),
+            1e-6,
+        );
+        let mut p = StaticProc::new(
+            1,
+            ws,
+            Arc::new(vec![Vec::new(), Vec::new()]),
+            MemoryBudget::unlimited(),
+            true,
+            1e-2,
+            2,
+            StaticPartition::Contiguous,
+            None,
+        );
+        let mut ctx = NullCtx::default();
+        for (i, x) in [0.6, 0.7].into_iter().enumerate() {
+            let sl = Streamline::new_lean(StreamlineId(i as u32), Vec3::new(x, 0.25, 0.75), 1e-2);
+            p.on_event(
+                Event::Message { from: 0, msg: Msg::Handoff { sl: Box::new(sl) } },
+                &mut ctx,
+            );
+        }
+        assert_eq!(ctx.wakes, vec![(0.0, WAKE_PUMP)], "one pump wake for both handoffs");
+        assert_eq!(p.ws.batch_calls, 0, "nothing is integrated before the wake");
+        assert_eq!(p.snapshot().inbox.len(), 2, "the inbox is part of the snapshot");
+
+        let (_, token) = ctx.take_wake().expect("armed above");
+        p.on_event(Event::Wake(token), &mut ctx);
+        assert_eq!((p.ws.batch_calls, p.ws.batched_lanes), (1, 2));
+        assert!(p.inbox.is_empty() && ctx.wakes.is_empty());
+        assert_eq!(p.finished.len(), 2);
+        let deltas: Vec<&(usize, Msg, usize)> =
+            ctx.sent.iter().filter(|(_, m, _)| matches!(m, Msg::CountDelta { .. })).collect();
+        assert_eq!(deltas.len(), 1, "{:?}", ctx.sent);
+        assert!(matches!(deltas[0], (COUNT_RANK, Msg::CountDelta { count: 2, .. }, _)));
+        assert_eq!(ctx.sent.len(), 1, "nothing is handed on: {:?}", ctx.sent);
+    }
 
     #[test]
     fn ownership_is_contiguous_and_balanced() {

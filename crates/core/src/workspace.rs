@@ -9,7 +9,9 @@ use std::sync::Arc;
 use streamline_desim::Context;
 use streamline_field::block::{Block, BlockId};
 use streamline_field::decomp::BlockDecomposition;
-use streamline_integrate::{Dopri5, StepLimits, Streamline, Termination};
+#[cfg(test)]
+use streamline_integrate::Dopri5;
+use streamline_integrate::{StepLimits, Streamline, Termination};
 use streamline_iosim::{BlockStore, CacheStats, DiskModel, LruCache, StoreError};
 
 /// Load attempts per block before a load is abandoned as unavailable.
@@ -60,7 +62,6 @@ pub struct Workspace {
     disk: DiskModel,
     limits: StepLimits,
     sec_per_step: f64,
-    stepper: Dopri5,
     /// Logical bytes charged per resident curve vertex (see
     /// [`crate::config::MemoryBudget::vertex_bytes`]).
     vertex_bytes: f64,
@@ -112,7 +113,6 @@ impl Workspace {
             disk,
             limits,
             sec_per_step,
-            stepper: Dopri5,
             vertex_bytes: 24.0,
             stream_bytes: 0.0,
             geom_vertices: 0,
@@ -242,7 +242,9 @@ impl Workspace {
     /// Advance `sl` inside resident block `id` until it exits the block or
     /// terminates. Charges compute time; updates geometry accounting. The
     /// advance itself is [`crate::advance::advance_in_block`], shared with
-    /// the query service.
+    /// the query service. Every driver runs the batch kernel; this scalar
+    /// path is the oracle of the scalar-vs-batch bit-identity tests.
+    #[cfg(test)]
     pub fn advance_in(
         &mut self,
         sl: &mut Streamline,
@@ -251,7 +253,7 @@ impl Workspace {
     ) -> BlockExit {
         let block = self.cache.get(id).expect("advance_in requires a resident block");
         let (exit, stats) =
-            crate::advance::advance_in_block(sl, &block, &self.decomp, &self.limits, &self.stepper);
+            crate::advance::advance_in_block(sl, &block, &self.decomp, &self.limits, &Dopri5);
         ctx.charge_compute(stats.steps as f64 * self.sec_per_step);
         self.geom_vertices += stats.steps;
         self.total_steps += stats.steps;
@@ -266,7 +268,7 @@ impl Workspace {
 
     /// Advance every streamline of `group` inside resident block `id` with
     /// the batch kernel — bit-identical per streamline to calling
-    /// [`Workspace::advance_in`] on each in isolation, with the same
+    /// `Workspace::advance_in` on each in isolation, with the same
     /// summed compute charge and accounting. Returns one exit per lane in
     /// input order.
     pub fn advance_batch_in(
