@@ -788,8 +788,10 @@ pub fn run_simulated_detailed_with_store(
 mod tests {
     use super::*;
     use crate::config::MemoryBudget;
+    use crate::hybrid::ROOT_MASTER;
     use crate::{Run, RunOutput};
     use streamline_field::dataset::{DatasetConfig, Seeding};
+    use streamline_iosim::FieldStore;
 
     fn tiny_run(algorithm: Algorithm, n_procs: usize, n_seeds: usize) -> RunReport {
         let mut dcfg = DatasetConfig::tiny();
@@ -801,6 +803,88 @@ mod tests {
         cfg.limits.max_steps = 300;
         cfg.memory = MemoryBudget::unlimited();
         Run::new(&ds, &cfg, &seeds).go().unwrap().report
+    }
+
+    /// Runs an inner rank and logs every send it makes as
+    /// `(from, to, is_group_remaining)`.
+    struct Spy {
+        inner: AnyProc,
+        sent: Vec<(usize, usize, bool)>,
+    }
+
+    struct SpyCtx<'a> {
+        inner: &'a mut dyn Context<Msg>,
+        sent: &'a mut Vec<(usize, usize, bool)>,
+    }
+
+    impl Context<Msg> for SpyCtx<'_> {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+        fn n_ranks(&self) -> usize {
+            self.inner.n_ranks()
+        }
+        fn now(&self) -> f64 {
+            self.inner.now()
+        }
+        fn charge_compute(&mut self, secs: f64) {
+            self.inner.charge_compute(secs)
+        }
+        fn charge_io(&mut self, secs: f64) {
+            self.inner.charge_io(secs)
+        }
+        fn send(&mut self, to: usize, msg: Msg, bytes: usize) {
+            let remaining = matches!(msg, Msg::GroupRemaining { .. });
+            self.sent.push((self.inner.rank(), to, remaining));
+            self.inner.send(to, msg, bytes)
+        }
+        fn wake_after(&mut self, delay: f64, token: u64) {
+            self.inner.wake_after(delay, token)
+        }
+        fn stop_all(&mut self) {
+            self.inner.stop_all()
+        }
+    }
+
+    impl Process<Msg> for Spy {
+        fn on_event(&mut self, ev: Event<Msg>, ctx: &mut dyn Context<Msg>) {
+            self.inner.on_event(ev, &mut SpyCtx { inner: ctx, sent: &mut self.sent });
+        }
+    }
+
+    /// Fault-free closed hybrid runs with several masters: the masters tell
+    /// each other their remaining counts and nothing else.
+    #[test]
+    fn masters_exchange_only_remaining_counts() {
+        let ds = Dataset::thermal_hydraulics(DatasetConfig::tiny());
+        for (seeding, n_seeds) in
+            [(Seeding::Sparse, 48), (Seeding::Dense, 48), (Seeding::Sparse, 3)]
+        {
+            let seeds = ds.seeds_with_count(seeding, n_seeds);
+            let mut cfg = RunConfig::new(Algorithm::HybridMasterSlave, 12);
+            cfg.limits.max_steps = 300;
+            cfg.memory = MemoryBudget::unlimited();
+            cfg.hybrid.slaves_per_master = 3;
+            let layout = HybridLayout::new(cfg.n_procs, cfg.hybrid.n_masters(cfg.n_procs));
+            assert_eq!(layout.n_masters, 3);
+            let store: Arc<dyn BlockStore> = Arc::new(FieldStore::new(ds.clone()));
+            let procs = build_procs(&ds, &seeds, &cfg, store)
+                .into_iter()
+                .map(|inner| Spy { inner, sent: Vec::new() })
+                .collect();
+            let (report, procs) = Simulation::new(cfg.cost.net, procs).run();
+            assert!(report.wall > 0.0);
+            let between_masters: Vec<(usize, usize, bool)> = procs
+                .iter()
+                .flat_map(|p| p.sent.iter().copied())
+                .filter(|&(from, to, _)| layout.is_master(from) && layout.is_master(to))
+                .collect();
+            assert!(
+                between_masters.iter().all(|&(_, to, remaining)| remaining && to == ROOT_MASTER),
+                "{seeding:?}/{n_seeds}: {between_masters:?}"
+            );
+            assert!(!between_masters.is_empty(), "{seeding:?}/{n_seeds}: peers report to the root");
+        }
     }
 
     #[test]

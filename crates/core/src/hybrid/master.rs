@@ -4,8 +4,9 @@
 //! intersect, blocks loaded, active count) and, whenever status updates
 //! arrive, applies the five rules — Assign-loaded, Assign-unloaded,
 //! Send-force, Send-hint, Load — in the paper's 7-step order to every slave
-//! with no work. Multiple masters each manage `W` slaves, exchange work when
-//! a pool drains, and master 0 maintains the global remaining count.
+//! with no work. Multiple masters each manage `W` slaves over their own
+//! block-chunked share of the seeds; they tell each other only their
+//! remaining counts, which master 0 folds into the global count.
 
 use crate::config::HybridParams;
 use crate::liveness::{Liveness, WAKE_BEAT};
@@ -86,8 +87,6 @@ pub struct MasterSnapshot {
     pub last_reported_remaining: Option<u64>,
     pub rng_key: [u8; 32],
     pub rng_word_pos: u64,
-    pub steal_outstanding: bool,
-    pub next_steal: u64,
     pub status_counter: u64,
     pub hint_after: Vec<(usize, u64)>,
     pub reported: Vec<(usize, u64)>,
@@ -114,12 +113,12 @@ pub struct MasterProc {
     comm_geometry: bool,
     /// Ranks of the slaves this master manages.
     slaves: Vec<usize>,
-    /// All master ranks (for work stealing / termination), sorted.
+    /// All master ranks (for termination), sorted.
     masters: Vec<usize>,
     /// Unassigned seed points, grouped by owning block.
     pool: BTreeMap<BlockId, Vec<(StreamlineId, Vec3)>>,
     records: BTreeMap<usize, SlaveRecord>,
-    /// Seeds this master is responsible for (adjusted by work transfers).
+    /// Seeds this master is responsible for (grown by ingest epochs).
     group_total: u64,
     /// Immediately-terminated seeds (outside the domain).
     group_pre_terminated: u64,
@@ -133,8 +132,6 @@ pub struct MasterProc {
     group_unavailable: u64,
     last_reported_remaining: Option<u64>,
     rng: ChaCha8Rng,
-    steal_outstanding: bool,
-    next_steal: usize,
     /// Statuses processed (drives the hint throttle).
     status_counter: u64,
     /// Per-slave earliest status count at which another hint may be issued
@@ -200,8 +197,6 @@ impl MasterProc {
             group_unavailable: 0,
             last_reported_remaining: None,
             rng: rng::stream(seed, "hybrid-master"),
-            steal_outstanding: false,
-            next_steal: 0,
             status_counter: 0,
             hint_after: BTreeMap::new(),
             epochs_ingested: 0,
@@ -261,8 +256,6 @@ impl MasterProc {
             last_reported_remaining: self.last_reported_remaining,
             rng_key: self.rng.get_seed(),
             rng_word_pos: self.rng.get_word_pos(),
-            steal_outstanding: self.steal_outstanding,
-            next_steal: self.next_steal as u64,
             status_counter: self.status_counter,
             hint_after: self.hint_after.iter().map(|(&s, &c)| (s, c)).collect(),
             reported: self.reported.iter().map(|(&s, &c)| (s, c)).collect(),
@@ -304,8 +297,6 @@ impl MasterProc {
         let mut rng = ChaCha8Rng::from_seed(snap.rng_key);
         rng.set_word_pos(snap.rng_word_pos);
         self.rng = rng;
-        self.steal_outstanding = snap.steal_outstanding;
-        self.next_steal = snap.next_steal as usize;
         self.status_counter = snap.status_counter;
         self.hint_after = snap.hint_after.iter().copied().collect();
         self.reported = snap.reported.iter().copied().collect();
@@ -615,20 +606,11 @@ impl MasterProc {
                 self.hint_after
                     .insert(s, self.status_counter + (self.slaves.len() as u64 / 2).max(4));
             }
-            return false;
         }
-
-        // Nothing local: try to steal seeds from a peer master.
-        if !self.steal_outstanding && self.masters.len() > 1 && self.pool.is_empty() {
-            let peers: Vec<usize> =
-                self.masters.iter().copied().filter(|&m| m != self.rank).collect();
-            let target = peers[self.next_steal % peers.len()];
-            self.next_steal += 1;
-            self.steal_outstanding = true;
-            let m = Msg::WorkRequest;
-            let bytes = m.wire_bytes(self.comm_geometry);
-            ctx.send(target, m, bytes);
-        }
+        // Nothing more: a master never asks its peers for seeds. Seeds are
+        // chunked by block across masters up front (and per ingest epoch);
+        // over the paper's whole figure matrix, no master-to-master steal
+        // request ever found a peer with pooled seeds.
         false
     }
 
@@ -756,35 +738,6 @@ impl Process<Msg> for MasterProc {
                     // An open-loop batch for this master's group (possibly
                     // empty — the epoch is still observed and reported).
                     self.epochs_ingested = self.epochs_ingested.max(epoch);
-                    self.group_total += seeds.len() as u64;
-                    for (id, p) in seeds {
-                        match self.decomp.locate(p) {
-                            Some(b) if self.quarantined.contains(&b) => self.group_unavailable += 1,
-                            Some(b) => self.pool.entry(b).or_default().push((id, p)),
-                            None => self.group_pre_terminated += 1,
-                        }
-                    }
-                    self.report_remaining(ctx);
-                    self.assign_idle(ctx);
-                }
-                Msg::WorkRequest => {
-                    // Grant up to W·N seeds.
-                    let mut granted: Vec<(StreamlineId, Vec3)> = Vec::new();
-                    let cap = self.params.slaves_per_master * self.params.n_assign;
-                    while granted.len() < cap {
-                        match self.take_seeds(cap - granted.len(), None) {
-                            Some((_, mut seeds)) => granted.append(&mut seeds),
-                            None => break,
-                        }
-                    }
-                    self.group_total -= granted.len() as u64;
-                    let m = Msg::WorkGrant { seeds: granted };
-                    let bytes = m.wire_bytes(self.comm_geometry);
-                    ctx.send(from, m, bytes);
-                    self.report_remaining(ctx);
-                }
-                Msg::WorkGrant { seeds } => {
-                    self.steal_outstanding = false;
                     self.group_total += seeds.len() as u64;
                     for (id, p) in seeds {
                         match self.decomp.locate(p) {
@@ -1054,21 +1007,47 @@ mod tests {
     }
 
     #[test]
-    fn work_request_grants_seeds_and_adjusts_totals() {
-        let mut m = master_with_seeds(100, 1);
+    fn idle_master_sends_nothing_to_its_peers() {
+        // A non-root master of three, with an empty pool and two idle
+        // slaves: it reports its remaining count to the root and otherwise
+        // leaves its peers alone, however often its slaves report idle.
+        let ds = uniform_x_dataset();
+        let mut m = MasterProc::new(
+            5,
+            ds.decomp,
+            HybridParams::default(),
+            true,
+            vec![6, 7],
+            vec![0, 5, 9],
+            vec![],
+            7,
+            None,
+        );
         let mut ctx = NullCtx::default();
-        let before = m.group_total;
-        m.on_event(Event::Message { from: 9, msg: Msg::WorkRequest }, &mut ctx);
-        let grant = ctx
-            .sent
-            .iter()
-            .find_map(|(to, msg, _)| match msg {
-                Msg::WorkGrant { seeds } if *to == 9 => Some(seeds.len()),
-                _ => None,
-            })
-            .expect("grant sent");
-        assert!(grant > 0);
-        assert_eq!(m.group_total, before - grant as u64);
+        m.on_event(Event::Start, &mut ctx);
+        let idle = SlaveStatus {
+            queued_by_block: vec![],
+            loaded: vec![],
+            active: 0,
+            terminated_total: 0,
+            out_of_work: true,
+            acked_cmds: u64::MAX,
+            failed_blocks: vec![],
+        };
+        for _ in 0..10 {
+            for s in [6, 7] {
+                m.on_event(Event::Message { from: s, msg: Msg::Status(idle.clone()) }, &mut ctx);
+            }
+        }
+        let to_peers: Vec<&(usize, Msg, usize)> =
+            ctx.sent.iter().filter(|(to, _, _)| [0, 9].contains(to)).collect();
+        assert!(
+            to_peers.iter().all(|(to, msg, _)| *to == ROOT_MASTER
+                && matches!(msg, Msg::GroupRemaining { remaining: 0, .. })),
+            "{to_peers:?}"
+        );
+        assert_eq!(to_peers.len(), 1, "the unchanged count is reported once");
+        assert!(ctx.sent.iter().all(|(to, _, _)| *to != 9));
     }
 
     #[test]
@@ -1277,26 +1256,5 @@ mod tests {
         restored.on_status(1, storm, &mut ctx_b);
         assert_eq!(ctx_a.sent, ctx_b.sent, "restored master must act identically");
         assert_eq!(m.snapshot(), restored.snapshot());
-    }
-
-    #[test]
-    fn work_grant_replenishes_pool() {
-        let ds = uniform_x_dataset();
-        let mut m = MasterProc::new(
-            0,
-            ds.decomp,
-            HybridParams::default(),
-            true,
-            vec![1],
-            vec![0, 9],
-            vec![],
-            7,
-            None,
-        );
-        let mut ctx = NullCtx::default();
-        let seeds = vec![(StreamlineId(0), Vec3::splat(0.2)), (StreamlineId(1), Vec3::splat(0.7))];
-        m.on_event(Event::Message { from: 9, msg: Msg::WorkGrant { seeds } }, &mut ctx);
-        assert_eq!(m.group_total, 2);
-        assert_eq!(m.pool.values().map(|v| v.len()).sum::<usize>(), 2);
     }
 }

@@ -110,10 +110,6 @@ pub enum Msg {
         #[serde(default)]
         by_epoch: Vec<(u32, u64)>,
     },
-    /// Hybrid: master → master work stealing request.
-    WorkRequest,
-    /// Hybrid: master → master granted seeds (empty = nothing to give).
-    WorkGrant { seeds: Vec<(StreamlineId, Vec3)> },
     /// A rank exceeded its memory budget; the run is aborted.
     OutOfMemory { rank: usize },
     /// Work stealing: diffusive load report to a lifeline neighbor (parked
@@ -181,8 +177,6 @@ impl Msg {
             // 16 bytes exactly for closed runs (empty `by_epoch`); the
             // `extra_ingested` word rides in the existing header padding.
             Msg::GroupRemaining { by_epoch, .. } => 16 + by_epoch.len() * 12,
-            Msg::WorkRequest => 8,
-            Msg::WorkGrant { seeds } => 8 + seeds.len() * 28,
             Msg::OutOfMemory { .. } => 12,
             Msg::LoadReport { .. } => 12,
             Msg::StealRequest => 8,

@@ -186,3 +186,30 @@ fn survivors_of_a_rank_death_are_bit_identical_across_drivers() {
         assert!(survivors > 0, "{algo:?}: every streamline died with one rank");
     }
 }
+
+/// Hybrid with two masters under one pinned death: the masters used to
+/// spin on empty master-to-master steal requests until the liveness
+/// deadline, which exhausted the simulator's event budget (a panic) long
+/// before the run could end. The run must now end with every seed in
+/// exactly one bucket. It still ends at the liveness deadline, not by
+/// drain.
+#[test]
+fn hybrid_with_two_masters_survives_a_rank_death() {
+    let ds = Dataset::thermal_hydraulics(DatasetConfig::default());
+    let seeds = ds.seeds_with_count(Seeding::Sparse, 500);
+    let n = seeds.points.len() as u64;
+    let mut cfg = RunConfig::new(Algorithm::HybridMasterSlave, 64);
+    assert_eq!(cfg.hybrid.n_masters(cfg.n_procs), 2);
+    cfg.limits.h0 = 1e-3;
+    cfg.limits.h_max = 0.01;
+    cfg.limits.max_steps = 1_000;
+    cfg.limits.max_arc_length = 10.0;
+    cfg.rank_chaos = Some(RankChaos::one_kill(5, 1.0e-3));
+    let RunOutput { report, finished: lines, .. } = Run::new(&ds, &cfg, &seeds).go().unwrap();
+    assert_eq!(report.rank_deaths, vec![(5, 1.0e-3)], "the kill fired");
+    assert_eq!(lines.len() as u64, n, "one result per seed");
+    let (done, unavail, lost) = buckets(&lines);
+    assert_eq!(done + unavail + lost, n, "completed + unavailable + rank_lost == ingested");
+    assert_eq!(report.terminated, n);
+    assert_eq!(report.rank_lost_streamlines, lost);
+}
