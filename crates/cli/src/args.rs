@@ -151,7 +151,8 @@ fn parse_detector(s: &str) -> Result<DetectorKind, String> {
     }
 }
 
-/// Split `--key value` pairs; rejects unknown keys against `allowed`.
+/// Split `--key value` pairs; rejects unknown keys against `allowed` and a
+/// key given twice (the last value would otherwise win silently).
 fn options(args: &[String], allowed: &[&str]) -> Result<BTreeMap<String, String>, String> {
     let mut out = BTreeMap::new();
     let mut it = args.iter();
@@ -163,9 +164,23 @@ fn options(args: &[String], allowed: &[&str]) -> Result<BTreeMap<String, String>
             return Err(format!("unknown option --{key} (allowed: {})", allowed.join(", ")));
         }
         let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-        out.insert(key.to_string(), value.clone());
+        if out.insert(key.to_string(), value.clone()).is_some() {
+            return Err(format!("--{key} given twice"));
+        }
     }
     Ok(out)
+}
+
+/// Remove the bare flag `flag` from `args`, reporting whether it was there;
+/// like an option, it may be given at most once.
+fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<bool, String> {
+    let before = args.len();
+    args.retain(|a| a != flag);
+    match before - args.len() {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(format!("{flag} given twice")),
+    }
 }
 
 fn get_parse<T: std::str::FromStr>(
@@ -259,18 +274,8 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
             // `--chaos` and `--rank-chaos` are bare flags; peel them off
             // before the key-value pass.
             let mut kv: Vec<String> = rest.to_vec();
-            let chaos = if let Some(i) = kv.iter().position(|a| a == "--chaos") {
-                kv.remove(i);
-                true
-            } else {
-                false
-            };
-            let rank_chaos_on = if let Some(i) = kv.iter().position(|a| a == "--rank-chaos") {
-                kv.remove(i);
-                true
-            } else {
-                false
-            };
+            let chaos = take_flag(&mut kv, "--chaos")?;
+            let rank_chaos_on = take_flag(&mut kv, "--rank-chaos")?;
             let o = options(
                 &kv,
                 &[
@@ -666,6 +671,18 @@ mod tests {
     fn unknown_option_rejected() {
         let e = parse(&argv("run --bogus 3")).unwrap_err();
         assert!(e.contains("unknown option --bogus"), "{e}");
+    }
+
+    #[test]
+    fn repeated_option_rejected() {
+        let e = parse(&argv("run --seeds 10 --seeds 20")).unwrap_err();
+        assert_eq!(e, "--seeds given twice");
+        let e = parse(&argv("run --rank-chaos --rank-kill 1@0.1 --rank-kill 2@0.2")).unwrap_err();
+        assert_eq!(e, "--rank-kill given twice");
+        let e = parse(&argv("run --chaos --seeds 4 --chaos")).unwrap_err();
+        assert_eq!(e, "--chaos given twice");
+        let e = parse(&argv("trace --out a --out b")).unwrap_err();
+        assert_eq!(e, "--out given twice");
     }
 
     #[test]

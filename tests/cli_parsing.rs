@@ -58,6 +58,12 @@ fn bad_input_is_rejected_not_panicking() {
     assert!(parse(&argv("run --procs NaN")).is_err());
     assert!(parse(&argv("trace --seeds -3")).is_err());
     assert!(parse(&argv("nonsense")).is_err());
+    // A repeated option is an error, not "the last value wins".
+    assert_eq!(parse(&argv("run --seeds 10 --seeds 20")).unwrap_err(), "--seeds given twice");
+    assert_eq!(
+        parse(&argv("run --rank-chaos --rank-kill 1@0.1 --rank-kill 2@0.2")).unwrap_err(),
+        "--rank-kill given twice"
+    );
 }
 
 #[test]
