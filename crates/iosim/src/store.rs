@@ -202,6 +202,11 @@ impl BlockStore for FieldStore {
                 inflight.insert(id);
             }
             let guard = InflightGuard { store: self, id };
+            // A build may have finished between the cache miss above and
+            // the claim (its builder caches before releasing its claim).
+            if let Some(b) = self.cache.lock().get(&id) {
+                return Ok(Arc::clone(b));
+            }
             // Sample outside both locks: block construction is the
             // expensive part, and waiters are parked, not spinning.
             let built = Arc::new(self.dataset.build_block(id));
