@@ -607,10 +607,8 @@ impl MasterProc {
                     .insert(s, self.status_counter + (self.slaves.len() as u64 / 2).max(4));
             }
         }
-        // Nothing more: a master never asks its peers for seeds. Seeds are
-        // chunked by block across masters up front (and per ingest epoch);
-        // over the paper's whole figure matrix, no master-to-master steal
-        // request ever found a peer with pooled seeds.
+        // A master never asks its peers for seeds: they are chunked by block
+        // across masters up front and per ingest epoch.
         false
     }
 

@@ -313,10 +313,11 @@ impl StaticProc {
     /// through this rank's blocks via the batch kernel: lanes are grouped by
     /// current block (lowest id first), each block's queue is advanced in
     /// chunks of the workspace batch width, and lanes that cross into
-    /// another owned block rejoin the worklist. A lane in a foreign block is
-    /// handed off as soon as its chunk returns, not when the worklist
-    /// reaches that block; lanes in unloadable blocks terminate typed.
-    /// Returns the number of streamlines that terminated here.
+    /// another owned block rejoin the worklist. A lane that enters a foreign
+    /// block is handed off as soon as its chunk returns, so its owner can
+    /// start on it before this rank's worklist drains; lanes in unloadable
+    /// blocks terminate typed. Returns the number of streamlines that
+    /// terminated here.
     fn process_group(&mut self, group: Vec<Streamline>, ctx: &mut dyn Context<Msg>) -> u64 {
         let lanes = self.ws.batch_lanes();
         let mut done = 0;
