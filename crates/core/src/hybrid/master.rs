@@ -1045,7 +1045,6 @@ mod tests {
             "{to_peers:?}"
         );
         assert_eq!(to_peers.len(), 1, "the unchanged count is reported once");
-        assert!(ctx.sent.iter().all(|(to, _, _)| *to != 9));
     }
 
     #[test]
