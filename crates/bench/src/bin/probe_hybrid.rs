@@ -31,7 +31,7 @@ fn main() {
                 statuses += s.sent_statuses;
                 lh += s.load_cmd_hits;
                 lm += s.load_cmd_misses;
-                let st = s.workspace().cache_stats();
+                let st = s.core().ws.cache_stats();
                 loads += st.loaded;
                 purges += st.purged;
             }

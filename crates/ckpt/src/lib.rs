@@ -28,8 +28,10 @@ use std::path::Path;
 /// Magic prefix of every checkpoint file (version baked in).
 pub const MAGIC: &[u8; 8] = b"SLCKPT1\n";
 
-/// Format version recorded in [`Meta`].
-pub const VERSION: u32 = 1;
+/// Payload layout version recorded in [`Meta`]; a file of any other version
+/// is refused. Version 2: every integrating rank's snapshot embeds the shared
+/// rank core.
+pub const VERSION: u32 = 2;
 
 /// Tag of the header section every file must start with.
 pub const META_TAG: &str = "META";
@@ -468,12 +470,21 @@ mod tests {
 
     #[test]
     fn future_version_rejected_with_mismatch() {
-        let mut w = CkptWriter::new();
-        let mut meta = Meta::new(KIND_RUN);
-        meta.version = 99;
-        w.section_value(META_TAG, &meta);
-        let f = CkptFile::parse(&w.finish()).unwrap();
-        assert!(matches!(f.meta(), Err(CkptError::Mismatch(_))));
+        // 1: the layout before the shared rank core; 99: a future build.
+        for version in [1, 99] {
+            let mut w = CkptWriter::new();
+            let mut meta = Meta::new(KIND_RUN);
+            meta.version = version;
+            w.section_value(META_TAG, &meta);
+            let f = CkptFile::parse(&w.finish()).unwrap();
+            match f.meta() {
+                Err(CkptError::Mismatch(msg)) => assert!(
+                    msg.contains(&format!("version {version} ")),
+                    "version {version}: {msg}"
+                ),
+                other => panic!("version {version} must be refused, got {other:?}"),
+            }
+        }
     }
 
     #[test]

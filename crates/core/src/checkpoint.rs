@@ -161,11 +161,9 @@ pub struct SimStateDto {
     pub next_seq: u64,
     pub events: u64,
     /// Rank deaths applied before the cut, `(rank, virtual time)` in
-    /// application order. Absent in pre-rank-fault snapshots.
-    #[serde(default)]
+    /// application order.
     pub dead: Vec<(usize, f64)>,
     /// Events dropped (dead target or dead sender) before the cut.
-    #[serde(default)]
     pub dropped_events: u64,
     pub pending: Vec<PendingDto>,
 }

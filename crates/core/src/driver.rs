@@ -8,6 +8,7 @@ use crate::ingest::{EpochMap, SeedSource};
 use crate::liveness::Liveness;
 use crate::load_on_demand::LodProc;
 use crate::msg::Msg;
+use crate::rank::RankCore;
 use crate::report::{RunOutcome, RunReport};
 use crate::static_alloc::StaticProc;
 use crate::steal::StealProc;
@@ -44,13 +45,23 @@ impl Process<Msg> for AnyProc {
 }
 
 impl AnyProc {
-    /// The workspace of an integrating rank; masters integrate nothing.
-    fn workspace(&self) -> Option<&Workspace> {
+    /// The shared state of an integrating rank; masters integrate nothing.
+    pub fn core(&self) -> Option<&RankCore> {
         match self {
-            AnyProc::Static(p) => Some(p.workspace()),
-            AnyProc::Lod(p) => Some(p.workspace()),
-            AnyProc::Slave(p) => Some(p.workspace()),
-            AnyProc::Steal(p) => Some(p.workspace()),
+            AnyProc::Static(p) => Some(p.core()),
+            AnyProc::Lod(p) => Some(p.core()),
+            AnyProc::Slave(p) => Some(p.core()),
+            AnyProc::Steal(p) => Some(p.core()),
+            AnyProc::Master(_) => None,
+        }
+    }
+
+    fn core_mut(&mut self) -> Option<&mut RankCore> {
+        match self {
+            AnyProc::Static(p) => Some(&mut p.core),
+            AnyProc::Lod(p) => Some(&mut p.core),
+            AnyProc::Slave(p) => Some(&mut p.core),
+            AnyProc::Steal(p) => Some(&mut p.core),
             AnyProc::Master(_) => None,
         }
     }
@@ -67,16 +78,6 @@ impl AnyProc {
         }
     }
 
-    fn failed_oom(&self) -> bool {
-        match self {
-            AnyProc::Static(p) => p.failed_oom,
-            AnyProc::Lod(p) => p.failed_oom,
-            AnyProc::Slave(p) => p.failed_oom,
-            AnyProc::Steal(p) => p.failed_oom,
-            AnyProc::Master(_) => false,
-        }
-    }
-
     /// Thread-runtime retirement: Load On Demand and Work Stealing ranks
     /// know when they are finished; the other algorithms end via `stop_all`.
     pub(crate) fn retired(&self) -> bool {
@@ -87,28 +88,11 @@ impl AnyProc {
         }
     }
 
-    /// Drain the finished streamlines this rank holds.
-    pub fn take_finished(&mut self) -> Vec<streamline_integrate::Streamline> {
-        match self {
-            AnyProc::Static(p) => std::mem::take(&mut p.finished),
-            AnyProc::Lod(p) => std::mem::take(&mut p.finished),
-            AnyProc::Slave(p) => std::mem::take(&mut p.finished),
-            AnyProc::Steal(p) => std::mem::take(&mut p.finished),
-            AnyProc::Master(_) => Vec::new(),
-        }
-    }
-
-    /// Borrow the finished streamlines this rank holds (dead ranks keep
-    /// theirs to the end of the run — fail-stop loses in-flight state, not
-    /// durable completions).
-    fn finished_ref(&self) -> &[streamline_integrate::Streamline] {
-        match self {
-            AnyProc::Static(p) => &p.finished,
-            AnyProc::Lod(p) => &p.finished,
-            AnyProc::Slave(p) => &p.finished,
-            AnyProc::Steal(p) => &p.finished,
-            AnyProc::Master(_) => &[],
-        }
+    /// The finished streamlines this rank holds (dead ranks keep theirs to
+    /// the end of the run — fail-stop loses in-flight state, not durable
+    /// completions).
+    fn finished(&self) -> &[streamline_integrate::Streamline] {
+        self.core().map_or(&[], |c| &c.finished)
     }
 
     /// This rank's per-epoch frontier ledger, when the run uses the
@@ -116,13 +100,7 @@ impl AnyProc {
     /// integration); on Static Allocation only the count rank's ledger is
     /// ever written, so summing over all ranks stays correct.
     fn frontier_ledgers(&self) -> Option<&FrontierDetector> {
-        match self {
-            AnyProc::Static(p) => p.detector().frontier_detector(),
-            AnyProc::Lod(p) => p.detector().frontier_detector(),
-            AnyProc::Slave(p) => p.detector().frontier_detector(),
-            AnyProc::Steal(p) => p.detector().frontier_detector(),
-            AnyProc::Master(_) => None,
-        }
+        self.core().and_then(|c| c.detector.frontier_detector())
     }
 }
 
@@ -561,7 +539,8 @@ pub(crate) fn collect_report(
     let mut pingponged: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
     let mut outcome = RunOutcome::Completed;
     for (rank, p) in procs.iter().enumerate() {
-        if let Some(ws) = p.workspace() {
+        if let Some(core) = p.core() {
+            let ws = &core.ws;
             cache.merge(&ws.cache_stats());
             terminated += ws.terminated;
             steps += ws.total_steps;
@@ -572,21 +551,19 @@ pub(crate) fn collect_report(
             load_retries += ws.load_retries;
             load_failures += ws.load_failures;
             unavailable_terminations += ws.unavailable;
-        }
-        if p.failed_oom() && outcome == RunOutcome::Completed {
-            outcome = RunOutcome::OutOfMemory { rank };
+            pingponged.extend(core.pingponged().iter().copied());
+            if core.failed_oom && outcome == RunOutcome::Completed {
+                outcome = RunOutcome::OutOfMemory { rank };
+            }
         }
         match p {
             // Quarantined pool seeds count as unavailable terminations.
             AnyProc::Master(p) => unavailable_terminations += p.unavailable_seeds(),
-            AnyProc::Static(p) => pingponged.extend(p.pingponged().iter().copied()),
-            AnyProc::Slave(p) => pingponged.extend(p.pingponged().iter().copied()),
             AnyProc::Steal(p) => {
-                pingponged.extend(p.pingponged().iter().copied());
                 balance_msgs += p.balance_msgs;
                 balance_bytes += p.balance_bytes;
             }
-            AnyProc::Lod(_) => {}
+            _ => {}
         }
     }
     // --- Rank fail-stop accounting -------------------------------------
@@ -628,7 +605,7 @@ pub(crate) fn collect_report(
         // `completed + unavailable + rank_lost == n_seeds`.
         let mut best: Vec<u8> = vec![0; seeds.len()];
         for p in procs {
-            for s in p.finished_ref() {
+            for s in p.finished() {
                 let i = s.id.0 as usize;
                 if i < best.len() {
                     best[i] = best[i].max(termination_rank(s));
@@ -719,8 +696,11 @@ pub(crate) fn drain_finished(
     procs: &mut [AnyProc],
 ) -> Vec<streamline_integrate::Streamline> {
     let recovered = recovery_ran(rank_deaths, procs);
-    let mut finished: Vec<streamline_integrate::Streamline> =
-        procs.iter_mut().flat_map(|p| p.take_finished()).collect();
+    let mut finished: Vec<streamline_integrate::Streamline> = procs
+        .iter_mut()
+        .filter_map(AnyProc::core_mut)
+        .flat_map(|c| std::mem::take(&mut c.finished))
+        .collect();
     if recovered {
         use streamline_integrate::{Streamline, Termination};
         let mut best: Vec<Option<Streamline>> = (0..seeds.len()).map(|_| None).collect();
@@ -759,12 +739,8 @@ pub(crate) fn drain_finished(
 pub(crate) fn collect_pingpong_times(procs: &[AnyProc]) -> Vec<f64> {
     let mut times: Vec<f64> = procs
         .iter()
-        .flat_map(|p| match p {
-            AnyProc::Static(p) => p.pingpong_times().to_vec(),
-            AnyProc::Slave(p) => p.pingpong_times().to_vec(),
-            AnyProc::Steal(p) => p.pingpong_times().to_vec(),
-            AnyProc::Lod(_) | AnyProc::Master(_) => Vec::new(),
-        })
+        .filter_map(AnyProc::core)
+        .flat_map(|c| c.pingpong_times().iter().copied())
         .collect();
     times.sort_by(f64::total_cmp);
     times

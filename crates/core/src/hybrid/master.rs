@@ -92,16 +92,10 @@ pub struct MasterSnapshot {
     pub reported: Vec<(usize, u64)>,
     pub done: bool,
     pub cmd_counts: [u64; 5],
-    /// Absent in pre-resilience snapshots.
-    #[serde(default)]
     pub resil: Option<MasterResil>,
-    /// Absent in pre-ingestion snapshots; 0 is exactly the closed-run value.
-    #[serde(default)]
     pub epochs_ingested: u32,
-    #[serde(default)]
     pub last_reported_extra: u32,
     /// Root master only: per-master reported ingest progress.
-    #[serde(default)]
     pub reported_extra: Vec<(usize, u32)>,
 }
 

@@ -11,24 +11,23 @@ use crate::config::MemoryBudget;
 use crate::ingest::EpochMap;
 use crate::liveness::{Liveness, WAKE_BEAT};
 use crate::msg::{Command, Msg, SlaveStatus};
-use crate::termination::{AnyDetector, DetectorKind, TerminationDetector};
-use crate::workspace::{BlockExit, Workspace, WorkspaceSnapshot};
+use crate::rank::{Parked, RankCore, RankCoreSnapshot};
+use crate::termination::{AnyDetector, DetectorKind};
+use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use streamline_desim::{Context, Event, Process};
 use streamline_field::block::BlockId;
-use streamline_integrate::{Streamline, StreamlineId, Termination};
+use streamline_integrate::Streamline;
 use streamline_iosim::StoreError;
 
 /// Serializable image of a [`SlaveProc`] mid-run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SlaveSnapshot {
-    pub ws: WorkspaceSnapshot,
+    pub core: RankCoreSnapshot,
     pub parked: Vec<(BlockId, Vec<Streamline>)>,
-    pub finished: Vec<Streamline>,
     pub last_status_terminated: u64,
     pub sent_idle_status: bool,
-    pub failed_oom: bool,
     pub terminated_cmd_seen: bool,
     pub sent_handoffs: u64,
     pub sent_statuses: u64,
@@ -36,38 +35,28 @@ pub struct SlaveSnapshot {
     pub load_cmd_misses: u64,
     pub cmds_processed: u64,
     pub failed_blocks: Vec<BlockId>,
-    #[serde(default)]
-    pub seen: Vec<u32>,
-    #[serde(default)]
-    pub pingponged: Vec<u32>,
-    #[serde(default)]
-    pub pingpong_times: Vec<f64>,
     /// The rank's failure detector and membership view (rank-chaos runs
-    /// only). Absent in pre-resilience snapshots.
-    #[serde(default)]
+    /// only).
     pub resil: Option<Liveness>,
-    /// Absent in pre-ingestion snapshots (reconstructed on restore).
-    #[serde(default)]
-    pub detector: Option<AnyDetector>,
 }
 
 /// One Hybrid slave rank.
 pub struct SlaveProc {
     rank: usize,
     master: usize,
-    ws: Workspace,
+    /// Workspace, finished list, memory budget, ping-pong record and the
+    /// per-epoch retirement ledger — slaves do the integration in this
+    /// driver, so frontier folding reads slave ledgers (the masters only
+    /// gate termination on ingest progress).
+    pub(crate) core: RankCore,
     /// Streamlines waiting per block (resident blocks' entries are
     /// advanceable; others are parked until a Load/Send decision).
-    parked: BTreeMap<BlockId, Vec<Streamline>>,
-    pub finished: Vec<Streamline>,
-    memory: MemoryBudget,
+    parked: Parked,
     comm_geometry: bool,
-    h0: f64,
     /// Terminated count included in the last status we sent (to avoid
     /// spamming identical statuses).
     last_status_terminated: u64,
     sent_idle_status: bool,
-    pub failed_oom: bool,
     pub terminated_cmd_seen: bool,
     /// Diagnostics: streamline migrations sent / statuses sent.
     pub sent_handoffs: u64,
@@ -80,12 +69,6 @@ pub struct SlaveProc {
     /// Blocks whose load exhausted the retry budget (cumulative; reported
     /// in every status so the master can quarantine them).
     failed_blocks: BTreeSet<BlockId>,
-    /// Streamline ids this rank has ever owned (assigned or handed in).
-    seen: BTreeSet<u32>,
-    /// Ids that returned after leaving — ping-pong streamlines.
-    pingponged: BTreeSet<u32>,
-    /// Virtual times at which each ping-pong was first detected.
-    pingpong_times: Vec<f64>,
     /// Resilient mode: a failure detector over the master (MasterBeat and
     /// every command are proof of life) and Beat traffic back so the
     /// master's detector sees this slave between statuses. Once the master
@@ -95,14 +78,6 @@ pub struct SlaveProc {
     /// `MasterLost` outcome instead of hanging. `None` outside rank-chaos
     /// runs so fault-free schedules are untouched.
     live: Option<Liveness>,
-    /// Per-epoch retirement ledger — slaves do the integration in this
-    /// driver, so frontier folding reads slave ledgers (the masters only
-    /// gate termination on ingest progress).
-    detector: AnyDetector,
-    /// Streamline id → ingest epoch (identity for closed runs).
-    emap: EpochMap,
-    /// `finished` entries already retired into the ledger.
-    retired_seen: usize,
 }
 
 impl SlaveProc {
@@ -118,15 +93,17 @@ impl SlaveProc {
         SlaveProc {
             rank,
             master,
-            ws,
-            parked: BTreeMap::new(),
-            finished: Vec::new(),
-            memory,
+            core: RankCore::new(
+                ws,
+                memory,
+                h0,
+                AnyDetector::new(DetectorKind::ClosedSet),
+                EpochMap::default(),
+            ),
+            parked: Parked::new(),
             comm_geometry,
-            h0,
             last_status_terminated: 0,
             sent_idle_status: false,
-            failed_oom: false,
             terminated_cmd_seen: false,
             sent_handoffs: 0,
             sent_statuses: 0,
@@ -134,69 +111,25 @@ impl SlaveProc {
             load_cmd_misses: 0,
             cmds_processed: 0,
             failed_blocks: BTreeSet::new(),
-            seen: BTreeSet::new(),
-            pingponged: BTreeSet::new(),
-            pingpong_times: Vec::new(),
             live,
-            detector: AnyDetector::new(DetectorKind::ClosedSet),
-            emap: EpochMap::default(),
-            retired_seen: 0,
         }
     }
 
     /// Switch this slave into open-loop mode: retirements are charged to
     /// ingest epochs recovered from streamline ids via `emap`.
     pub fn with_ingest(mut self, kind: DetectorKind, emap: EpochMap) -> Self {
-        self.detector = AnyDetector::new(kind);
-        self.emap = emap;
+        self.core.detector = AnyDetector::new(kind);
+        self.core.emap = emap;
         self
     }
 
-    /// The per-rank retirement ledger (for driver-level frontier folding).
-    pub fn detector(&self) -> &AnyDetector {
-        &self.detector
-    }
-
-    /// Charge terminations since the last call to the epoch ledger.
-    fn note_retirements(&mut self, now: f64) {
-        if self.retired_seen == self.finished.len() {
-            return;
-        }
-        let mut by_epoch: BTreeMap<u32, u64> = BTreeMap::new();
-        for sl in &self.finished[self.retired_seen..] {
-            *by_epoch.entry(self.emap.epoch_of(sl.id)).or_default() += 1;
-        }
-        self.retired_seen = self.finished.len();
-        for (epoch, n) in by_epoch {
-            self.detector.retire(epoch, n, now);
-        }
+    pub fn core(&self) -> &RankCore {
+        &self.core
     }
 
     /// This rank's failure detector and membership view, in resilient mode.
     pub fn liveness(&self) -> Option<&Liveness> {
         self.live.as_ref()
-    }
-
-    pub fn workspace(&self) -> &Workspace {
-        &self.ws
-    }
-
-    /// Ids that returned to this rank after leaving it.
-    pub fn pingponged(&self) -> &BTreeSet<u32> {
-        &self.pingponged
-    }
-
-    /// Virtual times of first ping-pong detection, in arrival order.
-    pub fn pingpong_times(&self) -> &[f64] {
-        &self.pingpong_times
-    }
-
-    /// First ownership or return of a streamline id on this rank; a return
-    /// is a ping-pong, recorded once per id.
-    fn note_arrival(&mut self, id: StreamlineId, now: f64) {
-        if !self.seen.insert(id.0) && self.pingponged.insert(id.0) {
-            self.pingpong_times.push(now);
-        }
     }
 
     pub fn rank(&self) -> usize {
@@ -206,12 +139,10 @@ impl SlaveProc {
     /// Capture this rank's mid-run state for a checkpoint.
     pub fn snapshot(&self) -> SlaveSnapshot {
         SlaveSnapshot {
-            ws: self.ws.snapshot(),
+            core: self.core.snapshot(),
             parked: self.parked.iter().map(|(&b, v)| (b, v.clone())).collect(),
-            finished: self.finished.clone(),
             last_status_terminated: self.last_status_terminated,
             sent_idle_status: self.sent_idle_status,
-            failed_oom: self.failed_oom,
             terminated_cmd_seen: self.terminated_cmd_seen,
             sent_handoffs: self.sent_handoffs,
             sent_statuses: self.sent_statuses,
@@ -219,22 +150,16 @@ impl SlaveProc {
             load_cmd_misses: self.load_cmd_misses,
             cmds_processed: self.cmds_processed,
             failed_blocks: self.failed_blocks.iter().copied().collect(),
-            seen: self.seen.iter().copied().collect(),
-            pingponged: self.pingponged.iter().copied().collect(),
-            pingpong_times: self.pingpong_times.clone(),
             resil: self.live.clone(),
-            detector: Some(self.detector.clone()),
         }
     }
 
     /// Restore a snapshot onto a freshly built rank (same config/dataset).
     pub fn restore(&mut self, snap: &SlaveSnapshot) -> Result<(), StoreError> {
-        self.ws.restore(&snap.ws)?;
+        self.core.restore(&snap.core)?;
         self.parked = snap.parked.iter().cloned().collect();
-        self.finished = snap.finished.clone();
         self.last_status_terminated = snap.last_status_terminated;
         self.sent_idle_status = snap.sent_idle_status;
-        self.failed_oom = snap.failed_oom;
         self.terminated_cmd_seen = snap.terminated_cmd_seen;
         self.sent_handoffs = snap.sent_handoffs;
         self.sent_statuses = snap.sent_statuses;
@@ -242,52 +167,30 @@ impl SlaveProc {
         self.load_cmd_misses = snap.load_cmd_misses;
         self.cmds_processed = snap.cmds_processed;
         self.failed_blocks = snap.failed_blocks.iter().copied().collect();
-        self.seen = snap.seen.iter().copied().collect();
-        self.pingponged = snap.pingponged.iter().copied().collect();
-        self.pingpong_times = snap.pingpong_times.clone();
         self.live = snap.resil.clone();
-        match &snap.detector {
-            Some(d) => self.detector = d.clone(),
-            None => {
-                // Pre-ingestion snapshot: rebuild the closed-run ledger
-                // from what this rank has finished.
-                let mut d = AnyDetector::new(DetectorKind::ClosedSet);
-                d.retire(0, snap.finished.len() as u64, 0.0);
-                self.detector = d;
-            }
-        }
-        self.retired_seen = self.finished.len();
         Ok(())
     }
 
-    fn check_memory(&mut self, ctx: &mut dyn Context<Msg>) -> bool {
-        if self.memory.exceeded(self.ws.memory_bytes()) {
-            self.failed_oom = true;
-            ctx.stop_all();
-            return true;
-        }
-        false
-    }
-
     fn advanceable(&self) -> usize {
-        self.parked.iter().filter(|(b, _)| self.ws.is_resident(**b)).map(|(_, v)| v.len()).sum()
+        let ws = &self.core.ws;
+        self.parked.iter().filter(|(b, _)| ws.is_resident(**b)).map(|(_, v)| v.len()).sum()
     }
 
     fn send_status(&mut self, ctx: &mut dyn Context<Msg>, out_of_work: bool) {
         let status = SlaveStatus {
             queued_by_block: self.parked.iter().map(|(b, v)| (*b, v.len() as u32)).collect(),
             loaded: {
-                let mut l = self.ws.resident_blocks();
+                let mut l = self.core.ws.resident_blocks();
                 l.sort();
                 l
             },
             active: self.advanceable() as u32,
-            terminated_total: self.ws.terminated,
+            terminated_total: self.core.ws.terminated,
             out_of_work,
             acked_cmds: self.cmds_processed,
             failed_blocks: self.failed_blocks.iter().copied().collect(),
         };
-        self.last_status_terminated = self.ws.terminated;
+        self.last_status_terminated = self.core.ws.terminated;
         self.sent_idle_status = out_of_work;
         self.sent_statuses += 1;
         let m = Msg::Status(status);
@@ -301,47 +204,47 @@ impl SlaveProc {
     fn fail_block(&mut self, block: BlockId) {
         self.failed_blocks.insert(block);
         if let Some(list) = self.parked.remove(&block) {
-            for mut sl in list {
-                self.ws.terminate_unavailable(&mut sl);
-                self.finished.push(sl);
+            for sl in list {
+                self.core.fail_lane(sl);
             }
         }
     }
 
-    /// Park `sl` at (non-resident) block `b`, unless `b` is known to be
-    /// unloadable — then it terminates immediately instead of waiting on a
-    /// Load that can never succeed.
-    fn park(&mut self, mut sl: Streamline, b: BlockId) {
-        if self.failed_blocks.contains(&b) {
-            self.ws.terminate_unavailable(&mut sl);
-            self.finished.push(sl);
+    /// Park `sl` at block `b`, unless `b` is known to be unloadable — then
+    /// it terminates immediately instead of waiting on a Load that can
+    /// never succeed.
+    fn park(
+        core: &mut RankCore,
+        parked: &mut Parked,
+        failed: &BTreeSet<BlockId>,
+        sl: Streamline,
+        b: BlockId,
+    ) {
+        if failed.contains(&b) {
+            core.fail_lane(sl);
         } else {
-            self.parked.entry(b).or_default().push(sl);
+            parked.entry(b).or_default().push(sl);
         }
     }
 
-    /// Advance everything possible (batched through the workspace batch
-    /// kernel; movers re-park and the outer sweep picks resident ones back
-    /// up), then report to the master.
+    /// Take on `sl`, now in block `b`: a resident block's lanes are
+    /// advanceable even if the block failed to load before.
+    fn receive(&mut self, sl: Streamline, b: BlockId) {
+        if self.core.ws.is_resident(b) {
+            self.parked.entry(b).or_default().push(sl);
+        } else {
+            Self::park(&mut self.core, &mut self.parked, &self.failed_blocks, sl, b);
+        }
+    }
+
+    /// Advance everything possible (movers re-park and the sweep picks
+    /// resident ones back up), then report to the master.
     fn pump(&mut self, ctx: &mut dyn Context<Msg>) {
-        let lanes = self.ws.batch_lanes();
-        while let Some(block) = self.parked.keys().copied().find(|&b| self.ws.is_resident(b)) {
-            let mut list = self.parked.remove(&block).expect("key just found");
-            while !list.is_empty() {
-                let take = lanes.min(list.len());
-                let mut group = list.split_off(list.len() - take);
-                group.reverse();
-                let exits = self.ws.advance_batch_in(&mut group, block, ctx);
-                for (sl, exit) in group.into_iter().zip(exits) {
-                    match exit {
-                        BlockExit::MovedTo(next) => self.park(sl, next),
-                        BlockExit::Done(_) => self.finished.push(sl),
-                    }
-                }
-                if self.check_memory(ctx) {
-                    return;
-                }
-            }
+        let failed = &self.failed_blocks;
+        if !self.core.drain_resident(&mut self.parked, ctx, |core, parked, sl, next| {
+            Self::park(core, parked, failed, sl, next)
+        }) {
+            return;
         }
         // Report: always when out of work (once), otherwise when progress
         // happened since the last report.
@@ -350,7 +253,7 @@ impl SlaveProc {
             if !self.sent_idle_status {
                 self.send_status(ctx, true);
             }
-        } else if self.ws.terminated != self.last_status_terminated {
+        } else if self.core.ws.terminated != self.last_status_terminated {
             self.send_status(ctx, false);
         }
     }
@@ -362,7 +265,7 @@ impl SlaveProc {
         let n = list.len();
         self.sent_handoffs += n as u64;
         for sl in list {
-            self.ws.release(&sl);
+            self.core.ws.release(&sl);
             let m = Msg::Handoff { sl: Box::new(sl) };
             let bytes = m.wire_bytes(self.comm_geometry);
             ctx.send(to, m, bytes);
@@ -378,35 +281,21 @@ impl SlaveProc {
         match cmd {
             Command::AssignSeeds { block, seeds } => {
                 // "Slave loads block B" when it is not already resident.
-                if !self.ws.is_resident(block) {
-                    if self.ws.try_acquire(block, ctx).is_err() {
+                if !self.core.ws.is_resident(block) {
+                    if self.core.ws.try_acquire(block, ctx).is_err() {
                         self.fail_block(block);
                     }
-                    if self.check_memory(ctx) {
+                    if self.core.check_memory(ctx) {
                         return;
                     }
                 }
                 let now = ctx.now();
                 for (id, seed) in seeds {
-                    self.note_arrival(id, now);
-                    let sl = Streamline::new_lean(id, seed, self.h0);
-                    self.ws.admit(&sl);
+                    self.core.note_arrival(id, now);
                     // Seeds are grouped by block by the master; trust but
                     // re-locate to stay robust.
-                    match self.ws.locate(seed) {
-                        Some(b) if self.ws.is_resident(b) => {
-                            self.parked.entry(b).or_default().push(sl)
-                        }
-                        Some(b) => self.park(sl, b),
-                        None => {
-                            let mut sl = sl;
-                            sl.terminate(Termination::ExitedDomain);
-                            // Count it so the global count converges.
-                            let ws = &mut self.ws;
-                            ws.terminated += 1;
-                            ws.retire_object();
-                            self.finished.push(sl);
-                        }
+                    if let Some((b, sl)) = self.core.place_seed(id, seed) {
+                        self.receive(sl, b);
                     }
                 }
                 self.pump(ctx);
@@ -421,7 +310,7 @@ impl SlaveProc {
                 // does not have any appropriate streamlines to send, it
                 // ignores the hint").
                 for b in blocks {
-                    if !self.ws.is_resident(b) {
+                    if !self.core.ws.is_resident(b) {
                         self.offload(b, to, ctx);
                     }
                 }
@@ -429,15 +318,15 @@ impl SlaveProc {
                 self.send_status(ctx, self.advanceable() == 0);
             }
             Command::Load { block } => {
-                if self.ws.is_resident(block) {
+                if self.core.ws.is_resident(block) {
                     self.load_cmd_hits += 1;
                 } else {
                     self.load_cmd_misses += 1;
                 }
-                if self.ws.try_acquire(block, ctx).is_err() {
+                if self.core.ws.try_acquire(block, ctx).is_err() {
                     self.fail_block(block);
                 }
-                if self.check_memory(ctx) {
+                if self.core.check_memory(ctx) {
                     return;
                 }
                 self.pump(ctx);
@@ -481,26 +370,16 @@ impl Process<Msg> for SlaveProc {
             Event::Message { msg: Msg::Command(cmd), .. } => self.handle_command(cmd, ctx),
             Event::Message { msg: Msg::Handoff { sl }, .. } => {
                 self.sent_idle_status = false;
-                self.note_arrival(sl.id, ctx.now());
-                self.ws.admit(&sl);
-                match self.ws.locate(sl.state.position) {
-                    Some(b) if self.ws.is_resident(b) => {
-                        self.parked.entry(b).or_default().push(*sl)
-                    }
-                    Some(b) => self.park(*sl, b),
-                    None => {
-                        let mut sl = *sl;
-                        sl.terminate(Termination::ExitedDomain);
-                        self.ws.terminated += 1;
-                        self.ws.retire_object();
-                        self.finished.push(sl);
-                    }
+                self.core.note_arrival(sl.id, ctx.now());
+                self.core.ws.admit(&sl);
+                if let Some((b, sl)) = self.core.place(*sl) {
+                    self.receive(sl, b);
                 }
                 self.pump(ctx);
             }
             Event::Message { .. } | Event::Wake(_) => {}
         }
-        self.note_retirements(ctx.now());
+        self.core.note_retirements(ctx.now());
     }
 }
 
@@ -582,8 +461,8 @@ mod tests {
         // Parked at block 1; instruct load.
         let parked_block = *s.parked.keys().next().expect("parked somewhere");
         s.handle_command(Command::Load { block: parked_block }, &mut ctx);
-        assert_eq!(s.finished.len(), 1, "streamline should exit the domain");
-        assert_eq!(s.ws.terminated, 1);
+        assert_eq!(s.core.finished.len(), 1, "streamline should exit the domain");
+        assert_eq!(s.core.ws.terminated, 1);
     }
 
     #[test]
@@ -638,10 +517,10 @@ mod tests {
         let mut s = slave(8);
         let mut ctx = NullCtx::default();
         // Pre-load the destination block so the streamline can run.
-        s.ws.acquire(BlockId(1), &mut ctx);
+        s.core.ws.acquire(BlockId(1), &mut ctx);
         let sl = Streamline::new_lean(StreamlineId(9), Vec3::new(0.6, 0.2, 0.2), 1e-2);
         s.on_event(Event::Message { from: 3, msg: Msg::Handoff { sl: Box::new(sl) } }, &mut ctx);
-        assert_eq!(s.finished.len(), 1);
+        assert_eq!(s.core.finished.len(), 1);
     }
 }
 
@@ -710,14 +589,14 @@ mod invariant_tests {
             }
             // Invariant check after every command.
             for b in s.parked.keys() {
-                assert!(!s.ws.is_resident(*b), "round {round}: parked block {b} is resident");
+                assert!(!s.core.ws.is_resident(*b), "round {round}: parked block {b} is resident");
             }
             // Accounting: every admitted streamline is parked, finished, or
             // was handed off.
             let parked: usize = s.parked.values().map(|v| v.len()).sum();
             let handed = s.sent_handoffs as usize;
             assert_eq!(
-                parked + s.finished.len() + handed,
+                parked + s.core.finished.len() + handed,
                 id as usize,
                 "round {round}: streamline accounting broken"
             );

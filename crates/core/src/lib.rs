@@ -45,6 +45,7 @@ pub mod ingest;
 pub mod liveness;
 pub mod load_on_demand;
 pub mod msg;
+pub mod rank;
 pub mod report;
 pub mod run;
 pub mod runstats;

@@ -14,14 +14,14 @@ use crate::config::MemoryBudget;
 use crate::ingest::EpochMap;
 use crate::liveness::{Liveness, WAKE_BEAT};
 use crate::msg::Msg;
+use crate::rank::{repark, Parked, RankCore, RankCoreSnapshot};
 use crate::termination::{AnyDetector, DetectorKind, TerminationDetector};
-use crate::workspace::{BlockExit, Workspace, WorkspaceSnapshot};
+use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use streamline_desim::{Context, Event, Process};
 use streamline_field::block::BlockId;
-use streamline_integrate::{Streamline, StreamlineId, Termination};
+use streamline_integrate::{Streamline, StreamlineId};
 use streamline_iosim::StoreError;
 use streamline_math::Vec3;
 
@@ -36,25 +36,16 @@ const WAKE_ROUND: u64 = 0;
 /// `Start`) keeps virtual times and metrics identical while giving the
 /// simulation between-event points at which a checkpoint can cut mid-run.
 pub struct LodProc {
-    ws: Workspace,
+    /// Workspace, finished list, memory budget and the local termination
+    /// detector: work opens as it is admitted (start seeds, ingest batches,
+    /// adopted chunks) and retires as it finishes. LOD ranks are
+    /// independent, so local completion *is* global completion for this
+    /// rank's share.
+    pub(crate) core: RankCore,
     seeds: Vec<(StreamlineId, Vec3)>,
-    /// Streamlines waiting for a non-resident block, keyed by block for
-    /// deterministic iteration.
-    parked: BTreeMap<BlockId, Vec<Streamline>>,
-    pub finished: Vec<Streamline>,
-    memory: MemoryBudget,
-    h0: f64,
+    /// Streamlines waiting for a non-resident block.
+    parked: Parked,
     pub done: bool,
-    pub failed_oom: bool,
-    /// Local termination detector: work opens as it is admitted (start
-    /// seeds, ingest batches, adopted chunks) and retires as it finishes.
-    /// LOD ranks are independent, so local completion *is* global
-    /// completion for this rank's share.
-    detector: AnyDetector,
-    /// Streamline id → ingest epoch (identity for closed runs).
-    emap: EpochMap,
-    /// `finished` entries already retired into the detector.
-    retired_seen: usize,
     /// This rank's identity — only meaningful in resilient mode (LOD ranks
     /// are otherwise fully independent and never address each other).
     rank: usize,
@@ -77,20 +68,13 @@ pub struct LodProc {
 /// Serializable image of a [`LodProc`] mid-run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LodSnapshot {
-    pub ws: WorkspaceSnapshot,
+    pub core: RankCoreSnapshot,
     pub seeds: Vec<(StreamlineId, Vec3)>,
     pub parked: Vec<(BlockId, Vec<Streamline>)>,
-    pub finished: Vec<Streamline>,
     pub done: bool,
-    pub failed_oom: bool,
     /// The rank's failure detector and membership view (rank-chaos runs
-    /// only). Absent in pre-resilience snapshots.
-    #[serde(default)]
+    /// only).
     pub resil: Option<Liveness>,
-    /// Absent in pre-detector snapshots — reconstructed from the parked /
-    /// finished counts.
-    #[serde(default)]
-    pub detector: Option<AnyDetector>,
 }
 
 impl LodProc {
@@ -105,21 +89,14 @@ impl LodProc {
         live: Option<Liveness>,
     ) -> Self {
         let seeds = all_seeds[rank].clone();
-        let n = seeds.len() as u32;
         let mut detector = AnyDetector::new(DetectorKind::ClosedSet);
         detector.seal(1);
+        let emap = EpochMap::closed(seeds.len() as u32);
         LodProc {
-            ws,
+            core: RankCore::new(ws, memory, h0, detector, emap),
             seeds,
-            parked: BTreeMap::new(),
-            finished: Vec::new(),
-            memory,
-            h0,
+            parked: Parked::new(),
             done: false,
-            failed_oom: false,
-            detector,
-            emap: EpochMap::closed(n),
-            retired_seen: 0,
             rank,
             n_ranks: all_seeds.len(),
             live,
@@ -132,32 +109,14 @@ impl LodProc {
     /// [`Msg::Ingest`] events — one per epoch, even when this rank's share
     /// is empty). Work opens as it is admitted.
     pub fn with_ingest(mut self, kind: DetectorKind, n_epochs: u32, emap: EpochMap) -> Self {
-        self.emap = emap;
-        self.detector = AnyDetector::new(kind);
-        self.detector.seal(n_epochs.max(1));
+        self.core.emap = emap;
+        self.core.detector = AnyDetector::new(kind);
+        self.core.detector.seal(n_epochs.max(1));
         self
     }
 
-    /// This rank's termination detector (its own share of the plan).
-    pub fn detector(&self) -> &AnyDetector {
-        &self.detector
-    }
-
-    /// Retire newly finished streamlines into the detector. Called at
-    /// every point where `finished` may have grown, so snapshots never
-    /// carry unaccounted terminations.
-    fn note_retirements(&mut self, now: f64) {
-        if self.retired_seen == self.finished.len() {
-            return;
-        }
-        let mut by_epoch: BTreeMap<u32, u64> = BTreeMap::new();
-        for sl in &self.finished[self.retired_seen..] {
-            *by_epoch.entry(self.emap.epoch_of(sl.id)).or_default() += 1;
-        }
-        self.retired_seen = self.finished.len();
-        for (epoch, n) in by_epoch {
-            self.detector.retire(epoch, n, now);
-        }
+    pub fn core(&self) -> &RankCore {
+        &self.core
     }
 
     /// This rank's failure detector and membership view, in resilient mode.
@@ -165,48 +124,35 @@ impl LodProc {
         self.live.as_ref()
     }
 
-    pub fn workspace(&self) -> &Workspace {
-        &self.ws
-    }
-
     /// Capture this rank's mid-run state for a checkpoint.
     pub fn snapshot(&self) -> LodSnapshot {
         LodSnapshot {
-            ws: self.ws.snapshot(),
+            core: self.core.snapshot(),
             seeds: self.seeds.clone(),
             parked: self.parked.iter().map(|(&b, v)| (b, v.clone())).collect(),
-            finished: self.finished.clone(),
             done: self.done,
-            failed_oom: self.failed_oom,
             resil: self.live.clone(),
-            detector: Some(self.detector.clone()),
         }
     }
 
     /// Restore a snapshot onto a freshly built rank (same config/dataset).
     pub fn restore(&mut self, snap: &LodSnapshot) -> Result<(), StoreError> {
-        self.ws.restore(&snap.ws)?;
+        self.core.restore(&snap.core)?;
         self.seeds = snap.seeds.clone();
         self.parked = snap.parked.iter().cloned().collect();
-        self.finished = snap.finished.clone();
         self.done = snap.done;
-        self.failed_oom = snap.failed_oom;
         self.live = snap.resil.clone();
-        self.detector = match &snap.detector {
-            Some(d) => d.clone(),
-            // Pre-detector snapshot (closed run): everything admitted is
-            // either parked or finished.
-            None => {
-                let mut d = AnyDetector::new(DetectorKind::ClosedSet);
-                let parked: u64 = self.parked.values().map(|v| v.len() as u64).sum();
-                d.open(0, parked + self.finished.len() as u64);
-                d.retire(0, self.finished.len() as u64, 0.0);
-                d.seal(1);
-                d
-            }
-        };
-        self.retired_seen = self.finished.len();
         Ok(())
+    }
+
+    /// Open `seeds` in ingest `epoch` and park each at its block.
+    fn admit_seeds(&mut self, epoch: u32, seeds: Vec<(StreamlineId, Vec3)>) {
+        self.core.detector.open(epoch, seeds.len() as u64);
+        for (id, seed) in seeds {
+            if let Some((b, sl)) = self.core.place_seed(id, seed) {
+                self.parked.entry(b).or_default().push(sl);
+            }
+        }
     }
 
     /// The watched predecessor is dead: record it, rewatch, and adopt its
@@ -228,21 +174,8 @@ impl LodProc {
         l.reassigned += orphan_seeds.len() as u64;
         // Adopted work joins this rank's base-epoch ledger so the replayed
         // retirements stay balanced against what was opened here.
-        self.detector.open(0, orphan_seeds.len() as u64);
-        for (id, seed) in orphan_seeds {
-            let mut sl = Streamline::new_lean(id, seed, self.h0);
-            self.ws.admit(&sl);
-            match self.ws.locate(seed) {
-                Some(b) => self.parked.entry(b).or_default().push(sl),
-                None => {
-                    sl.terminate(Termination::ExitedDomain);
-                    self.ws.terminated += 1;
-                    self.ws.retire_object();
-                    self.finished.push(sl);
-                }
-            }
-        }
-        if self.check_memory(ctx) {
+        self.admit_seeds(0, orphan_seeds);
+        if self.core.check_memory(ctx) {
             return;
         }
         // The rank may have already declared itself done; adopted work
@@ -251,79 +184,22 @@ impl LodProc {
         ctx.wake_after(0.0, WAKE_ROUND);
     }
 
-    fn check_memory(&mut self, ctx: &mut dyn Context<Msg>) -> bool {
-        if self.memory.exceeded(self.ws.memory_bytes()) {
-            self.failed_oom = true;
-            ctx.stop_all();
-            return true;
-        }
-        false
-    }
-
-    /// Advance everything whose block is resident ("integrate all
-    /// streamlines to the edge of the loaded blocks"). Returns false when
-    /// the run must abort (memory budget exceeded).
-    ///
-    /// Each resident block's queue is drained through the batch kernel in
-    /// chunks of the workspace's batch width; lanes that cross into another
-    /// block are re-parked and picked up by the next sweep of the outer
-    /// loop, so a lane still traverses every resident block before any
-    /// load happens — exactly the scalar chase, in batched order.
-    fn drain_resident(&mut self, ctx: &mut dyn Context<Msg>) -> bool {
-        let lanes = self.ws.batch_lanes();
-        while let Some(block) = self.parked.keys().copied().find(|&b| self.ws.is_resident(b)) {
-            let mut list = self.parked.remove(&block).expect("key just found");
-            while !list.is_empty() {
-                let take = lanes.min(list.len());
-                let mut group = list.split_off(list.len() - take);
-                // Scalar drained by popping from the end; keep that order
-                // within the batch.
-                group.reverse();
-                let exits = self.ws.advance_batch_in(&mut group, block, ctx);
-                for (sl, exit) in group.into_iter().zip(exits) {
-                    match exit {
-                        BlockExit::MovedTo(next) => self.parked.entry(next).or_default().push(sl),
-                        BlockExit::Done(_) => self.finished.push(sl),
-                    }
-                }
-                if self.check_memory(ctx) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// One round: drain resident blocks, then load at most one block and
-    /// yield. Terminates the rank when no work remains.
+    /// One round: advance everything whose block is resident, then load at
+    /// most one block and yield. Terminates the rank when no work remains.
     fn round(&mut self, ctx: &mut dyn Context<Msg>) {
-        if self.done || !self.drain_resident(ctx) {
+        if self.done || !self.core.drain_resident(&mut self.parked, ctx, repark) {
             return;
         }
-        self.note_retirements(ctx.now());
+        self.core.note_retirements(ctx.now());
         if self.parked.is_empty() {
             // Done only when no future ingest epoch can deliver more work;
             // otherwise stay idle — the next `Ingest` restarts the rounds.
-            if self.detector.is_done() {
+            if self.core.detector.is_done() {
                 self.done = true;
             }
             return;
         }
-        // Load the block with the most waiting streamlines (ties to the
-        // lowest id — deterministic).
-        let (&target, _) = self
-            .parked
-            .iter()
-            .max_by_key(|(id, v)| (v.len(), std::cmp::Reverse(id.0)))
-            .expect("parked is non-empty");
-        if self.ws.try_acquire(target, ctx).is_err() {
-            // Unreachable block: everything waiting on it dies typed
-            // instead of the rank spinning on the same failing load.
-            for mut sl in self.parked.remove(&target).expect("key just found") {
-                self.ws.terminate_unavailable(&mut sl);
-                self.finished.push(sl);
-            }
-        } else if self.check_memory(ctx) {
+        if !self.core.load_most_wanted(&mut self.parked, ctx) {
             return;
         }
         // Yield: the next round runs at the same virtual time, but the
@@ -343,25 +219,12 @@ impl Process<Msg> for LodProc {
                     l.watch_ring_predecessor(self.rank, self.n_ranks, ctx.now());
                     l.arm(ctx);
                 }
-                let seeds = std::mem::take(&mut self.seeds);
                 // Open the base epoch even when this rank's share is empty
                 // — the frontier cannot pass an unobserved epoch.
-                self.detector.open(0, seeds.len() as u64);
-                for (id, seed) in seeds {
-                    let mut sl = Streamline::new_lean(id, seed, self.h0);
-                    self.ws.admit(&sl);
-                    match self.ws.locate(seed) {
-                        Some(b) => self.parked.entry(b).or_default().push(sl),
-                        None => {
-                            sl.terminate(Termination::ExitedDomain);
-                            self.ws.terminated += 1;
-                            self.ws.retire_object();
-                            self.finished.push(sl);
-                        }
-                    }
-                }
+                let seeds = std::mem::take(&mut self.seeds);
+                self.admit_seeds(0, seeds);
                 self.round(ctx);
-                self.note_retirements(ctx.now());
+                self.core.note_retirements(ctx.now());
             }
             Event::Wake(WAKE_BEAT) => {
                 // Sweep (adopting the chunk of any newly dead predecessor),
@@ -371,7 +234,7 @@ impl Process<Msg> for LodProc {
                 let Some((newly, beat)) = self.live.as_mut().map(|l| l.tick(now)) else { return };
                 for rank in newly {
                     self.apply_death(rank, now, ctx);
-                    if self.failed_oom {
+                    if self.core.failed_oom {
                         return;
                     }
                 }
@@ -386,32 +249,19 @@ impl Process<Msg> for LodProc {
             }
             Event::Wake(_) => {
                 self.round(ctx);
-                self.note_retirements(ctx.now());
+                self.core.note_retirements(ctx.now());
             }
             Event::Message { msg: Msg::Ingest { epoch, seeds }, .. } => {
                 // An open-loop batch for this rank (possibly empty — the
                 // epoch is still observed). Admitted work re-opens a rank
                 // that had gone idle.
-                self.detector.open(epoch, seeds.len() as u64);
-                for (id, seed) in seeds {
-                    let mut sl = Streamline::new_lean(id, seed, self.h0);
-                    self.ws.admit(&sl);
-                    match self.ws.locate(seed) {
-                        Some(b) => self.parked.entry(b).or_default().push(sl),
-                        None => {
-                            sl.terminate(Termination::ExitedDomain);
-                            self.ws.terminated += 1;
-                            self.ws.retire_object();
-                            self.finished.push(sl);
-                        }
-                    }
-                }
-                if self.check_memory(ctx) {
+                self.admit_seeds(epoch, seeds);
+                if self.core.check_memory(ctx) {
                     return;
                 }
                 self.done = false;
                 self.round(ctx);
-                self.note_retirements(ctx.now());
+                self.core.note_retirements(ctx.now());
             }
             // Load On Demand exchanges no work messages; beats are proof of
             // life for the failure detector.
@@ -460,12 +310,14 @@ mod tests {
         let mut ctx = NullCtx::default();
         run_rounds(&mut p, &mut ctx);
         assert!(p.done);
-        assert_eq!(p.finished.len(), 10);
-        assert!(p.finished.iter().all(|s| s.status
-            == streamline_integrate::StreamlineStatus::Terminated(Termination::ExitedDomain)));
+        assert_eq!(p.core.finished.len(), 10);
+        assert!(p.core.finished.iter().all(|s| s.status
+            == streamline_integrate::StreamlineStatus::Terminated(
+                streamline_integrate::Termination::ExitedDomain
+            )));
         // Uniform +x from x=0.1 crosses 2 blocks per streamline; with a
         // roomy cache each of the blocks touched loads exactly once.
-        let stats = p.workspace().cache_stats();
+        let stats = p.core.ws.cache_stats();
         assert_eq!(stats.purged, 0);
         assert!(ctx.io > 0.0);
         assert!(ctx.sent.is_empty(), "LOD must not communicate");
@@ -489,8 +341,8 @@ mod tests {
         let mut ctx = NullCtx::default();
         run_rounds(&mut p, &mut ctx);
         assert!(p.done);
-        assert_eq!(p.finished.len(), 8);
-        let stats = p.workspace().cache_stats();
+        assert_eq!(p.core.finished.len(), 8);
+        let stats = p.core.ws.cache_stats();
         assert!(stats.purged > 0);
         assert!(stats.efficiency() < 0.5, "E = {}", stats.efficiency());
     }
@@ -508,7 +360,7 @@ mod tests {
         run_rounds(&mut p, &mut ctx);
         // Blocks on the +x path: (0,0,0) then (1,0,0) — exactly 2 loads even
         // with a single-slot cache.
-        assert_eq!(p.workspace().cache_stats().loaded, 2);
+        assert_eq!(p.core.ws.cache_stats().loaded, 2);
     }
 
     #[test]
@@ -535,7 +387,7 @@ mod tests {
         );
         let mut ctx = NullCtx::default();
         run_rounds(&mut p, &mut ctx);
-        assert!(p.failed_oom);
+        assert!(p.core.failed_oom);
         assert!(ctx.stopped);
     }
 
@@ -572,8 +424,8 @@ mod tests {
             resumed.on_event(Event::Wake(token), &mut ctx2);
         }
         assert!(resumed.done);
-        let mut a = reference.finished;
-        let mut b = resumed.finished;
+        let mut a = reference.core.finished;
+        let mut b = resumed.core.finished;
         a.sort_by_key(|s| s.id);
         b.sort_by_key(|s| s.id);
         assert_eq!(a, b, "resumed run must produce identical streamlines");
@@ -591,7 +443,7 @@ mod tests {
         let mut ctx = NullCtx::default();
         run_rounds(&mut p, &mut ctx);
         assert!(p.done);
-        assert_eq!(p.finished.len(), 1);
-        assert_eq!(p.workspace().cache_stats().loaded, 0);
+        assert_eq!(p.core.finished.len(), 1);
+        assert_eq!(p.core.ws.cache_stats().loaded, 0);
     }
 }

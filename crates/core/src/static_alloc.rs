@@ -16,10 +16,10 @@ use crate::config::MemoryBudget;
 use crate::ingest::EpochMap;
 use crate::liveness::{Liveness, WAKE_BEAT};
 use crate::msg::Msg;
+use crate::rank::{Parked, RankCore, RankCoreSnapshot};
 use crate::termination::{AnyDetector, DetectorKind, TerminationDetector};
-use crate::workspace::{BlockExit, Workspace, WorkspaceSnapshot};
+use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use streamline_desim::{Context, Event, Process};
 use streamline_field::block::BlockId;
@@ -65,40 +65,50 @@ pub fn owner_of(block: BlockId, n_blocks: usize, n_procs: usize) -> usize {
 /// run state is stored.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StaticSnapshot {
-    pub ws: WorkspaceSnapshot,
+    pub core: RankCoreSnapshot,
     pub seeds: Vec<(StreamlineId, Vec3)>,
-    pub finished: Vec<Streamline>,
-    /// Legacy mirror of the detector's outstanding count, kept so
-    /// pre-detector snapshots restore (and new snapshots stay readable by
-    /// eye).
-    pub remaining: u64,
-    pub failed_oom: bool,
-    /// The termination detector (count rank only holds real state). Absent
-    /// in pre-detector snapshots — reconstructed from `remaining`.
-    #[serde(default)]
-    pub detector: Option<AnyDetector>,
-    #[serde(default)]
-    pub seen: Vec<u32>,
-    #[serde(default)]
-    pub pingponged: Vec<u32>,
-    #[serde(default)]
-    pub pingpong_times: Vec<f64>,
     /// The rank's failure detector and membership view (rank-chaos runs
-    /// only). Absent in pre-resilience snapshots.
-    #[serde(default)]
+    /// only).
     pub resil: Option<Liveness>,
     /// Handed-in streamlines waiting for the pump wake, which is still
-    /// pending in the cut whenever this is non-empty. Absent in snapshots
-    /// from before the deferred pump.
-    #[serde(default)]
+    /// pending in the cut whenever this is non-empty.
     pub inbox: Vec<Streamline>,
+}
+
+/// Which rank owns a block under a partition of `n_blocks` over `n_procs`.
+#[derive(Debug, Clone, Copy)]
+struct Owners {
+    partition: StaticPartition,
+    n_blocks: usize,
+    n_procs: usize,
+}
+
+impl Owners {
+    /// The rank a block's work is routed to: the partition owner, or — once
+    /// that owner is known dead to rank `me` — its first live successor
+    /// (cyclic by rank id). All survivors with converged views route
+    /// identically.
+    fn of(self, block: BlockId, me: usize, live: Option<&Liveness>) -> usize {
+        let owner = self.partition.owner_of(block, self.n_blocks, self.n_procs);
+        match live {
+            Some(l) if l.is_dead(owner) => (1..self.n_procs)
+                .map(|k| (owner + k) % self.n_procs)
+                .find(|&p| p == me || !l.is_dead(p))
+                .unwrap_or(me),
+            _ => owner,
+        }
+    }
 }
 
 /// One Static Allocation rank.
 pub struct StaticProc {
     rank: usize,
-    n_procs: usize,
-    ws: Workspace,
+    owners: Owners,
+    /// Workspace, finished list, memory budget, ping-pong record, and the
+    /// global termination detector — only meaningful on [`COUNT_RANK`],
+    /// where it holds the "globally communicated streamline count" of §4.1
+    /// (closed-set) or the per-epoch frontier ledger (open-loop).
+    pub(crate) core: RankCore,
     /// Seeds assigned to this rank (they lie in its owned blocks).
     seeds: Vec<(StreamlineId, Vec3)>,
     /// Handed-in streamlines not yet integrated. Every `Handoff` that
@@ -107,28 +117,7 @@ pub struct StaticProc {
     /// the batch kernel together: the MPI "probe everything, then compute"
     /// loop. A non-empty inbox is exactly "a pump wake is pending".
     inbox: Vec<Streamline>,
-    /// Finished streamlines kept for inspection (geometry stays resident,
-    /// which is what the memory model charges).
-    pub finished: Vec<Streamline>,
-    memory: MemoryBudget,
     comm_geometry: bool,
-    h0: f64,
-    partition: StaticPartition,
-    /// Global termination detector — only meaningful on [`COUNT_RANK`],
-    /// where it holds the "globally communicated streamline count" of §4.1
-    /// (closed-set) or the per-epoch frontier ledger (open-loop).
-    detector: AnyDetector,
-    /// Streamline id → ingest epoch (identity for closed runs). Rebuilt
-    /// from the run config, never snapshotted.
-    emap: EpochMap,
-    /// Set when this rank exceeded its memory budget.
-    pub failed_oom: bool,
-    /// Streamline ids this rank has ever owned (seeded here or handed in).
-    seen: BTreeSet<u32>,
-    /// Ids that were handed back after leaving — ping-pong streamlines.
-    pingponged: BTreeSet<u32>,
-    /// Virtual times at which each ping-pong was first detected.
-    pingpong_times: Vec<f64>,
     /// Resilient mode: every rank beats and watches every peer, so each
     /// survivor detects each death itself and all converge on the same
     /// ownership rerouting. `None` outside rank-chaos runs so fault-free
@@ -138,6 +127,20 @@ pub struct StaticProc {
     /// successor of a dead rank re-seeds its slice. Rebuilt from the run
     /// config, never snapshotted.
     all_seeds: Arc<Vec<Vec<(StreamlineId, Vec3)>>>,
+}
+
+/// Send `sl` to rank `to`; it leaves this rank's books.
+fn hand_off(
+    core: &mut RankCore,
+    sl: Streamline,
+    to: usize,
+    comm_geometry: bool,
+    ctx: &mut dyn Context<Msg>,
+) {
+    core.ws.release(&sl);
+    let m = Msg::Handoff { sl: Box::new(sl) };
+    let bytes = m.wire_bytes(comm_geometry);
+    ctx.send(to, m, bytes);
 }
 
 impl StaticProc {
@@ -156,50 +159,47 @@ impl StaticProc {
         partition: StaticPartition,
         live: Option<Liveness>,
     ) -> Self {
+        let owners =
+            Owners { partition, n_blocks: ws.decomp.num_blocks(), n_procs: all_seeds.len() };
         StaticProc {
             rank,
-            n_procs: all_seeds.len(),
-            ws,
+            owners,
+            core: RankCore::new(
+                ws,
+                memory,
+                h0,
+                Self::detector_for(rank, DetectorKind::ClosedSet, &[total_streamlines]),
+                EpochMap::closed(total_streamlines as u32),
+            ),
             seeds: all_seeds[rank].clone(),
             inbox: Vec::new(),
-            finished: Vec::new(),
-            memory,
             comm_geometry,
-            h0,
-            partition,
-            detector: if rank == COUNT_RANK {
-                AnyDetector::sealed_over(DetectorKind::ClosedSet, &[total_streamlines])
-            } else {
-                AnyDetector::new(DetectorKind::ClosedSet)
-            },
-            emap: EpochMap::closed(total_streamlines as u32),
-            failed_oom: false,
-            seen: BTreeSet::new(),
-            pingponged: BTreeSet::new(),
-            pingpong_times: Vec::new(),
             live,
             all_seeds,
         }
     }
 
-    /// Select the termination detector and ingest plan for this rank. The
-    /// count rank's detector is pre-opened and sealed over the whole plan
-    /// (`epoch_totals[e]` seeds in epoch `e`); with the default
-    /// `ClosedSet` kind and a single epoch this is exactly the legacy
-    /// `remaining` counter.
-    pub fn with_ingest(mut self, kind: DetectorKind, epoch_totals: &[u64], emap: EpochMap) -> Self {
-        self.emap = emap;
-        self.detector = if self.rank == COUNT_RANK {
+    /// The count rank's detector is pre-opened and sealed over the whole
+    /// plan (`epoch_totals[e]` seeds in epoch `e`); the others hold none.
+    fn detector_for(rank: usize, kind: DetectorKind, epoch_totals: &[u64]) -> AnyDetector {
+        if rank == COUNT_RANK {
             AnyDetector::sealed_over(kind, epoch_totals)
         } else {
             AnyDetector::new(kind)
-        };
+        }
+    }
+
+    /// Select the termination detector and ingest plan for this rank. With
+    /// the default `ClosedSet` kind and a single epoch the count rank's
+    /// detector is exactly §4.1's global streamline count.
+    pub fn with_ingest(mut self, kind: DetectorKind, epoch_totals: &[u64], emap: EpochMap) -> Self {
+        self.core.emap = emap;
+        self.core.detector = Self::detector_for(self.rank, kind, epoch_totals);
         self
     }
 
-    /// This rank's termination detector (real state on [`COUNT_RANK`]).
-    pub fn detector(&self) -> &AnyDetector {
-        &self.detector
+    pub fn core(&self) -> &RankCore {
+        &self.core
     }
 
     /// This rank's failure detector and membership view, in resilient mode.
@@ -207,40 +207,11 @@ impl StaticProc {
         self.live.as_ref()
     }
 
-    pub fn workspace(&self) -> &Workspace {
-        &self.ws
-    }
-
-    /// Ids that returned to this rank after leaving it.
-    pub fn pingponged(&self) -> &BTreeSet<u32> {
-        &self.pingponged
-    }
-
-    /// Virtual times of first ping-pong detection, in arrival order.
-    pub fn pingpong_times(&self) -> &[f64] {
-        &self.pingpong_times
-    }
-
-    /// First ownership or return of a streamline id on this rank; a return
-    /// is a ping-pong, recorded once per id.
-    fn note_arrival(&mut self, id: StreamlineId, now: f64) {
-        if !self.seen.insert(id.0) && self.pingponged.insert(id.0) {
-            self.pingpong_times.push(now);
-        }
-    }
-
     /// Capture this rank's mid-run state for a checkpoint.
     pub fn snapshot(&self) -> StaticSnapshot {
         StaticSnapshot {
-            ws: self.ws.snapshot(),
+            core: self.core.snapshot(),
             seeds: self.seeds.clone(),
-            finished: self.finished.clone(),
-            remaining: self.detector.outstanding(),
-            failed_oom: self.failed_oom,
-            detector: Some(self.detector.clone()),
-            seen: self.seen.iter().copied().collect(),
-            pingponged: self.pingponged.iter().copied().collect(),
-            pingpong_times: self.pingpong_times.clone(),
             resil: self.live.clone(),
             inbox: self.inbox.clone(),
         }
@@ -248,141 +219,105 @@ impl StaticProc {
 
     /// Restore a snapshot onto a freshly built rank (same config/dataset).
     pub fn restore(&mut self, snap: &StaticSnapshot) -> Result<(), StoreError> {
-        self.ws.restore(&snap.ws)?;
+        self.core.restore(&snap.core)?;
         self.seeds = snap.seeds.clone();
-        self.finished = snap.finished.clone();
-        self.detector = match &snap.detector {
-            Some(d) => d.clone(),
-            // Pre-detector snapshot: reconstruct the legacy counter.
-            None if self.rank == COUNT_RANK => {
-                AnyDetector::sealed_over(DetectorKind::ClosedSet, &[snap.remaining])
-            }
-            None => AnyDetector::new(DetectorKind::ClosedSet),
-        };
-        self.failed_oom = snap.failed_oom;
-        self.seen = snap.seen.iter().copied().collect();
-        self.pingponged = snap.pingponged.iter().copied().collect();
-        self.pingpong_times = snap.pingpong_times.clone();
         self.live = snap.resil.clone();
         self.inbox = snap.inbox.clone();
         Ok(())
     }
 
-    /// The rank a block's work is routed to: the partition owner, or — once
-    /// that owner is known dead — its first live successor (cyclic by rank
-    /// id). All survivors with converged views route identically.
-    fn effective_owner(&self, block: BlockId) -> usize {
-        let owner = self.partition.owner_of(block, self.ws.decomp.num_blocks(), self.n_procs);
-        match &self.live {
-            Some(l) if l.is_dead(owner) => (1..self.n_procs)
-                .map(|k| (owner + k) % self.n_procs)
-                .find(|&p| p == self.rank || !l.is_dead(p))
-                .unwrap_or(self.rank),
-            _ => owner,
+    /// Tell the count rank that this rank ran out of memory.
+    fn report_oom(&self, ctx: &mut dyn Context<Msg>) {
+        if self.rank != COUNT_RANK {
+            let m = Msg::OutOfMemory { rank: self.rank };
+            let bytes = m.wire_bytes(self.comm_geometry);
+            ctx.send(COUNT_RANK, m, bytes);
         }
     }
 
-    fn owns(&self, block: BlockId) -> bool {
-        self.effective_owner(block) == self.rank
-    }
-
-    fn check_memory(&mut self, ctx: &mut dyn Context<Msg>) -> bool {
-        if self.memory.exceeded(self.ws.memory_bytes()) {
-            self.failed_oom = true;
-            if self.rank != COUNT_RANK {
-                let m = Msg::OutOfMemory { rank: self.rank };
-                let bytes = m.wire_bytes(self.comm_geometry);
-                ctx.send(COUNT_RANK, m, bytes);
-            }
-            ctx.stop_all();
-            return true;
+    /// Instantiate `seeds` as streamlines owned here, all before
+    /// integrating any — the initialization pattern that makes dense
+    /// seeding fatal in §5.3 ("all 22,000 seed points were being processed
+    /// on a single processor") — then integrate and report them.
+    fn integrate_seeds(
+        &mut self,
+        seeds: Vec<(StreamlineId, Vec3)>,
+        now: f64,
+        ctx: &mut dyn Context<Msg>,
+    ) {
+        let created: Vec<Streamline> = seeds
+            .into_iter()
+            .map(|(id, seed)| {
+                self.core.note_arrival(id, now);
+                self.core.spawn(id, seed)
+            })
+            .collect();
+        if self.core.check_memory(ctx) {
+            self.report_oom(ctx);
+            return;
         }
-        false
-    }
-
-    /// Send `sl` to the rank that owns `block`; it leaves this rank's books.
-    fn hand_off(&mut self, sl: Streamline, block: BlockId, ctx: &mut dyn Context<Msg>) {
-        self.ws.release(&sl);
-        let m = Msg::Handoff { sl: Box::new(sl) };
-        let bytes = m.wire_bytes(self.comm_geometry);
-        let to = self.effective_owner(block);
-        ctx.send(to, m, bytes);
+        self.integrate(created, ctx);
     }
 
     /// Integrate a group of streamlines (seeds, or the handoff inbox)
-    /// through this rank's blocks via the batch kernel: lanes are grouped by
-    /// current block (lowest id first), each block's queue is advanced in
-    /// chunks of the workspace batch width, and lanes that cross into
-    /// another owned block rejoin the worklist. A lane that enters a foreign
-    /// block is handed off as soon as its chunk returns, so its owner can
-    /// start on it before this rank's worklist drains; lanes in unloadable
-    /// blocks terminate typed. Returns the number of streamlines that
-    /// terminated here.
-    fn process_group(&mut self, group: Vec<Streamline>, ctx: &mut dyn Context<Msg>) -> u64 {
-        let lanes = self.ws.batch_lanes();
-        let mut done = 0;
-        let mut worklist: std::collections::BTreeMap<BlockId, Vec<Streamline>> =
-            std::collections::BTreeMap::new();
-        for mut sl in group {
-            match self.ws.locate(sl.state.position) {
-                Some(b) if self.owns(b) => worklist.entry(b).or_default().push(sl),
-                Some(b) => self.hand_off(sl, b, ctx),
-                None => {
-                    sl.terminate(streamline_integrate::Termination::ExitedDomain);
-                    self.ws.terminated += 1;
-                    self.ws.retire_object();
-                    self.finished.push(sl);
-                    done += 1;
-                }
+    /// through this rank's blocks, then report its terminations: lanes are
+    /// grouped by current block (lowest id first) and each block's queue
+    /// goes through the batch kernel; lanes that cross into another owned
+    /// block rejoin the worklist. A lane that enters a foreign block is
+    /// handed off as soon as its chunk returns, so its owner can start on it
+    /// before this rank's worklist drains; lanes in unloadable blocks
+    /// terminate typed.
+    fn integrate(&mut self, group: Vec<Streamline>, ctx: &mut dyn Context<Msg>) {
+        let before = self.core.finished.len();
+        let (me, owners, comm_geometry) = (self.rank, self.owners, self.comm_geometry);
+        let live = self.live.as_ref();
+        let route =
+            |core: &mut RankCore,
+             worklist: &mut Parked,
+             sl: Streamline,
+             block: BlockId,
+             ctx: &mut dyn Context<Msg>| match owners.of(block, me, live) {
+                to if to == me => worklist.entry(block).or_default().push(sl),
+                to => hand_off(core, sl, to, comm_geometry, ctx),
+            };
+        let mut worklist = Parked::new();
+        for sl in group {
+            if let Some((b, sl)) = self.core.place(sl) {
+                route(&mut self.core, &mut worklist, sl, b, ctx);
             }
         }
-        while let Some((block, mut list)) = worklist.pop_first() {
-            if self.ws.try_acquire(block, ctx).is_err() {
+        while let Some((block, list)) = worklist.pop_first() {
+            if self.core.ws.try_acquire(block, ctx).is_err() {
                 // The block is gone for good (retries exhausted): terminate
                 // its lanes here so they still count toward the global
                 // active count and no rank waits forever for them.
-                for mut sl in list {
-                    self.ws.terminate_unavailable(&mut sl);
-                    self.finished.push(sl);
-                    done += 1;
+                for sl in list {
+                    self.core.fail_lane(sl);
                 }
                 continue;
             }
-            while !list.is_empty() {
-                let take = lanes.min(list.len());
-                let mut chunk = list.split_off(list.len() - take);
-                chunk.reverse();
-                let exits = self.ws.advance_batch_in(&mut chunk, block, ctx);
-                for (sl, exit) in chunk.into_iter().zip(exits) {
-                    match exit {
-                        BlockExit::MovedTo(next) if self.owns(next) => {
-                            worklist.entry(next).or_default().push(sl)
-                        }
-                        BlockExit::MovedTo(next) => self.hand_off(sl, next, ctx),
-                        BlockExit::Done(_) => {
-                            self.finished.push(sl);
-                            done += 1;
-                        }
-                    }
-                }
-                if self.check_memory(ctx) {
-                    return done;
-                }
+            let advanced = self.core.advance_block(block, list, ctx, |core, sl, next, ctx| {
+                route(core, &mut worklist, sl, next, ctx)
+            });
+            if !advanced {
+                self.report_oom(ctx);
+                return;
             }
         }
-        done
+        self.flush_terminations((self.core.finished.len() - before) as u64, ctx);
     }
 
     /// Per-epoch split of the last `n` entries of `finished` (exactly the
     /// streamlines terminated by the call that is about to flush them).
     /// Empty for single-epoch runs — the closed wire format.
     fn epoch_split(&self, n: usize) -> Vec<(u32, u32)> {
-        if self.emap.n_epochs() <= 1 || n == 0 {
+        let core = &self.core;
+        if core.emap.n_epochs() <= 1 || n == 0 {
             return Vec::new();
         }
         let mut m: std::collections::BTreeMap<u32, u32> = std::collections::BTreeMap::new();
-        for sl in &self.finished[self.finished.len() - n..] {
-            *m.entry(self.emap.epoch_of(sl.id)).or_default() += 1;
+        for sl in &core.finished[core.finished.len() - n..] {
+            *m.entry(core.emap.epoch_of(sl.id)).or_default() += 1;
         }
         m.into_iter().collect()
     }
@@ -404,22 +339,20 @@ impl StaticProc {
 
     fn apply_count(&mut self, count: u64, by_epoch: &[(u32, u32)], ctx: &mut dyn Context<Msg>) {
         debug_assert_eq!(self.rank, COUNT_RANK);
+        let detector = &mut self.core.detector;
         // Re-seeded work after a death can legitimately over-count; outside
         // resilient mode an underflow is still a protocol bug.
-        debug_assert!(
-            self.live.is_some() || self.detector.outstanding() >= count,
-            "count underflow"
-        );
+        debug_assert!(self.live.is_some() || detector.outstanding() >= count, "count underflow");
         let now = ctx.now();
         if by_epoch.is_empty() {
-            self.detector.retire(0, count, now);
+            detector.retire(0, count, now);
         } else {
             debug_assert_eq!(by_epoch.iter().map(|&(_, c)| c as u64).sum::<u64>(), count);
             for &(epoch, c) in by_epoch {
-                self.detector.retire(epoch, c as u64, now);
+                detector.retire(epoch, c as u64, now);
             }
         }
-        if self.detector.is_done() {
+        if detector.is_done() {
             ctx.stop_all();
         }
     }
@@ -436,8 +369,8 @@ impl StaticProc {
         if !l.mark_dead(rank, now, true) {
             return;
         }
-        let adopter = (1..self.n_procs)
-            .map(|k| (rank + k) % self.n_procs)
+        let adopter = (1..self.owners.n_procs)
+            .map(|k| (rank + k) % self.owners.n_procs)
             .find(|&p| p == self.rank || !l.is_dead(p));
         if adopter != Some(self.rank) {
             return;
@@ -447,20 +380,7 @@ impl StaticProc {
             return;
         }
         l.reassigned += orphan_seeds.len() as u64;
-        let mut created: Vec<Streamline> = Vec::with_capacity(orphan_seeds.len());
-        for (id, seed) in orphan_seeds {
-            self.note_arrival(id, now);
-            let sl = Streamline::new_lean(id, seed, self.h0);
-            self.ws.admit(&sl);
-            created.push(sl);
-        }
-        if self.check_memory(ctx) {
-            return;
-        }
-        let done = self.process_group(created, ctx);
-        if !self.failed_oom {
-            self.flush_terminations(done, ctx);
-        }
+        self.integrate_seeds(orphan_seeds, now, ctx);
     }
 }
 
@@ -473,36 +393,18 @@ impl Process<Msg> for StaticProc {
             Event::Start => {
                 if let Some(l) = self.live.as_mut() {
                     let now = ctx.now();
-                    for p in (0..self.n_procs).filter(|&p| p != self.rank) {
+                    for p in (0..self.owners.n_procs).filter(|&p| p != self.rank) {
                         l.monitor.watch(p, now);
                     }
                     l.arm(ctx);
                 }
-                // Instantiate the entire local seed set before integrating —
-                // the initialization pattern that makes dense seeding fatal
-                // in §5.3 ("all 22,000 seed points were being processed on a
-                // single processor").
                 let seeds = std::mem::take(&mut self.seeds);
-                let mut created: Vec<Streamline> = Vec::with_capacity(seeds.len());
-                let now = ctx.now();
-                for (id, seed) in seeds {
-                    self.note_arrival(id, now);
-                    let sl = Streamline::new_lean(id, seed, self.h0);
-                    self.ws.admit(&sl);
-                    created.push(sl);
-                }
-                if self.check_memory(ctx) {
-                    return;
-                }
-                let done = self.process_group(created, ctx);
-                if self.failed_oom {
-                    return;
-                }
-                self.flush_terminations(done, ctx);
+                self.integrate_seeds(seeds, ctx.now(), ctx);
                 // A degenerate (zero-seed) plan is already complete: the
                 // count rank must stop the world now — no termination will
                 // ever arrive to trigger it.
-                if self.rank == COUNT_RANK && self.detector.is_done() {
+                if !self.core.failed_oom && self.rank == COUNT_RANK && self.core.detector.is_done()
+                {
                     ctx.stop_all();
                 }
             }
@@ -510,26 +412,11 @@ impl Process<Msg> for StaticProc {
                 // An open-loop batch, pre-routed to this rank by block
                 // owner: instantiate and integrate exactly like start-time
                 // seeds (epoch recovery is by id, not by tag).
-                let now = ctx.now();
-                let mut created: Vec<Streamline> = Vec::with_capacity(seeds.len());
-                for (id, seed) in seeds {
-                    self.note_arrival(id, now);
-                    let sl = Streamline::new_lean(id, seed, self.h0);
-                    self.ws.admit(&sl);
-                    created.push(sl);
-                }
-                if self.check_memory(ctx) {
-                    return;
-                }
-                let done = self.process_group(created, ctx);
-                if self.failed_oom {
-                    return;
-                }
-                self.flush_terminations(done, ctx);
+                self.integrate_seeds(seeds, ctx.now(), ctx);
             }
             Event::Message { msg: Msg::Handoff { sl }, .. } => {
-                self.note_arrival(sl.id, ctx.now());
-                self.ws.admit(&sl);
+                self.core.note_arrival(sl.id, ctx.now());
+                self.core.ws.admit(&sl);
                 if self.inbox.is_empty() {
                     ctx.wake_after(0.0, WAKE_PUMP);
                 }
@@ -537,11 +424,7 @@ impl Process<Msg> for StaticProc {
             }
             Event::Wake(WAKE_PUMP) => {
                 let inbox = std::mem::take(&mut self.inbox);
-                let done = self.process_group(inbox, ctx);
-                if self.failed_oom {
-                    return;
-                }
-                self.flush_terminations(done, ctx);
+                self.integrate(inbox, ctx);
             }
             Event::Message { msg: Msg::CountDelta { count, by_epoch }, .. } => {
                 self.apply_count(count as u64, &by_epoch, ctx);
@@ -556,12 +439,12 @@ impl Process<Msg> for StaticProc {
                 let Some((newly, beat)) = self.live.as_mut().map(|l| l.tick(now)) else { return };
                 for rank in newly {
                     self.apply_death(rank, now, ctx);
-                    if self.failed_oom {
+                    if self.core.failed_oom {
                         return;
                     }
                 }
                 if let Some(l) = self.live.as_mut().filter(|_| beat) {
-                    for p in l.live_ranks(self.rank, self.n_procs) {
+                    for p in l.live_ranks(self.rank, self.owners.n_procs) {
                         if p != self.rank {
                             ctx.send(p, Msg::Beat, Msg::Beat.wire_bytes(self.comm_geometry));
                         }
@@ -616,14 +499,14 @@ mod tests {
             );
         }
         assert_eq!(ctx.wakes, vec![(0.0, WAKE_PUMP)], "one pump wake for both handoffs");
-        assert_eq!(p.ws.batch_calls, 0, "nothing is integrated before the wake");
+        assert_eq!(p.core.ws.batch_calls, 0, "nothing is integrated before the wake");
         assert_eq!(p.snapshot().inbox.len(), 2, "the inbox is part of the snapshot");
 
         let (_, token) = ctx.take_wake().expect("armed above");
         p.on_event(Event::Wake(token), &mut ctx);
-        assert_eq!((p.ws.batch_calls, p.ws.batched_lanes), (1, 2));
+        assert_eq!((p.core.ws.batch_calls, p.core.ws.batched_lanes), (1, 2));
         assert!(p.inbox.is_empty() && ctx.wakes.is_empty());
-        assert_eq!(p.finished.len(), 2);
+        assert_eq!(p.core.finished.len(), 2);
         let deltas: Vec<&(usize, Msg, usize)> =
             ctx.sent.iter().filter(|(_, m, _)| matches!(m, Msg::CountDelta { .. })).collect();
         assert_eq!(deltas.len(), 1, "{:?}", ctx.sent);

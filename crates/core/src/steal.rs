@@ -34,13 +34,13 @@ use crate::config::{MemoryBudget, StealParams};
 use crate::ingest::EpochMap;
 use crate::liveness::{Liveness, WAKE_BEAT};
 use crate::msg::Msg;
-use crate::termination::{AnyDetector, DetectorKind, TerminationDetector};
-use crate::workspace::{BlockExit, Workspace, WorkspaceSnapshot};
+use crate::rank::{repark, Parked, RankCore, RankCoreSnapshot};
+use crate::termination::{AnyDetector, DetectorKind};
+use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
 use streamline_desim::{Context, Event, Process};
 use streamline_field::block::BlockId;
-use streamline_integrate::{Streamline, StreamlineId, Termination};
+use streamline_integrate::{Streamline, StreamlineId};
 use streamline_iosim::StoreError;
 use streamline_math::Vec3;
 
@@ -75,16 +75,15 @@ pub struct StealProc {
     params: StealParams,
     comm_geometry: bool,
     neighbors: Vec<usize>,
-    ws: Workspace,
+    /// Workspace, finished list, memory budget, ping-pong record and the
+    /// per-epoch retirement ledger. Work migrates freely between steal
+    /// ranks, so the ledger's `opened` side is meaningless here — only
+    /// retirements are recorded, for driver-level frontier folding.
+    pub(crate) core: RankCore,
     seeds: Vec<(StreamlineId, Vec3)>,
-    /// Streamlines waiting for a non-resident block, keyed by block for
-    /// deterministic iteration.
-    parked: BTreeMap<BlockId, Vec<Streamline>>,
-    pub finished: Vec<Streamline>,
-    memory: MemoryBudget,
-    h0: f64,
+    /// Streamlines waiting for a non-resident block.
+    parked: Parked,
     pub done: bool,
-    pub failed_oom: bool,
     /// A diffusion tick is pending; ticks re-arm only while this rank has
     /// work, so an idle cluster schedules no events at all.
     tick_armed: bool,
@@ -103,19 +102,12 @@ pub struct StealProc {
     black: bool,
     /// Safra: token held until this rank is passive.
     held_token: Option<(i64, bool)>,
-    /// Ingest-epoch fold carried by the held token (separate field so the
-    /// snapshot's `held_token` keeps its pre-ingestion shape on disk).
+    /// Ingest-epoch fold carried by the held token.
     held_extra: u32,
     /// Rank 0 only: a token is circulating.
     token_out: bool,
     /// Rank 0 only: a retry wake is pending after a failed circulation.
     retry_armed: bool,
-    /// Streamline ids this rank has ever owned.
-    seen: BTreeSet<u32>,
-    /// Ids that arrived while already in `seen` — ping-pong streamlines.
-    pingponged: BTreeSet<u32>,
-    /// Virtual times at which each ping-pong was first detected.
-    pingpong_times: Vec<f64>,
     /// Balancing-protocol traffic (reports, probes, transfers, tokens).
     pub balance_msgs: u64,
     pub balance_bytes: u64,
@@ -124,14 +116,6 @@ pub struct StealProc {
     /// `None` outside rank-chaos runs so fault-free schedules are
     /// untouched.
     resil: Option<StealResil>,
-    /// Per-epoch retirement ledger. Work migrates freely between steal
-    /// ranks, so the `opened` side is meaningless here — only retirements
-    /// are recorded, for driver-level frontier folding.
-    detector: AnyDetector,
-    /// Streamline id → ingest epoch (identity for closed runs).
-    emap: EpochMap,
-    /// `finished` entries already retired into the ledger.
-    retired_seen: usize,
     /// Highest ingest epoch observed at this rank (0 for closed runs). The
     /// termination token folds the minimum across ranks: a wave can only
     /// succeed once every live rank has seen every epoch, which is what
@@ -171,12 +155,10 @@ impl StealResil {
 /// Serializable image of a [`StealProc`] mid-run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StealSnapshot {
-    pub ws: WorkspaceSnapshot,
+    pub core: RankCoreSnapshot,
     pub seeds: Vec<(StreamlineId, Vec3)>,
     pub parked: Vec<(BlockId, Vec<Streamline>)>,
-    pub finished: Vec<Streamline>,
     pub done: bool,
-    pub failed_oom: bool,
     pub tick_armed: bool,
     pub hunting: bool,
     pub hunt_cursor: usize,
@@ -186,22 +168,11 @@ pub struct StealSnapshot {
     pub held_token: Option<(i64, bool)>,
     pub token_out: bool,
     pub retry_armed: bool,
-    pub seen: Vec<u32>,
-    pub pingponged: Vec<u32>,
-    pub pingpong_times: Vec<f64>,
     pub balance_msgs: u64,
     pub balance_bytes: u64,
-    /// Absent in pre-resilience snapshots.
-    #[serde(default)]
     pub resil: Option<StealResil>,
-    /// Absent in pre-ingestion snapshots (reconstructed on restore).
-    #[serde(default)]
-    pub detector: Option<AnyDetector>,
-    /// Absent in pre-ingestion snapshots; 0 is exactly the closed-run value.
-    #[serde(default)]
     pub extra_ingested: u32,
     /// Epoch fold of the held token, if any; 0 matches closed runs.
-    #[serde(default)]
     pub held_extra: u32,
 }
 
@@ -224,14 +195,16 @@ impl StealProc {
             params,
             comm_geometry,
             neighbors: lifeline_neighbors(rank, n_ranks, params.neighbor_degree),
-            ws,
+            core: RankCore::new(
+                ws,
+                memory,
+                h0,
+                AnyDetector::new(DetectorKind::ClosedSet),
+                EpochMap::default(),
+            ),
             seeds,
-            parked: BTreeMap::new(),
-            finished: Vec::new(),
-            memory,
-            h0,
+            parked: Parked::new(),
             done: false,
-            failed_oom: false,
             tick_armed: false,
             hunting: false,
             hunt_cursor: 0,
@@ -242,9 +215,6 @@ impl StealProc {
             held_extra: 0,
             token_out: false,
             retry_armed: false,
-            seen: BTreeSet::new(),
-            pingponged: BTreeSet::new(),
-            pingpong_times: Vec::new(),
             balance_msgs: 0,
             balance_bytes: 0,
             resil: live.map(|live| StealResil {
@@ -254,9 +224,6 @@ impl StealProc {
                 probe_target: None,
                 held_dead: Vec::new(),
             }),
-            detector: AnyDetector::new(DetectorKind::ClosedSet),
-            emap: EpochMap::default(),
-            retired_seen: 0,
             extra_ingested: 0,
             n_epochs: 1,
         }
@@ -266,30 +233,14 @@ impl StealProc {
     /// be observed (epoch 0 at start, the rest as [`Msg::Ingest`] events),
     /// with `emap` recovering any streamline's epoch from its id.
     pub fn with_ingest(mut self, kind: DetectorKind, n_epochs: u32, emap: EpochMap) -> Self {
-        self.detector = AnyDetector::new(kind);
-        self.emap = emap;
+        self.core.detector = AnyDetector::new(kind);
+        self.core.emap = emap;
         self.n_epochs = n_epochs.max(1);
         self
     }
 
-    /// The per-rank retirement ledger (for driver-level frontier folding).
-    pub fn detector(&self) -> &AnyDetector {
-        &self.detector
-    }
-
-    /// Charge terminations since the last call to the epoch ledger.
-    fn note_retirements(&mut self, now: f64) {
-        if self.retired_seen == self.finished.len() {
-            return;
-        }
-        let mut by_epoch: BTreeMap<u32, u64> = BTreeMap::new();
-        for sl in &self.finished[self.retired_seen..] {
-            *by_epoch.entry(self.emap.epoch_of(sl.id)).or_default() += 1;
-        }
-        self.retired_seen = self.finished.len();
-        for (epoch, n) in by_epoch {
-            self.detector.retire(epoch, n, now);
-        }
+    pub fn core(&self) -> &RankCore {
+        &self.core
     }
 
     /// This rank's failure detector and membership view, in resilient mode.
@@ -297,29 +248,13 @@ impl StealProc {
         self.resil.as_ref().map(|r| &r.live)
     }
 
-    pub fn workspace(&self) -> &Workspace {
-        &self.ws
-    }
-
-    /// Ids that returned to this rank after leaving it.
-    pub fn pingponged(&self) -> &BTreeSet<u32> {
-        &self.pingponged
-    }
-
-    /// Virtual times of first ping-pong detection, in arrival order.
-    pub fn pingpong_times(&self) -> &[f64] {
-        &self.pingpong_times
-    }
-
     /// Capture this rank's mid-run state for a checkpoint.
     pub fn snapshot(&self) -> StealSnapshot {
         StealSnapshot {
-            ws: self.ws.snapshot(),
+            core: self.core.snapshot(),
             seeds: self.seeds.clone(),
             parked: self.parked.iter().map(|(&b, v)| (b, v.clone())).collect(),
-            finished: self.finished.clone(),
             done: self.done,
-            failed_oom: self.failed_oom,
             tick_armed: self.tick_armed,
             hunting: self.hunting,
             hunt_cursor: self.hunt_cursor,
@@ -329,13 +264,9 @@ impl StealProc {
             held_token: self.held_token,
             token_out: self.token_out,
             retry_armed: self.retry_armed,
-            seen: self.seen.iter().copied().collect(),
-            pingponged: self.pingponged.iter().copied().collect(),
-            pingpong_times: self.pingpong_times.clone(),
             balance_msgs: self.balance_msgs,
             balance_bytes: self.balance_bytes,
             resil: self.resil.clone(),
-            detector: Some(self.detector.clone()),
             extra_ingested: self.extra_ingested,
             held_extra: self.held_extra,
         }
@@ -343,12 +274,10 @@ impl StealProc {
 
     /// Restore a snapshot onto a freshly built rank (same config/dataset).
     pub fn restore(&mut self, snap: &StealSnapshot) -> Result<(), StoreError> {
-        self.ws.restore(&snap.ws)?;
+        self.core.restore(&snap.core)?;
         self.seeds = snap.seeds.clone();
         self.parked = snap.parked.iter().cloned().collect();
-        self.finished = snap.finished.clone();
         self.done = snap.done;
-        self.failed_oom = snap.failed_oom;
         self.tick_armed = snap.tick_armed;
         self.hunting = snap.hunting;
         self.hunt_cursor = snap.hunt_cursor;
@@ -358,23 +287,9 @@ impl StealProc {
         self.held_token = snap.held_token;
         self.token_out = snap.token_out;
         self.retry_armed = snap.retry_armed;
-        self.seen = snap.seen.iter().copied().collect();
-        self.pingponged = snap.pingponged.iter().copied().collect();
-        self.pingpong_times = snap.pingpong_times.clone();
         self.balance_msgs = snap.balance_msgs;
         self.balance_bytes = snap.balance_bytes;
         self.resil = snap.resil.clone();
-        match &snap.detector {
-            Some(d) => self.detector = d.clone(),
-            None => {
-                // Pre-ingestion snapshot: rebuild the closed-run ledger
-                // from what this rank has finished.
-                let mut d = AnyDetector::new(DetectorKind::ClosedSet);
-                d.retire(0, snap.finished.len() as u64, 0.0);
-                self.detector = d;
-            }
-        }
-        self.retired_seen = self.finished.len();
         self.extra_ingested = snap.extra_ingested;
         self.held_extra = snap.held_extra;
         if self.resil.is_some() {
@@ -544,54 +459,22 @@ impl StealProc {
         ctx.send(self.ring_successor(), msg, bytes);
     }
 
-    /// First ownership or return of a streamline id on this rank; a return
-    /// is a ping-pong, recorded once per id.
-    fn note_arrival(&mut self, id: StreamlineId, now: f64) {
-        if !self.seen.insert(id.0) && self.pingponged.insert(id.0) {
-            self.pingpong_times.push(now);
-        }
-    }
-
-    fn check_memory(&mut self, ctx: &mut dyn Context<Msg>) -> bool {
-        if self.memory.exceeded(self.ws.memory_bytes()) {
-            self.failed_oom = true;
-            ctx.stop_all();
-            return true;
-        }
-        false
-    }
-
-    /// Advance everything whose block is resident (same rule as Load On
-    /// Demand, batched the same way: chunks of the workspace batch width,
-    /// movers re-parked for the next sweep). Returns false when the run
-    /// must abort.
-    fn drain_resident(&mut self, ctx: &mut dyn Context<Msg>) -> bool {
-        let lanes = self.ws.batch_lanes();
-        while let Some(block) = self.parked.keys().copied().find(|&b| self.ws.is_resident(b)) {
-            let mut list = self.parked.remove(&block).expect("key just found");
-            while !list.is_empty() {
-                let take = lanes.min(list.len());
-                let mut group = list.split_off(list.len() - take);
-                group.reverse();
-                let exits = self.ws.advance_batch_in(&mut group, block, ctx);
-                for (sl, exit) in group.into_iter().zip(exits) {
-                    match exit {
-                        BlockExit::MovedTo(next) => self.parked.entry(next).or_default().push(sl),
-                        BlockExit::Done(_) => self.finished.push(sl),
-                    }
-                }
-                if self.check_memory(ctx) {
-                    return false;
-                }
+    /// Admit `seeds` as new streamlines owned here and park each at its
+    /// block.
+    fn admit_seeds(&mut self, seeds: Vec<(StreamlineId, Vec3)>, now: f64) {
+        for (id, seed) in seeds {
+            self.core.note_arrival(id, now);
+            if let Some((b, sl)) = self.core.place_seed(id, seed) {
+                self.parked.entry(b).or_default().push(sl);
             }
         }
-        true
     }
 
-    /// One round: drain resident blocks, then load at most one block and
-    /// yield. With no work left the rank turns to its lifelines.
+    /// One round: advance everything whose block is resident (the Load On
+    /// Demand rule), then load at most one block and yield. With no work
+    /// left the rank turns to its lifelines.
     fn round(&mut self, ctx: &mut dyn Context<Msg>) {
-        if self.done || !self.drain_resident(ctx) {
+        if self.done || !self.core.drain_resident(&mut self.parked, ctx, repark) {
             return;
         }
         if self.parked.is_empty() {
@@ -600,21 +483,7 @@ impl StealProc {
         }
         self.hunted_since_idle = false;
         self.arm_tick(ctx);
-        // Load the block with the most waiting streamlines (ties to the
-        // lowest id — deterministic, same rule as Load On Demand).
-        let (&target, _) = self
-            .parked
-            .iter()
-            .max_by_key(|(id, v)| (v.len(), std::cmp::Reverse(id.0)))
-            .expect("parked is non-empty");
-        if self.ws.try_acquire(target, ctx).is_err() {
-            // Unreachable block: everything waiting on it dies typed
-            // instead of the rank spinning on the same failing load.
-            for mut sl in self.parked.remove(&target).expect("key just found") {
-                self.ws.terminate_unavailable(&mut sl);
-                self.finished.push(sl);
-            }
-        } else if self.check_memory(ctx) {
+        if !self.core.load_most_wanted(&mut self.parked, ctx) {
             return;
         }
         ctx.wake_after(0.0, WAKE_ROUND);
@@ -714,7 +583,7 @@ impl StealProc {
             let list = self.parked.get_mut(&block).expect("key just found");
             while budget > 0 {
                 let Some(sl) = list.pop() else { break };
-                self.ws.release(&sl);
+                self.core.ws.release(&sl);
                 out.push((block, sl));
                 budget -= 1;
             }
@@ -752,11 +621,11 @@ impl StealProc {
         self.hunted_since_idle = false;
         let now = ctx.now();
         for (block, sl) in sls {
-            self.note_arrival(sl.id, now);
-            self.ws.admit(&sl);
+            self.core.note_arrival(sl.id, now);
+            self.core.ws.admit(&sl);
             self.parked.entry(block).or_default().push(sl);
         }
-        if self.check_memory(ctx) {
+        if self.core.check_memory(ctx) {
             return;
         }
         self.arm_tick(ctx);
@@ -768,7 +637,7 @@ impl StealProc {
     /// death the lowest live rank) additionally launches fresh tokens and
     /// evaluates returning ones.
     fn maybe_advance_token(&mut self, ctx: &mut dyn Context<Msg>) {
-        if self.done || self.failed_oom || self.n_ranks < 2 || !self.passive() {
+        if self.done || self.core.failed_oom || self.n_ranks < 2 || !self.passive() {
             return;
         }
         // Sole survivor: nobody left to count with — local quiescence is
@@ -836,21 +705,8 @@ impl Process<Msg> for StealProc {
         }
         match ev {
             Event::Start => {
-                let now = ctx.now();
-                for (id, seed) in std::mem::take(&mut self.seeds) {
-                    self.note_arrival(id, now);
-                    let mut sl = Streamline::new_lean(id, seed, self.h0);
-                    self.ws.admit(&sl);
-                    match self.ws.locate(seed) {
-                        Some(b) => self.parked.entry(b).or_default().push(sl),
-                        None => {
-                            sl.terminate(Termination::ExitedDomain);
-                            self.ws.terminated += 1;
-                            self.ws.retire_object();
-                            self.finished.push(sl);
-                        }
-                    }
-                }
+                let seeds = std::mem::take(&mut self.seeds);
+                self.admit_seeds(seeds, ctx.now());
                 if let Some(r) = self.resil.as_mut() {
                     r.live.watch_ring_predecessor(self.rank, self.n_ranks, ctx.now());
                     r.live.arm(ctx);
@@ -890,23 +746,9 @@ impl Process<Msg> for StealProc {
                         // so a token that beat the arrival circulates dirty.
                         self.extra_ingested = self.extra_ingested.max(epoch);
                         self.black = true;
-                        let now = ctx.now();
                         let had_seeds = !seeds.is_empty();
-                        for (id, seed) in seeds {
-                            self.note_arrival(id, now);
-                            let mut sl = Streamline::new_lean(id, seed, self.h0);
-                            self.ws.admit(&sl);
-                            match self.ws.locate(seed) {
-                                Some(b) => self.parked.entry(b).or_default().push(sl),
-                                None => {
-                                    sl.terminate(Termination::ExitedDomain);
-                                    self.ws.terminated += 1;
-                                    self.ws.retire_object();
-                                    self.finished.push(sl);
-                                }
-                            }
-                        }
-                        if self.check_memory(ctx) {
+                        self.admit_seeds(seeds, ctx.now());
+                        if self.core.check_memory(ctx) {
                             return;
                         }
                         if had_seeds {
@@ -940,7 +782,7 @@ impl Process<Msg> for StealProc {
                 }
             }
         }
-        self.note_retirements(ctx.now());
+        self.core.note_retirements(ctx.now());
         self.maybe_advance_token(ctx);
     }
 }
@@ -1008,7 +850,7 @@ mod tests {
         let mut ctx = NullCtx::default();
         run_rounds(&mut p, &mut ctx);
         assert!(p.done);
-        assert_eq!(p.finished.len(), 6);
+        assert_eq!(p.core.finished.len(), 6);
         assert!(ctx.sent.is_empty(), "a lone rank has nobody to balance with");
         assert_eq!(p.balance_msgs, 0);
     }
@@ -1043,7 +885,7 @@ mod tests {
         let block = BlockId(7);
         for i in 0..3 {
             let sl = Streamline::new_lean(StreamlineId(i), Vec3::new(0.8, 0.8, 0.8), 1e-2);
-            p.ws.admit(&sl);
+            p.core.ws.admit(&sl);
             p.parked.entry(block).or_default().push(sl);
         }
         let mut ctx = NullCtx::default();
@@ -1070,14 +912,14 @@ mod tests {
     #[test]
     fn pingpong_detected_once_per_returning_streamline() {
         let mut p = proc_with(Vec::new(), 4, 0);
-        p.note_arrival(StreamlineId(5), 0.1);
-        assert!(p.pingponged().is_empty(), "first ownership is not a ping-pong");
-        p.note_arrival(StreamlineId(5), 0.2);
-        p.note_arrival(StreamlineId(5), 0.3);
-        assert_eq!(p.pingponged().len(), 1);
-        assert_eq!(p.pingpong_times(), &[0.2], "counted at first return only");
-        p.note_arrival(StreamlineId(9), 0.4);
-        assert_eq!(p.pingponged().len(), 1);
+        p.core.note_arrival(StreamlineId(5), 0.1);
+        assert!(p.core.pingponged().is_empty(), "first ownership is not a ping-pong");
+        p.core.note_arrival(StreamlineId(5), 0.2);
+        p.core.note_arrival(StreamlineId(5), 0.3);
+        assert_eq!(p.core.pingponged().len(), 1);
+        assert_eq!(p.core.pingpong_times(), &[0.2], "counted at first return only");
+        p.core.note_arrival(StreamlineId(9), 0.4);
+        assert_eq!(p.core.pingponged().len(), 1);
     }
 
     #[test]
@@ -1102,7 +944,7 @@ mod tests {
         while let Some((_, token)) = ctx.take_wake() {
             p.on_event(Event::Wake(token), &mut ctx);
         }
-        assert_eq!(p.finished.len(), 1);
+        assert_eq!(p.core.finished.len(), 1);
     }
 
     #[test]
@@ -1115,7 +957,7 @@ mod tests {
         if let Some((_, token)) = ctx.take_wake() {
             p.on_event(Event::Wake(token), &mut ctx);
         }
-        p.note_arrival(StreamlineId(0), 0.5);
+        p.core.note_arrival(StreamlineId(0), 0.5);
         let snap = p.snapshot();
         let mut q = proc_with(seeds, 4, 0);
         q.restore(&snap).expect("store has every block");

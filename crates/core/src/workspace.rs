@@ -36,12 +36,9 @@ pub struct WorkspaceSnapshot {
     pub load_retries: u64,
     pub load_failures: u64,
     pub unavailable: u64,
-    /// Streamlines advanced through the batch kernel (absent in snapshots
-    /// from before the kernel existed — defaults keep them readable).
-    #[serde(default)]
+    /// Streamlines advanced through the batch kernel.
     pub batched_lanes: u64,
     /// Batch-kernel invocations.
-    #[serde(default)]
     pub batch_calls: u64,
 }
 
