@@ -117,33 +117,6 @@ impl Stepper for Dopri5 {
     }
 }
 
-/// DOPRI5 with FSAL reuse disabled: every step evaluates all seven stages
-/// afresh. Trajectories are bit-identical to [`Dopri5`]'s; this exists as
-/// the no-reuse baseline for benchmarks and bit-identity tests.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Dopri5NoReuse;
-
-impl Stepper for Dopri5NoReuse {
-    fn step(&self, f: Rhs<'_>, y: Vec3, h: f64, tol: &Tolerances) -> Result<StepResult, StageFail> {
-        Dopri5.step(f, y, h, tol)
-    }
-
-    // The default `step_fsal` clears the memo and delegates here, so the
-    // tracer's speed check cannot reuse stages either — a true baseline.
-
-    fn order(&self) -> usize {
-        5
-    }
-
-    fn adaptive(&self) -> bool {
-        true
-    }
-
-    fn name(&self) -> &'static str {
-        "dopri5-noreuse"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,19 +254,6 @@ mod tests {
         assert_eq!(retry.y, cold.y);
         assert_eq!(retry.error, cold.error);
         assert_ne!(full.y, retry.y);
-    }
-
-    #[test]
-    fn noreuse_baseline_matches_dopri5() {
-        let mut f = |p: Vec3| Some(Vec3::new(p.y, -p.x, 0.1));
-        let tol = Tolerances::default();
-        let y = Vec3::new(1.0, 0.0, 0.0);
-        let a = Dopri5.step(&mut f, y, 0.1, &tol).unwrap();
-        let b = Dopri5NoReuse.step(&mut f, y, 0.1, &tol).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(Dopri5NoReuse.order(), 5);
-        assert!(Dopri5NoReuse.adaptive());
-        assert_eq!(Dopri5NoReuse.name(), "dopri5-noreuse");
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod unsteady;
 pub use batch::{
     advect_batch, advect_batch_rounds, BatchAdvected, BatchPartial, BatchSampler, StreamlineBatch,
 };
-pub use dopri5::{Dopri5, Dopri5NoReuse};
+pub use dopri5::Dopri5;
 pub use ode::{FsalCache, StageFail, StepResult, Stepper, Tolerances};
 pub use streamline::{SolverState, Streamline, StreamlineId, StreamlineStatus, Termination};
 pub use tracer::{advect, AdvectOutcome, StepLimits};

@@ -14,11 +14,53 @@ use streamline_repro::core::BlockExit;
 use streamline_repro::field::dataset::{Dataset, DatasetConfig, Seeding};
 use streamline_repro::field::sampler::CellSampler;
 use streamline_repro::field::{Block, BlockId};
+use streamline_repro::integrate::ode::Rhs;
 use streamline_repro::integrate::tracer::{advect, StepLimits};
-use streamline_repro::integrate::{Dopri5, Dopri5NoReuse, Streamline, StreamlineId};
+use streamline_repro::integrate::{
+    Dopri5, StageFail, StepResult, Stepper, Streamline, StreamlineId, Tolerances,
+};
 use streamline_repro::math::{rng, Vec3};
 
 use rand::Rng;
+
+/// DOPRI5 with FSAL reuse disabled: every step evaluates all seven stages
+/// afresh. The no-reuse reference path the fast kernel is checked against.
+#[derive(Debug, Clone, Copy, Default)]
+struct Dopri5NoReuse;
+
+impl Stepper for Dopri5NoReuse {
+    fn step(&self, f: Rhs<'_>, y: Vec3, h: f64, tol: &Tolerances) -> Result<StepResult, StageFail> {
+        Dopri5.step(f, y, h, tol)
+    }
+
+    // The default `step_fsal` clears the memo and delegates here, so the
+    // tracer's speed check cannot reuse stages either — a true baseline.
+
+    fn order(&self) -> usize {
+        5
+    }
+
+    fn adaptive(&self) -> bool {
+        true
+    }
+
+    fn name(&self) -> &'static str {
+        "dopri5-noreuse"
+    }
+}
+
+#[test]
+fn noreuse_baseline_matches_dopri5() {
+    let mut f = |p: Vec3| Some(Vec3::new(p.y, -p.x, 0.1));
+    let tol = Tolerances::default();
+    let y = Vec3::new(1.0, 0.0, 0.0);
+    let a = Dopri5.step(&mut f, y, 0.1, &tol).unwrap();
+    let b = Dopri5NoReuse.step(&mut f, y, 0.1, &tol).unwrap();
+    assert_eq!(a, b);
+    assert_eq!(Dopri5NoReuse.order(), 5);
+    assert!(Dopri5NoReuse.adaptive());
+    assert_eq!(Dopri5NoReuse.name(), "dopri5-noreuse");
+}
 
 fn assert_bit_identical(fast: &Streamline, reference: &Streamline, label: &str) {
     assert_eq!(fast.status, reference.status, "{label}: status");
