@@ -30,8 +30,9 @@ pub const MAGIC: &[u8; 8] = b"SLCKPT1\n";
 
 /// Payload layout version recorded in [`Meta`]; a file of any other version
 /// is refused. Version 2: every integrating rank's snapshot embeds the shared
-/// rank core.
-pub const VERSION: u32 = 2;
+/// rank core. Version 3: that core's detector is always the frontier ledger,
+/// and the run config carries no detector choice.
+pub const VERSION: u32 = 3;
 
 /// Tag of the header section every file must start with.
 pub const META_TAG: &str = "META";
@@ -470,8 +471,9 @@ mod tests {
 
     #[test]
     fn future_version_rejected_with_mismatch() {
-        // 1: the layout before the shared rank core; 99: a future build.
-        for version in [1, 99] {
+        // 1: the layout before the shared rank core; 2: the layout with a
+        // choice of detector; 99: a future build.
+        for version in [1, 2, 99] {
             let mut w = CkptWriter::new();
             let mut meta = Meta::new(KIND_RUN);
             meta.version = version;

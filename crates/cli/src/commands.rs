@@ -1,10 +1,15 @@
 //! Command implementations behind the `slrepro` binary.
 
-use crate::args::{AlgoChoice, Command, DatasetKind};
-use streamline_core::{classify, recommend, summarize, Algorithm, FlowKnowledge, Run, RunConfig};
+use crate::args::{AlgoChoice, Command, DatasetKind, FtleSpec, ObsCheckSpec, RunSpec, TraceSpec};
+use std::sync::Arc;
+use streamline_core::{
+    classify, latest_checkpoint, recommend, summarize, Algorithm, FlowKnowledge,
+};
+use streamline_core::{Run, RunConfig, RunError, RunOutput, SeedSource};
 use streamline_field::dataset::{Dataset, DatasetConfig, Seeding};
 use streamline_field::unsteady::UnsteadyDoubleGyre;
 use streamline_integrate::{advect, Dopri5, StepLimits, Streamline, StreamlineId};
+use streamline_iosim::{BlockStore, FaultPlan, FaultStore, FieldStore};
 use streamline_math::Vec3;
 use streamline_output::{csv, obj, ppm, vtk};
 use streamline_pathline::ftle::ftle_grid;
@@ -47,7 +52,7 @@ fn limits_for(kind: DatasetKind, seeding: Seeding) -> StepLimits {
 pub fn execute(cmd: Command) -> i32 {
     match cmd {
         Command::Help => {
-            println!("{}", crate::args::USAGE);
+            println!("{}", crate::args::usage());
             0
         }
         Command::Info => {
@@ -71,16 +76,16 @@ pub fn execute(cmd: Command) -> i32 {
             );
             0
         }
-        Command::Classify { dataset, seeding, seeds } => {
-            let ds = build_dataset(dataset);
-            let n = seeds.unwrap_or_else(|| ds.paper_seed_count(seeding));
-            let set = ds.seeds_with_count(seeding, n);
+        Command::Classify(spec) => {
+            let ds = build_dataset(spec.dataset);
+            let n = spec.seeds.unwrap_or_else(|| ds.paper_seed_count(spec.seeding));
+            let set = ds.seeds_with_count(spec.seeding, n);
             let cfg = RunConfig::new(Algorithm::HybridMasterSlave, 64);
             let profile = classify(&ds, &set, &cfg);
             println!(
                 "problem: {} / {} / {} seeds\n  data: {:.1} GB ({} blocks)\n  fits in one rank's cache: {}\n  seed set small: {}\n  seed extent fraction: {:.3} (dense: {})\n  seeded block fraction: {:.3}",
                 ds.name,
-                seeding.label(),
+                spec.seeding.label(),
                 n,
                 profile.data_bytes / 1e9,
                 ds.decomp.num_blocks(),
@@ -94,409 +99,23 @@ pub fn execute(cmd: Command) -> i32 {
             println!("\nadvisor (§6, flow unknown): {} — {}", rec.algorithm.label(), rec.rationale);
             0
         }
-        Command::Run {
-            dataset,
-            seeding,
-            algorithm,
-            procs,
-            seeds,
-            cache,
-            steal,
-            batch,
-            chaos,
-            chaos_seed,
-            chaos_params,
-            rank_chaos,
-            ingest_epochs,
-            ingest_interval,
-            ingest_batch,
-            detector,
-            json,
-            trace,
-            trace_bucket,
-            metrics,
-            checkpoint,
-            checkpoint_interval,
-            kill_after_checkpoints,
-            resume,
-        } => {
-            use std::sync::Arc;
-            use streamline_core::{
-                latest_checkpoint, CheckpointOptions, RunError, RunOutput, SeedSource,
-            };
-            use streamline_iosim::{BlockStore, FaultPlan, FaultStore, FieldStore};
-            // Parsing already validates the knobs; re-check here so
-            // programmatic construction cannot smuggle bad values past the
-            // typed error into a driver panic.
-            if let Err(e) = steal.validate() {
-                eprintln!("error: {e}");
-                return 64;
-            }
-            if let Err(e) = batch.validate() {
-                eprintln!("error: {e}");
-                return 64;
-            }
-            if let Err(e) = chaos_params.validate() {
-                eprintln!("error: {e}");
-                return 64;
-            }
-            if let Some(rc) = &rank_chaos {
-                if let Err(e) = rc.validate() {
-                    eprintln!("error: {e}");
-                    return 64;
+        Command::Run(spec) => run(*spec),
+        Command::ObsCheck(ObsCheckSpec { trace, metrics, ckpt }) => {
+            let mut code = 0;
+            let checks = [
+                trace.map(|p| check_trace(&p)),
+                metrics.map(|p| check_metrics(&p)),
+                ckpt.map(|p| check_ckpt(&p)),
+            ];
+            for result in checks.into_iter().flatten() {
+                match result {
+                    Ok(line) => println!("{line}"),
+                    Err(e) => code = fail(e),
                 }
             }
-            let ds = build_dataset(dataset);
-            let n = seeds.unwrap_or_else(|| ds.paper_seed_count(seeding));
-            let set = ds.seeds_with_count(seeding, n);
-            // Open-loop schedule: `--ingest-epochs` batches of dense-layout
-            // seeds arriving every `--ingest-interval` virtual seconds (none:
-            // a closed run). The schedule is a pure function of the flags,
-            // so a resume under the same flags rebuilds it bit-exactly.
-            let extra = ds.seeds_with_count(Seeding::Dense, ingest_epochs * ingest_batch);
-            let epochs: Vec<(f64, Vec<Vec3>)> = (0..ingest_epochs)
-                .map(|e| {
-                    let at = (e + 1) as f64 * ingest_interval;
-                    (at, extra.points[e * ingest_batch..(e + 1) * ingest_batch].to_vec())
-                })
-                .collect();
-            let source = SeedSource::new(&set, epochs)
-                .expect("flag validation guarantees a well-formed schedule");
-            let mut cfg = RunConfig::new(Algorithm::HybridMasterSlave, procs);
-            cfg.limits = limits_for(dataset, seeding);
-            cfg.cache_blocks = cache;
-            cfg.steal = *steal;
-            cfg.batch = batch;
-            cfg.rank_chaos = rank_chaos.map(|rc| *rc);
-            cfg.detector = detector;
-            cfg.algorithm = match algorithm {
-                AlgoChoice::Fixed(a) => a,
-                AlgoChoice::Auto => {
-                    let rec = recommend(&classify(&ds, &set, &cfg), FlowKnowledge::Unknown);
-                    eprintln!("advisor picked {}: {}", rec.algorithm.label(), rec.rationale);
-                    rec.algorithm
-                }
-            };
-            eprintln!(
-                "running {} on {} / {} ({} seeds, {} ranks) ...",
-                cfg.algorithm.label(),
-                ds.name,
-                seeding.label(),
-                n,
-                procs
-            );
-            if !source.is_closed() {
-                eprintln!(
-                    "open-loop: {} arrival epochs of {ingest_batch} seeds every \
-                     {ingest_interval}s ({} seeds total), {:?} detector",
-                    ingest_epochs,
-                    source.total_seeds(),
-                    cfg.detector,
-                );
-            }
-            if let Some(rc) = &cfg.rank_chaos {
-                match rc.kill {
-                    Some((rank, time)) => {
-                        eprintln!("rank-chaos: pinned kill of rank {rank} at t={time}s")
-                    }
-                    None => eprintln!(
-                        "rank-chaos: seed {:#x}, kill prob {}, window [{}, {}]s",
-                        rc.seed, rc.kill_prob, rc.window.0, rc.window.1
-                    ),
-                }
-            }
-            let fault_store = chaos.then(|| {
-                let plan = FaultPlan::random(chaos_seed, ds.decomp.num_blocks(), &chaos_params)
-                    .expect("chaos params validated at the CLI boundary");
-                eprintln!(
-                    "chaos: {} faulty blocks from seed {chaos_seed:#x} ({} permanently lost)",
-                    plan.len(),
-                    plan.unavailable_blocks().len(),
-                );
-                let inner: Arc<dyn BlockStore> = Arc::new(FieldStore::new(ds.clone()));
-                Arc::new(FaultStore::new(inner, plan))
-            });
-            let mut run = Run::new(&ds, &cfg, source);
-            if let Some(fs) = &fault_store {
-                run = run.store(fs.clone());
-            }
-            if trace.is_some() {
-                run = run.trace(trace_bucket);
-            }
-            if let Some(dir) = &checkpoint {
-                run = run.checkpoint(CheckpointOptions {
-                    kill_after: kill_after_checkpoints,
-                    ..CheckpointOptions::new(dir, checkpoint_interval)
-                });
-            }
-            if let Some(from) = &resume {
-                let given = std::path::PathBuf::from(from);
-                let path = if given.is_dir() {
-                    match latest_checkpoint(&given) {
-                        Ok(Some(p)) => p,
-                        Ok(None) => {
-                            eprintln!("error: no ckpt-*.ckpt files in {from}");
-                            return 1;
-                        }
-                        Err(e) => {
-                            eprintln!("error scanning {from}: {e}");
-                            return 1;
-                        }
-                    }
-                } else {
-                    given
-                };
-                eprintln!("resuming from {} ...", path.display());
-                run = run.resume(path);
-            }
-            let RunOutput {
-                report,
-                finished,
-                timeline,
-                pingpong_times,
-                checkpoints,
-                checkpoint_bytes,
-            } = match run.go() {
-                Ok(out) => out,
-                Err(e @ (RunError::Unsupported { .. } | RunError::BadValue { .. })) => {
-                    eprintln!("error: {e}");
-                    return 64;
-                }
-                Err(RunError::Ckpt(e)) => {
-                    match &resume {
-                        Some(from) => eprintln!("cannot resume from {from}: {e}"),
-                        None => eprintln!("checkpoint error: {e}"),
-                    }
-                    return 1;
-                }
-                Err(RunError::Killed { checkpoints, bytes_written }) => {
-                    // The kill half of the crash/restart smoke test:
-                    // abandoning after N snapshots is the requested outcome,
-                    // not a failure.
-                    let latest = checkpoints.last().map(|p| p.display().to_string());
-                    eprintln!(
-                        "wrote {} snapshots ({bytes_written} bytes), latest {}",
-                        checkpoints.len(),
-                        latest.unwrap_or_default()
-                    );
-                    eprintln!(
-                        "run abandoned after {} snapshots as requested; continue with: \
-                         slrepro run ... --resume {}",
-                        checkpoints.len(),
-                        checkpoint.unwrap_or_default()
-                    );
-                    return 0;
-                }
-            };
-            if let Some(last) = checkpoints.last() {
-                eprintln!(
-                    "wrote {} snapshots ({checkpoint_bytes} bytes), latest {}",
-                    checkpoints.len(),
-                    last.display()
-                );
-            }
-            if let Some(fs) = &fault_store {
-                let c = fs.counters();
-                eprintln!(
-                    "chaos: injected {} faults; {} retries, {} load failures, {} streamlines \
-                     terminated unavailable",
-                    c.faults_injected(),
-                    report.load_retries,
-                    report.load_failures,
-                    report.unavailable_terminations,
-                );
-            }
-            println!("{}", report.summary());
-            if report.outcome.completed() {
-                print!("{}", summarize(&finished));
-            }
-            println!(
-                "  compute {:.3}s  idle {:.3}s  imbalance {:.2}  steps {}  events {}",
-                report.compute_time,
-                report.idle_time,
-                report.load_imbalance(),
-                report.total_steps,
-                report.events,
-            );
-            if report.ingest_epochs > 1 {
-                println!(
-                    "  ingest    epochs {}  frontier-confirmed {}  lag mean {:.4}s  max {:.4}s",
-                    report.ingest_epochs,
-                    report.ingest_frontier_epochs,
-                    report.ingest_lag_mean,
-                    report.ingest_lag_max,
-                );
-            }
-            if !report.rank_deaths.is_empty() {
-                println!(
-                    "  rank-chaos  deaths {:?}  lost {}  reassigned {}  detection mean {:.4}s \
-                     max {:.4}s  dropped events {}",
-                    report.rank_deaths,
-                    report.rank_lost_streamlines,
-                    report.reassigned_streamlines,
-                    report.detection_latency_mean,
-                    report.detection_latency_max,
-                    report.dropped_events,
-                );
-            }
-            if let Some(path) = json {
-                match serde_json::to_string_pretty(&report) {
-                    Ok(s) => {
-                        if let Err(e) = std::fs::write(&path, s) {
-                            eprintln!("error writing {path}: {e}");
-                            return 1;
-                        }
-                        eprintln!("wrote {path}");
-                    }
-                    Err(e) => {
-                        eprintln!("serialization error: {e}");
-                        return 1;
-                    }
-                }
-            }
-            if let (Some(path), Some(timeline)) = (trace, timeline) {
-                let mut tf = timeline.to_trace("virtual");
-                tf.schedule = Some(
-                    streamline_obs::ScheduleTrace::from_timeline(&timeline, &pingpong_times)
-                        .with_rank_deaths(&timeline, &report.rank_deaths)
-                        .with_ingest(
-                            &timeline,
-                            &report.ingest_epoch_arrivals,
-                            &report.ingest_epoch_completions,
-                        ),
-                );
-                if let Err(e) = tf.validate() {
-                    eprintln!("internal error: emitted trace is invalid: {e}");
-                    return 1;
-                }
-                match serde_json::to_string_pretty(&tf) {
-                    Ok(s) => {
-                        if let Err(e) = std::fs::write(&path, s + "\n") {
-                            eprintln!("error writing {path}: {e}");
-                            return 1;
-                        }
-                        eprintln!("wrote {path}");
-                    }
-                    Err(e) => {
-                        eprintln!("serialization error: {e}");
-                        return 1;
-                    }
-                }
-            }
-            if let Some(path) = metrics {
-                let registry = report.to_registry();
-                registry.set_counter(
-                    streamline_obs::names::CKPT_SNAPSHOTS_TOTAL,
-                    checkpoints.len() as u64,
-                );
-                registry
-                    .set_counter(streamline_obs::names::CKPT_WRITE_BYTES_TOTAL, checkpoint_bytes);
-                registry.set_counter(
-                    streamline_obs::names::CKPT_RESTORES_TOTAL,
-                    u64::from(resume.is_some()),
-                );
-                let text = registry.render_prometheus();
-                if let Err(e) = std::fs::write(&path, text) {
-                    eprintln!("error writing {path}: {e}");
-                    return 1;
-                }
-                eprintln!("wrote {path}");
-            }
-            if report.outcome.completed() {
-                0
-            } else {
-                2
-            }
+            code
         }
-        Command::ObsCheck { trace, metrics, ckpt } => {
-            let mut ok = true;
-            if let Some(path) = trace {
-                match std::fs::read_to_string(&path) {
-                    Ok(text) => match serde_json::from_str::<streamline_obs::TraceFile>(&text) {
-                        Ok(tf) => match tf.validate() {
-                            Ok(()) => {
-                                let t = &tf.totals;
-                                println!(
-                                    "{path}: valid {} trace, {} ranks, {} buckets of {}s \
-                                     (compute {:.3}s io {:.3}s comm {:.3}s idle {:.3}s)",
-                                    tf.clock,
-                                    tf.n_ranks,
-                                    tf.ranks.first().map(|r| r.buckets.len()).unwrap_or(0),
-                                    tf.bucket_width,
-                                    t.compute,
-                                    t.io,
-                                    t.comm,
-                                    t.idle,
-                                );
-                            }
-                            Err(e) => {
-                                eprintln!("{path}: invalid trace: {e}");
-                                ok = false;
-                            }
-                        },
-                        Err(e) => {
-                            eprintln!("{path}: not trace JSON: {e}");
-                            ok = false;
-                        }
-                    },
-                    Err(e) => {
-                        eprintln!("cannot read {path}: {e}");
-                        ok = false;
-                    }
-                }
-            }
-            if let Some(path) = metrics {
-                match std::fs::read_to_string(&path) {
-                    Ok(text) => match streamline_obs::prom::parse_text(&text) {
-                        Ok(samples) if samples.is_empty() => {
-                            eprintln!("{path}: no metric samples");
-                            ok = false;
-                        }
-                        Ok(samples) => {
-                            println!("{path}: valid Prometheus text, {} samples", samples.len());
-                        }
-                        Err(e) => {
-                            eprintln!("{path}: invalid Prometheus text: {e}");
-                            ok = false;
-                        }
-                    },
-                    Err(e) => {
-                        eprintln!("cannot read {path}: {e}");
-                        ok = false;
-                    }
-                }
-            }
-            if let Some(path) = ckpt {
-                match streamline_ckpt::validate(std::path::Path::new(&path)) {
-                    Ok(summary) => {
-                        let m = &summary.meta;
-                        println!(
-                            "{path}: valid {} checkpoint #{} ({} on {}, {} ranks, {} seeds, \
-                             taken at t={:.6}s), {} sections, {} bytes, all CRCs good",
-                            m.kind,
-                            m.snapshot_seq,
-                            m.algorithm,
-                            m.dataset,
-                            m.n_procs,
-                            m.n_seeds,
-                            m.taken_at,
-                            summary.sections.len(),
-                            summary.file_bytes,
-                        );
-                    }
-                    Err(e) => {
-                        eprintln!("{path}: invalid checkpoint: {e}");
-                        ok = false;
-                    }
-                }
-            }
-            if ok {
-                0
-            } else {
-                1
-            }
-        }
-        Command::Trace { dataset, seeds, out, formats } => {
+        Command::Trace(TraceSpec { dataset, seeds, out, formats }) => {
             let ds = build_dataset(dataset);
             let set = ds.seeds_with_count(Seeding::Sparse, seeds);
             let limits = limits_for(dataset, Seeding::Sparse);
@@ -516,8 +135,7 @@ pub fn execute(cmd: Command) -> i32 {
                 .collect();
             let dir = std::path::Path::new(&out);
             if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create {out}: {e}");
-                return 1;
+                return fail(format!("cannot create {out}: {e}"));
             }
             for fmt in &formats {
                 let path = dir.join(format!("{}.{fmt}", ds.name));
@@ -539,22 +157,16 @@ pub fn execute(cmd: Command) -> i32 {
                         }
                         canvas.write_ppm_file(&path)
                     }
-                    other => {
-                        eprintln!("unknown format '{other}' (vtk|obj|csv|ppm)");
-                        return 1;
-                    }
+                    other => return fail(format!("unknown format '{other}' (vtk|obj|csv|ppm)")),
                 };
                 match res {
                     Ok(()) => eprintln!("wrote {}", path.display()),
-                    Err(e) => {
-                        eprintln!("error writing {}: {e}", path.display());
-                        return 1;
-                    }
+                    Err(e) => return fail(format!("error writing {}: {e}", path.display())),
                 }
             }
             0
         }
-        Command::Ftle { out, nx, ny, horizon } => {
+        Command::Ftle(FtleSpec { out, nx, ny, horizon }) => {
             let field = UnsteadyDoubleGyre::standard();
             let limits =
                 StepLimits { h0: 1e-2, h_max: 0.1, max_steps: 100_000, ..Default::default() };
@@ -583,19 +195,303 @@ pub fn execute(cmd: Command) -> i32 {
                     eprintln!("wrote {out} (max FTLE {:.3})", max);
                     0
                 }
-                Err(e) => {
-                    eprintln!("error writing {out}: {e}");
-                    1
-                }
+                Err(e) => fail(format!("error writing {out}: {e}")),
             }
         }
     }
 }
 
+/// `slrepro run`: one cell of the §5 matrix, with its run modes.
+fn run(spec: RunSpec) -> i32 {
+    let ds = build_dataset(spec.dataset);
+    let n = spec.seeds.unwrap_or_else(|| ds.paper_seed_count(spec.seeding));
+    let set = ds.seeds_with_count(spec.seeding, n);
+    // Open-loop schedule: `--ingest-epochs` batches of dense-layout seeds
+    // arriving every `--ingest-interval` virtual seconds (none: a closed
+    // run). The schedule is a pure function of the flags, so a resume under
+    // the same flags rebuilds it bit-exactly.
+    let (n_epochs, batch) = (spec.ingest_epochs, spec.ingest_batch);
+    let extra = ds.seeds_with_count(Seeding::Dense, n_epochs * batch);
+    let epochs: Vec<(f64, Vec<Vec3>)> = (0..n_epochs)
+        .map(|e| {
+            let at = (e + 1) as f64 * spec.ingest_interval;
+            (at, extra.points[e * batch..(e + 1) * batch].to_vec())
+        })
+        .collect();
+    let source =
+        SeedSource::new(&set, epochs).expect("flag validation guarantees a well-formed schedule");
+    let mut cfg = spec.cfg;
+    cfg.limits = limits_for(spec.dataset, spec.seeding);
+    cfg.algorithm = match spec.algorithm {
+        AlgoChoice::Fixed(a) => a,
+        AlgoChoice::Auto => {
+            let rec = recommend(&classify(&ds, &set, &cfg), FlowKnowledge::Unknown);
+            eprintln!("advisor picked {}: {}", rec.algorithm.label(), rec.rationale);
+            rec.algorithm
+        }
+    };
+    eprintln!(
+        "running {} on {} / {} ({n} seeds, {} ranks) ...",
+        cfg.algorithm.label(),
+        ds.name,
+        spec.seeding.label(),
+        cfg.n_procs
+    );
+    if !source.is_closed() {
+        eprintln!(
+            "open-loop: {n_epochs} arrival epochs of {batch} seeds every {}s ({} seeds total)",
+            spec.ingest_interval,
+            source.total_seeds(),
+        );
+    }
+    if let Some(rc) = &cfg.rank_chaos {
+        match rc.kill {
+            Some((rank, time)) => eprintln!("rank-chaos: pinned kill of rank {rank} at t={time}s"),
+            None => eprintln!(
+                "rank-chaos: seed {:#x}, kill prob {}, window [{}, {}]s",
+                rc.seed, rc.kill_prob, rc.window.0, rc.window.1
+            ),
+        }
+    }
+    let fault_store = spec.chaos.then(|| {
+        let seed = spec.chaos_seed;
+        let plan = FaultPlan::random(seed, ds.decomp.num_blocks(), &spec.chaos_params)
+            .expect("chaos params validated at the CLI boundary");
+        eprintln!(
+            "chaos: {} faulty blocks from seed {seed:#x} ({} permanently lost)",
+            plan.len(),
+            plan.unavailable_blocks().len(),
+        );
+        let inner: Arc<dyn BlockStore> = Arc::new(FieldStore::new(ds.clone()));
+        Arc::new(FaultStore::new(inner, plan))
+    });
+    let mut run = Run::new(&ds, &cfg, source);
+    if let Some(fs) = &fault_store {
+        run = run.store(fs.clone());
+    }
+    if spec.trace.is_some() {
+        run = run.trace(spec.trace_bucket);
+    }
+    let checkpoint_dir = spec.checkpoint.as_ref().map(|c| c.dir.display().to_string());
+    if let Some(opts) = spec.checkpoint {
+        run = run.checkpoint(opts);
+    }
+    if let Some(from) = &spec.resume {
+        let mut path = std::path::PathBuf::from(from);
+        if path.is_dir() {
+            path = match latest_checkpoint(&path) {
+                Ok(Some(p)) => p,
+                Ok(None) => return fail(format!("error: no ckpt-*.ckpt files in {from}")),
+                Err(e) => return fail(format!("error scanning {from}: {e}")),
+            };
+        }
+        eprintln!("resuming from {} ...", path.display());
+        run = run.resume(path);
+    }
+    let RunOutput { report, finished, timeline, pingpong_times, checkpoints, checkpoint_bytes } =
+        match run.go() {
+            Ok(out) => out,
+            Err(e @ (RunError::Unsupported { .. } | RunError::BadValue { .. })) => {
+                eprintln!("error: {e}");
+                return 64;
+            }
+            Err(RunError::Ckpt(e)) => match &spec.resume {
+                Some(from) => return fail(format!("cannot resume from {from}: {e}")),
+                None => return fail(format!("checkpoint error: {e}")),
+            },
+            Err(RunError::Killed { checkpoints, bytes_written }) => {
+                // The kill half of the crash/restart smoke test: abandoning
+                // after N snapshots is the requested outcome, not a failure.
+                let latest = checkpoints.last().map(|p| p.display().to_string());
+                eprintln!(
+                    "wrote {} snapshots ({bytes_written} bytes), latest {}",
+                    checkpoints.len(),
+                    latest.unwrap_or_default()
+                );
+                eprintln!(
+                    "run abandoned after {} snapshots as requested; continue with: \
+                     slrepro run ... --resume {}",
+                    checkpoints.len(),
+                    checkpoint_dir.unwrap_or_default()
+                );
+                return 0;
+            }
+        };
+    if let Some(last) = checkpoints.last() {
+        eprintln!(
+            "wrote {} snapshots ({checkpoint_bytes} bytes), latest {}",
+            checkpoints.len(),
+            last.display()
+        );
+    }
+    if let Some(fs) = &fault_store {
+        eprintln!(
+            "chaos: injected {} faults; {} retries, {} load failures, {} streamlines \
+             terminated unavailable",
+            fs.counters().faults_injected(),
+            report.load_retries,
+            report.load_failures,
+            report.unavailable_terminations,
+        );
+    }
+    println!("{}", report.summary());
+    if report.outcome.completed() {
+        print!("{}", summarize(&finished));
+    }
+    println!(
+        "  compute {:.3}s  idle {:.3}s  imbalance {:.2}  steps {}  events {}",
+        report.compute_time,
+        report.idle_time,
+        report.load_imbalance(),
+        report.total_steps,
+        report.events,
+    );
+    if report.ingest_epochs > 1 {
+        println!(
+            "  ingest    epochs {}  frontier-confirmed {}  lag mean {:.4}s  max {:.4}s",
+            report.ingest_epochs,
+            report.ingest_frontier_epochs,
+            report.ingest_lag_mean,
+            report.ingest_lag_max,
+        );
+    }
+    if !report.rank_deaths.is_empty() {
+        println!(
+            "  rank-chaos  deaths {:?}  lost {}  reassigned {}  detection mean {:.4}s \
+             max {:.4}s  dropped events {}",
+            report.rank_deaths,
+            report.rank_lost_streamlines,
+            report.reassigned_streamlines,
+            report.detection_latency_mean,
+            report.detection_latency_max,
+            report.dropped_events,
+        );
+    }
+    if let Some(path) = &spec.json {
+        if !write_out(path, serde_json::to_string_pretty(&report)) {
+            return 1;
+        }
+    }
+    if let (Some(path), Some(timeline)) = (&spec.trace, timeline) {
+        let mut tf = timeline.to_trace("virtual");
+        tf.schedule = Some(
+            streamline_obs::ScheduleTrace::from_timeline(&timeline, &pingpong_times)
+                .with_rank_deaths(&timeline, &report.rank_deaths)
+                .with_ingest(
+                    &timeline,
+                    &report.ingest_epoch_arrivals,
+                    &report.ingest_epoch_completions,
+                ),
+        );
+        if let Err(e) = tf.validate() {
+            return fail(format!("internal error: emitted trace is invalid: {e}"));
+        }
+        if !write_out(path, serde_json::to_string_pretty(&tf).map(|s| s + "\n")) {
+            return 1;
+        }
+    }
+    if let Some(path) = &spec.metrics {
+        use streamline_obs::names::{
+            CKPT_RESTORES_TOTAL, CKPT_SNAPSHOTS_TOTAL, CKPT_WRITE_BYTES_TOTAL,
+        };
+        let registry = report.to_registry();
+        registry.set_counter(CKPT_SNAPSHOTS_TOTAL, checkpoints.len() as u64);
+        registry.set_counter(CKPT_WRITE_BYTES_TOTAL, checkpoint_bytes);
+        registry.set_counter(CKPT_RESTORES_TOTAL, u64::from(spec.resume.is_some()));
+        if !write_out(path, Ok(registry.render_prometheus())) {
+            return 1;
+        }
+    }
+    if report.outcome.completed() {
+        0
+    } else {
+        2
+    }
+}
+
+/// Say `msg` on stderr; exit code 1.
+fn fail(msg: String) -> i32 {
+    eprintln!("{msg}");
+    1
+}
+
+/// Write serialized `text` to `path`, saying on stderr what happened;
+/// false on failure.
+fn write_out(path: &str, text: Result<String, serde_json::Error>) -> bool {
+    let res = text
+        .map_err(|e| format!("serialization error: {e}"))
+        .and_then(|t| std::fs::write(path, t).map_err(|e| format!("error writing {path}: {e}")));
+    match &res {
+        Ok(()) => eprintln!("wrote {path}"),
+        Err(e) => eprintln!("{e}"),
+    }
+    res.is_ok()
+}
+
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+fn check_trace(path: &str) -> Result<String, String> {
+    let tf: streamline_obs::TraceFile =
+        serde_json::from_str(&read(path)?).map_err(|e| format!("{path}: not trace JSON: {e}"))?;
+    tf.validate().map_err(|e| format!("{path}: invalid trace: {e}"))?;
+    let t = &tf.totals;
+    Ok(format!(
+        "{path}: valid {} trace, {} ranks, {} buckets of {}s \
+         (compute {:.3}s io {:.3}s comm {:.3}s idle {:.3}s)",
+        tf.clock,
+        tf.n_ranks,
+        tf.ranks.first().map(|r| r.buckets.len()).unwrap_or(0),
+        tf.bucket_width,
+        t.compute,
+        t.io,
+        t.comm,
+        t.idle,
+    ))
+}
+
+fn check_metrics(path: &str) -> Result<String, String> {
+    let samples = streamline_obs::prom::parse_text(&read(path)?)
+        .map_err(|e| format!("{path}: invalid Prometheus text: {e}"))?;
+    if samples.is_empty() {
+        return Err(format!("{path}: no metric samples"));
+    }
+    Ok(format!("{path}: valid Prometheus text, {} samples", samples.len()))
+}
+
+fn check_ckpt(path: &str) -> Result<String, String> {
+    let summary = streamline_ckpt::validate(std::path::Path::new(path))
+        .map_err(|e| format!("{path}: invalid checkpoint: {e}"))?;
+    let m = &summary.meta;
+    Ok(format!(
+        "{path}: valid {} checkpoint #{} ({} on {}, {} ranks, {} seeds, \
+         taken at t={:.6}s), {} sections, {} bytes, all CRCs good",
+        m.kind,
+        m.snapshot_seq,
+        m.algorithm,
+        m.dataset,
+        m.n_procs,
+        m.n_seeds,
+        m.taken_at,
+        summary.sections.len(),
+        summary.file_bytes,
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamline_core::BatchParams;
+
+    /// Parse `args` as the binary would; paths may hold spaces.
+    fn cmd(args: &[&str]) -> Command {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        crate::args::parse(&args).unwrap().command
+    }
+
+    fn obs_check(flag: &str, path: &str) -> i32 {
+        execute(cmd(&["obs-check", flag, path]))
+    }
 
     #[test]
     fn limits_vary_by_dataset() {
@@ -615,93 +511,40 @@ mod tests {
 
     #[test]
     fn help_and_info_succeed() {
-        assert_eq!(execute(Command::Help), 0);
-        assert_eq!(execute(Command::Info), 0);
+        assert_eq!(execute(cmd(&["help"])), 0);
+        assert_eq!(execute(cmd(&["info"])), 0);
+    }
+
+    /// A small thermal run on four ranks, plus `extra` flags.
+    fn small_run(algorithm: &str, extra: &[&str]) -> Command {
+        let base =
+            ["run", "--algorithm", algorithm, "--procs", "4", "--seeds", "32", "--cache", "16"];
+        cmd(&[&base[..], extra].concat())
     }
 
     #[test]
     fn run_small_completes() {
-        let code = execute(Command::Run {
-            dataset: DatasetKind::Thermal,
-            seeding: Seeding::Sparse,
-            algorithm: AlgoChoice::Fixed(Algorithm::LoadOnDemand),
-            procs: 4,
-            seeds: Some(32),
-            cache: 16,
-            steal: Box::default(),
-            batch: BatchParams::default(),
-            chaos: false,
-            chaos_seed: 0,
-            chaos_params: Box::default(),
-            rank_chaos: None,
-            ingest_epochs: 0,
-            ingest_interval: 2.0e-4,
-            ingest_batch: 32,
-            detector: streamline_core::DetectorKind::ClosedSet,
-            json: None,
-            trace: None,
-            trace_bucket: 0.05,
-            metrics: None,
-            checkpoint: None,
-            checkpoint_interval: 0.1,
-            kill_after_checkpoints: None,
-            resume: None,
-        });
-        assert_eq!(code, 0);
-    }
-
-    fn ckpt_run_cmd(
-        checkpoint: Option<String>,
-        kill_after_checkpoints: Option<u64>,
-        resume: Option<String>,
-    ) -> Command {
-        Command::Run {
-            dataset: DatasetKind::Thermal,
-            seeding: Seeding::Sparse,
-            algorithm: AlgoChoice::Fixed(Algorithm::HybridMasterSlave),
-            procs: 4,
-            seeds: Some(32),
-            cache: 16,
-            steal: Box::default(),
-            batch: BatchParams::default(),
-            chaos: false,
-            chaos_seed: 0,
-            chaos_params: Box::default(),
-            rank_chaos: None,
-            ingest_epochs: 0,
-            ingest_interval: 2.0e-4,
-            ingest_batch: 32,
-            detector: streamline_core::DetectorKind::ClosedSet,
-            json: None,
-            trace: None,
-            trace_bucket: 0.05,
-            metrics: None,
-            checkpoint,
-            checkpoint_interval: 2.0e-4,
-            kill_after_checkpoints,
-            resume,
-        }
+        assert_eq!(execute(small_run("lod", &[])), 0);
     }
 
     #[test]
     fn run_kill_and_resume_round_trips_through_the_cli() {
         let dir = std::env::temp_dir().join(format!("slrepro-ckpt-{}", std::process::id()));
         let ckpt_dir = dir.join("ckpts").to_string_lossy().into_owned();
+        let interval = ["--checkpoint-interval", "0.0002"];
         // Kill after two snapshots: exit 0 (the requested outcome),
         // checkpoints on disk.
-        assert_eq!(execute(ckpt_run_cmd(Some(ckpt_dir.clone()), Some(2), None)), 0);
+        let kill = [&interval[..], &["--checkpoint", &ckpt_dir, "--kill-after-checkpoints", "2"]];
+        assert_eq!(execute(small_run("hybrid", &kill.concat())), 0);
         let latest = streamline_core::latest_checkpoint(std::path::Path::new(&ckpt_dir))
             .unwrap()
             .expect("kill wrote snapshots");
         // The snapshot passes obs-check --ckpt.
-        let check = execute(Command::ObsCheck {
-            trace: None,
-            metrics: None,
-            ckpt: Some(latest.to_string_lossy().into_owned()),
-        });
+        let check = obs_check("--ckpt", &latest.to_string_lossy());
         assert_eq!(check, 0, "obs-check must accept what run --checkpoint emits");
         // Resume from the directory (latest snapshot) and complete.
-        assert_eq!(execute(ckpt_run_cmd(None, None, Some(ckpt_dir))), 0);
+        let resume = [&interval[..], &["--resume", &ckpt_dir]].concat();
+        assert_eq!(execute(small_run("hybrid", &resume)), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -711,38 +554,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let trace_path = dir.join("trace.json").to_string_lossy().into_owned();
         let metrics_path = dir.join("metrics.prom").to_string_lossy().into_owned();
-        let code = execute(Command::Run {
-            dataset: DatasetKind::Thermal,
-            seeding: Seeding::Sparse,
-            algorithm: AlgoChoice::Fixed(Algorithm::LoadOnDemand),
-            procs: 4,
-            seeds: Some(32),
-            cache: 16,
-            steal: Box::default(),
-            batch: BatchParams::default(),
-            chaos: false,
-            chaos_seed: 0,
-            chaos_params: Box::default(),
-            rank_chaos: None,
-            ingest_epochs: 0,
-            ingest_interval: 2.0e-4,
-            ingest_batch: 32,
-            detector: streamline_core::DetectorKind::ClosedSet,
-            json: None,
-            trace: Some(trace_path.clone()),
-            trace_bucket: 0.05,
-            metrics: Some(metrics_path.clone()),
-            checkpoint: None,
-            checkpoint_interval: 0.1,
-            kill_after_checkpoints: None,
-            resume: None,
-        });
+        let code = execute(small_run("lod", &["--trace", &trace_path, "--metrics", &metrics_path]));
         assert_eq!(code, 0);
-        let check = execute(Command::ObsCheck {
-            trace: Some(trace_path),
-            metrics: Some(metrics_path),
-            ckpt: None,
-        });
+        let check =
+            execute(cmd(&["obs-check", "--trace", &trace_path, "--metrics", &metrics_path]));
         assert_eq!(check, 0, "obs-check must accept what run emits");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -753,32 +568,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let trace_path = dir.join("trace.json").to_string_lossy().into_owned();
         let metrics_path = dir.join("metrics.prom").to_string_lossy().into_owned();
-        let code = execute(Command::Run {
-            dataset: DatasetKind::Thermal,
-            seeding: Seeding::Sparse,
-            algorithm: AlgoChoice::Fixed(Algorithm::LoadOnDemand),
-            procs: 4,
-            seeds: Some(32),
-            cache: 16,
-            steal: Box::default(),
-            batch: BatchParams::default(),
-            chaos: false,
-            chaos_seed: 0,
-            chaos_params: Box::default(),
-            rank_chaos: Some(Box::new(streamline_core::RankChaos::one_kill(3, 1.0e-4))),
-            ingest_epochs: 0,
-            ingest_interval: 2.0e-4,
-            ingest_batch: 32,
-            detector: streamline_core::DetectorKind::ClosedSet,
-            json: None,
-            trace: Some(trace_path.clone()),
-            trace_bucket: 0.05,
-            metrics: Some(metrics_path.clone()),
-            checkpoint: None,
-            checkpoint_interval: 0.1,
-            kill_after_checkpoints: None,
-            resume: None,
-        });
+        let flags = ["--rank-chaos", "--rank-kill", "3@0.0001", "--trace", &trace_path];
+        let code = execute(small_run("lod", &[&flags[..], &["--metrics", &metrics_path]].concat()));
         assert_eq!(code, 0, "a killed slave rank must not fail the run");
         // The death shows up in the Prometheus export and the trace still
         // passes obs-check.
@@ -786,48 +577,16 @@ mod tests {
         assert!(prom.contains("streamline_faults_rank_deaths_total 1"), "{prom}");
         let trace_text = std::fs::read_to_string(&trace_path).unwrap();
         assert!(trace_text.contains("rank_deaths"), "trace carries the death series");
-        let check = execute(Command::ObsCheck {
-            trace: Some(trace_path),
-            metrics: Some(metrics_path),
-            ckpt: None,
-        });
+        let check =
+            execute(cmd(&["obs-check", "--trace", &trace_path, "--metrics", &metrics_path]));
         assert_eq!(check, 0, "obs-check must accept what a rank-chaos run emits");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    fn open_run_cmd(
-        trace: Option<String>,
-        metrics: Option<String>,
-        checkpoint: Option<String>,
-        kill_after_checkpoints: Option<u64>,
-        resume: Option<String>,
-    ) -> Command {
-        Command::Run {
-            dataset: DatasetKind::Thermal,
-            seeding: Seeding::Sparse,
-            algorithm: AlgoChoice::Fixed(Algorithm::LoadOnDemand),
-            procs: 4,
-            seeds: Some(32),
-            cache: 16,
-            steal: Box::default(),
-            batch: BatchParams::default(),
-            chaos: false,
-            chaos_seed: 0,
-            chaos_params: Box::default(),
-            rank_chaos: None,
-            ingest_epochs: 2,
-            ingest_interval: 2.0e-4,
-            ingest_batch: 8,
-            detector: streamline_core::DetectorKind::Frontier,
-            json: None,
-            trace,
-            trace_bucket: 0.05,
-            metrics,
-            checkpoint,
-            checkpoint_interval: 2.0e-4,
-            kill_after_checkpoints,
-            resume,
-        }
+    /// An open-loop run: two arrival epochs of eight seeds, plus `extra`.
+    fn open_run(extra: &[&str]) -> Command {
+        let ingest = ["--ingest-epochs", "2", "--ingest-interval", "0.0002", "--ingest-batch", "8"];
+        small_run("lod", &[&ingest[..], extra].concat())
     }
 
     #[test]
@@ -836,13 +595,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let trace_path = dir.join("trace.json").to_string_lossy().into_owned();
         let metrics_path = dir.join("metrics.prom").to_string_lossy().into_owned();
-        let code = execute(open_run_cmd(
-            Some(trace_path.clone()),
-            Some(metrics_path.clone()),
-            None,
-            None,
-            None,
-        ));
+        let code = execute(open_run(&["--trace", &trace_path, "--metrics", &metrics_path]));
         assert_eq!(code, 0, "an open-loop run must complete");
         let prom = std::fs::read_to_string(&metrics_path).unwrap();
         assert!(prom.contains("streamline_run_ingest_epochs 3"), "{prom}");
@@ -857,11 +610,8 @@ mod tests {
             trace_text.contains("frontier_epochs_cumulative"),
             "trace carries the frontier staircase"
         );
-        let check = execute(Command::ObsCheck {
-            trace: Some(trace_path),
-            metrics: Some(metrics_path),
-            ckpt: None,
-        });
+        let check =
+            execute(cmd(&["obs-check", "--trace", &trace_path, "--metrics", &metrics_path]));
         assert_eq!(check, 0, "obs-check must accept what an open-loop run emits");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -870,18 +620,16 @@ mod tests {
     fn open_loop_kill_and_resume_round_trips_through_the_cli() {
         let dir = std::env::temp_dir().join(format!("slrepro-openckpt-{}", std::process::id()));
         let ckpt_dir = dir.join("ckpts").to_string_lossy().into_owned();
-        assert_eq!(execute(open_run_cmd(None, None, Some(ckpt_dir.clone()), Some(2), None)), 0);
+        let interval = ["--checkpoint-interval", "0.0002"];
+        let kill = [&interval[..], &["--checkpoint", &ckpt_dir, "--kill-after-checkpoints", "2"]];
+        assert_eq!(execute(open_run(&kill.concat())), 0);
         let latest = streamline_core::latest_checkpoint(std::path::Path::new(&ckpt_dir))
             .unwrap()
             .expect("kill wrote snapshots");
-        let check = execute(Command::ObsCheck {
-            trace: None,
-            metrics: None,
-            ckpt: Some(latest.to_string_lossy().into_owned()),
-        });
+        let check = obs_check("--ckpt", &latest.to_string_lossy());
         assert_eq!(check, 0, "obs-check must accept an open-loop snapshot");
         // Resume with the same ingest flags and complete.
-        assert_eq!(execute(open_run_cmd(None, None, None, None, Some(ckpt_dir))), 0);
+        assert_eq!(execute(open_run(&[&interval[..], &["--resume", &ckpt_dir]].concat())), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -891,25 +639,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let bad = dir.join("bad.json").to_string_lossy().into_owned();
         std::fs::write(&bad, "{\"schema\": \"nope\"}").unwrap();
-        assert_eq!(
-            execute(Command::ObsCheck { trace: Some(bad.clone()), metrics: None, ckpt: None }),
-            1
-        );
-        assert_eq!(
-            execute(Command::ObsCheck {
-                trace: None,
-                metrics: Some("/nonexistent/x".into()),
-                ckpt: None
-            }),
-            1
-        );
+        assert_eq!(obs_check("--trace", &bad), 1);
+        assert_eq!(obs_check("--metrics", "/nonexistent/x"), 1);
         // A truncated/garbage checkpoint is rejected, never a panic.
         let bad_ckpt = dir.join("bad.ckpt").to_string_lossy().into_owned();
         std::fs::write(&bad_ckpt, b"not a checkpoint").unwrap();
-        assert_eq!(
-            execute(Command::ObsCheck { trace: None, metrics: None, ckpt: Some(bad_ckpt) }),
-            1
-        );
+        assert_eq!(obs_check("--ckpt", &bad_ckpt), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

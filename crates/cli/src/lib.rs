@@ -1,13 +1,6 @@
 //! The `slrepro` command-line interface, as a library so the argument
-//! parsing and command plumbing are unit-testable.
-//!
-//! ```text
-//! slrepro run      --dataset thermal --seeding dense --algorithm auto --procs 64
-//! slrepro classify --dataset astro --seeding sparse
-//! slrepro trace    --dataset fusion --seeds 200 --out out/ --formats vtk,ppm
-//! slrepro ftle     --out gyre.ppm --nx 240 --ny 120
-//! slrepro info
-//! ```
+//! parsing and command plumbing are unit-testable. `slrepro help` prints
+//! every command and option, generated from the tables in [`args`].
 
 pub mod args;
 pub mod commands;

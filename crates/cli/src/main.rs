@@ -6,7 +6,7 @@ fn main() {
         Ok(cli) => std::process::exit(streamline_cli::commands::execute(cli.command)),
         Err(e) => {
             eprintln!("error: {e}\n");
-            eprintln!("{}", streamline_cli::args::USAGE);
+            eprintln!("{}", streamline_cli::args::usage());
             std::process::exit(64);
         }
     }

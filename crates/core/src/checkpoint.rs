@@ -882,48 +882,42 @@ mod tests {
     /// byte-equal streamlines and report vs. the uninterrupted open run.
     #[test]
     fn open_loop_kill_and_resume_is_bit_identical_for_every_algorithm() {
-        use crate::termination::DetectorKind;
         for algo in Algorithm::ALL {
-            for kind in [DetectorKind::ClosedSet, DetectorKind::Frontier] {
-                let (ds, source, mut cfg) = open_fixture(algo);
-                cfg.detector = kind;
-                let RunOutput { report: ref_report, finished: ref_lines, .. } =
-                    Run::new(&ds, &cfg, source.clone()).go().unwrap();
-                assert_eq!(ref_report.terminated, source.total_seeds() as u64, "{algo:?}");
+            let (ds, source, cfg) = open_fixture(algo);
+            let RunOutput { report: ref_report, finished: ref_lines, .. } =
+                Run::new(&ds, &cfg, source.clone()).go().unwrap();
+            assert_eq!(ref_report.terminated, source.total_seeds() as u64, "{algo:?}");
 
-                let dir = tempdir(&format!("open-{}-{kind:?}", cfg.algorithm.label()));
-                let mut opts = CheckpointOptions::new(&dir, 2.0e-4);
-                opts.kill_after = Some(2);
-                let (checkpoints, _) = killed(Run::new(&ds, &cfg, source.clone()), opts);
+            let dir = tempdir(&format!("open-{}", cfg.algorithm.label()));
+            let mut opts = CheckpointOptions::new(&dir, 2.0e-4);
+            opts.kill_after = Some(2);
+            let (checkpoints, _) = killed(Run::new(&ds, &cfg, source.clone()), opts);
 
-                // Resume from every snapshot; at least one cut must be
-                // genuinely mid-stream (an arrival epoch still undelivered
-                // in the snapshotted event queue).
-                let mut mid_stream_cuts = 0usize;
-                for snap in &checkpoints {
-                    let file = CkptFile::read(snap).expect("readable snapshot");
-                    let state: SimStateDto = file.value(SIM_TAG).expect("SIMS section");
-                    mid_stream_cuts += usize::from(state.pending.iter().any(|p| {
+            // Resume from every snapshot; at least one cut must be
+            // genuinely mid-stream (an arrival epoch still undelivered in
+            // the snapshotted event queue).
+            let mut mid_stream_cuts = 0usize;
+            for snap in &checkpoints {
+                let file = CkptFile::read(snap).expect("readable snapshot");
+                let state: SimStateDto = file.value(SIM_TAG).expect("SIMS section");
+                mid_stream_cuts +=
+                    usize::from(state.pending.iter().any(|p| {
                         matches!(&p.ev, EventDto::Message { msg: Msg::Ingest { .. }, .. })
                     }));
-                    let resumed =
-                        Run::new(&ds, &cfg, source.clone()).resume(snap).go().expect("open resume");
-                    assert_eq!(
-                        resumed.finished, ref_lines,
-                        "{algo:?}/{kind:?}: streamlines diverged"
-                    );
-                    assert_eq!(
-                        report_json(&resumed.report),
-                        report_json(&ref_report),
-                        "{algo:?}/{kind:?}: report not reconciled bit-identically"
-                    );
-                }
-                assert!(
-                    mid_stream_cuts > 0,
-                    "{algo:?}: some cut must carry undelivered arrival events"
+                let resumed =
+                    Run::new(&ds, &cfg, source.clone()).resume(snap).go().expect("open resume");
+                assert_eq!(resumed.finished, ref_lines, "{algo:?}: streamlines diverged");
+                assert_eq!(
+                    report_json(&resumed.report),
+                    report_json(&ref_report),
+                    "{algo:?}: report not reconciled bit-identically"
                 );
-                let _ = std::fs::remove_dir_all(&dir);
             }
+            assert!(
+                mid_stream_cuts > 0,
+                "{algo:?}: some cut must carry undelivered arrival events"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 

@@ -385,12 +385,6 @@ pub struct RunConfig {
     /// bit-identically to the pre-resilience code paths.
     #[serde(default)]
     pub rank_chaos: Option<RankChaos>,
-    /// Which global-termination detector the run uses. `ClosedSet` (the
-    /// default) is the paper's communicated-count; `Frontier` tracks
-    /// per-ingest-epoch completion for open-loop runs. On a closed
-    /// workload the two are bit-identical.
-    #[serde(default)]
-    pub detector: crate::termination::DetectorKind,
 }
 
 impl RunConfig {
@@ -408,7 +402,6 @@ impl RunConfig {
             comm_geometry: true,
             static_partition: crate::static_alloc::StaticPartition::Contiguous,
             rank_chaos: None,
-            detector: crate::termination::DetectorKind::default(),
         }
     }
 }

@@ -95,12 +95,12 @@ impl AnyProc {
         self.core().map_or(&[], |c| &c.finished)
     }
 
-    /// This rank's per-epoch frontier ledger, when the run uses the
-    /// frontier detector. Masters hold no ledger (slaves do the
-    /// integration); on Static Allocation only the count rank's ledger is
-    /// ever written, so summing over all ranks stays correct.
+    /// This rank's per-epoch frontier ledger. Masters hold no ledger
+    /// (slaves do the integration); on Static Allocation only the count
+    /// rank's ledger is ever written, so summing over all ranks stays
+    /// correct.
     fn frontier_ledgers(&self) -> Option<&FrontierDetector> {
-        self.core().and_then(|c| c.detector.frontier_detector())
+        self.core().map(|c| &c.detector)
     }
 }
 
@@ -255,7 +255,7 @@ pub(crate) fn build_procs_planned(
                         cfg.static_partition,
                         live.clone(),
                     )
-                    .with_ingest(cfg.detector, &plan.totals, plan.emap.clone());
+                    .with_ingest(&plan.totals, plan.emap.clone());
                     AnyProc::Static(proc)
                 })
                 .collect()
@@ -273,11 +273,7 @@ pub(crate) fn build_procs_planned(
                         h0,
                         live.clone(),
                     )
-                    .with_ingest(
-                        cfg.detector,
-                        plan.n_epochs(),
-                        plan.emap.clone(),
-                    );
+                    .with_ingest(plan.n_epochs(), plan.emap.clone());
                     AnyProc::Lod(proc)
                 })
                 .collect()
@@ -312,7 +308,7 @@ pub(crate) fn build_procs_planned(
                             h0,
                             live.clone(),
                         )
-                        .with_ingest(cfg.detector, plan.emap.clone());
+                        .with_ingest(plan.emap.clone());
                         AnyProc::Slave(proc)
                     }
                 })
@@ -336,11 +332,7 @@ pub(crate) fn build_procs_planned(
                         cfg.steal,
                         live.clone(),
                     )
-                    .with_ingest(
-                        cfg.detector,
-                        plan.n_epochs(),
-                        plan.emap.clone(),
-                    );
+                    .with_ingest(plan.n_epochs(), plan.emap.clone());
                     AnyProc::Steal(proc)
                 })
                 .collect()
@@ -438,23 +430,17 @@ pub(crate) struct IngestStats {
 }
 
 /// Fold every rank's per-epoch retirement ledger against the plan totals.
-/// `None` when the run used the closed-set detector (no per-epoch data).
-pub(crate) fn fold_frontier(procs: &[AnyProc], totals: &[u64]) -> Option<IngestStats> {
-    let mut any = false;
+pub(crate) fn fold_frontier(procs: &[AnyProc], totals: &[u64]) -> IngestStats {
     let mut retired = vec![0u64; totals.len()];
     let mut last_retire = vec![0.0f64; totals.len()];
     for p in procs {
         let Some(f) = p.frontier_ledgers() else { continue };
-        any = true;
         for (e, l) in f.ledgers().iter().enumerate() {
             if e < totals.len() {
                 retired[e] += l.retired;
                 last_retire[e] = last_retire[e].max(l.last_retire);
             }
         }
-    }
-    if !any {
-        return None;
     }
     let mut completed_at = Vec::new();
     let mut t = 0.0f64;
@@ -465,7 +451,7 @@ pub(crate) fn fold_frontier(procs: &[AnyProc], totals: &[u64]) -> Option<IngestS
         t = t.max(last_retire[e]);
         completed_at.push(t);
     }
-    Some(IngestStats { frontier_epochs: completed_at.len() as u32, completed_at })
+    IngestStats { frontier_epochs: completed_at.len() as u32, completed_at }
 }
 
 /// Stamp the open-loop ingest fields onto a collected report: the epoch
@@ -474,19 +460,18 @@ pub(crate) fn fold_frontier(procs: &[AnyProc], totals: &[u64]) -> Option<IngestS
 pub(crate) fn apply_ingest_stats(r: &mut RunReport, source: &SeedSource, procs: &[AnyProc]) {
     r.ingest_epochs = source.n_epochs();
     r.ingest_epoch_arrivals = source.epoch_arrivals();
-    if let Some(stats) = fold_frontier(procs, &source.epoch_totals()) {
-        r.ingest_frontier_epochs = stats.frontier_epochs;
-        let lags: Vec<f64> = stats
-            .completed_at
-            .iter()
-            .zip(&r.ingest_epoch_arrivals)
-            .map(|(&done, &at)| (done - at).max(0.0))
-            .collect();
-        r.ingest_epoch_completions = stats.completed_at;
-        if !lags.is_empty() {
-            r.ingest_lag_mean = lags.iter().sum::<f64>() / lags.len() as f64;
-            r.ingest_lag_max = lags.iter().cloned().fold(0.0, f64::max);
-        }
+    let stats = fold_frontier(procs, &source.epoch_totals());
+    r.ingest_frontier_epochs = stats.frontier_epochs;
+    let lags: Vec<f64> = stats
+        .completed_at
+        .iter()
+        .zip(&r.ingest_epoch_arrivals)
+        .map(|(&done, &at)| (done - at).max(0.0))
+        .collect();
+    r.ingest_epoch_completions = stats.completed_at;
+    if !lags.is_empty() {
+        r.ingest_lag_mean = lags.iter().sum::<f64>() / lags.len() as f64;
+        r.ingest_lag_max = lags.iter().cloned().fold(0.0, f64::max);
     }
 }
 
@@ -1182,35 +1167,22 @@ mod tests {
         assert_eq!(source.n_epochs(), 3);
         let total = source.total_seeds() as u64;
         for algo in Algorithm::ALL {
-            for kind in [
-                crate::termination::DetectorKind::ClosedSet,
-                crate::termination::DetectorKind::Frontier,
-            ] {
-                let mut cfg = RunConfig::new(algo, 4);
-                cfg.limits.max_steps = 300;
-                cfg.memory = MemoryBudget::unlimited();
-                cfg.detector = kind;
-                let RunOutput { report: r, finished, .. } =
-                    Run::new(&ds, &cfg, source.clone()).go().unwrap();
-                assert!(r.outcome.completed(), "{algo:?} {kind:?}");
-                assert_eq!(r.terminated, total, "{algo:?} {kind:?}: {}", r.summary());
-                assert_eq!(finished.len(), total as usize, "{algo:?} {kind:?}");
-                assert_eq!(r.ingest_epochs, 3, "{algo:?} {kind:?}");
-                assert_eq!(r.ingest_epoch_arrivals, vec![0.0, 1e-4, 5e-4]);
-                match kind {
-                    crate::termination::DetectorKind::Frontier => {
-                        assert_eq!(r.ingest_frontier_epochs, 3, "{algo:?}: frontier incomplete");
-                        assert_eq!(r.ingest_epoch_completions.len(), 3);
-                        let mono = r.ingest_epoch_completions.windows(2).all(|w| w[0] <= w[1]);
-                        assert!(mono, "{algo:?}: {:?}", r.ingest_epoch_completions);
-                        assert!(r.ingest_lag_max >= r.ingest_lag_mean, "{algo:?}");
-                        assert!(r.ingest_lag_mean > 0.0, "{algo:?}");
-                    }
-                    crate::termination::DetectorKind::ClosedSet => {
-                        assert_eq!(r.ingest_frontier_epochs, 0, "{algo:?}: no ledger expected");
-                    }
-                }
-            }
+            let mut cfg = RunConfig::new(algo, 4);
+            cfg.limits.max_steps = 300;
+            cfg.memory = MemoryBudget::unlimited();
+            let RunOutput { report: r, finished, .. } =
+                Run::new(&ds, &cfg, source.clone()).go().unwrap();
+            assert!(r.outcome.completed(), "{algo:?}");
+            assert_eq!(r.terminated, total, "{algo:?}: {}", r.summary());
+            assert_eq!(finished.len(), total as usize, "{algo:?}");
+            assert_eq!(r.ingest_epochs, 3, "{algo:?}");
+            assert_eq!(r.ingest_epoch_arrivals, vec![0.0, 1e-4, 5e-4]);
+            assert_eq!(r.ingest_frontier_epochs, 3, "{algo:?}: frontier incomplete");
+            assert_eq!(r.ingest_epoch_completions.len(), 3);
+            let mono = r.ingest_epoch_completions.windows(2).all(|w| w[0] <= w[1]);
+            assert!(mono, "{algo:?}: {:?}", r.ingest_epoch_completions);
+            assert!(r.ingest_lag_max >= r.ingest_lag_mean, "{algo:?}");
+            assert!(r.ingest_lag_mean > 0.0, "{algo:?}");
         }
     }
 
@@ -1246,32 +1218,6 @@ mod tests {
     }
 
     #[test]
-    fn detector_kind_is_invisible_on_closed_runs() {
-        // The frontier protocol must be a drop-in: same virtual schedule,
-        // same traffic, same trajectories as the closed-set count.
-        let mut dcfg = DatasetConfig::tiny();
-        dcfg.blocks_per_axis = [2, 2, 2];
-        dcfg.cells_per_block = [6, 6, 6];
-        let ds = Dataset::thermal_hydraulics(dcfg);
-        let seeds = ds.seeds_with_count(Seeding::Sparse, 27);
-        for algo in Algorithm::ALL {
-            let mut cfg = RunConfig::new(algo, 4);
-            cfg.limits.max_steps = 300;
-            cfg.memory = MemoryBudget::unlimited();
-            let RunOutput { report: rc, finished: fc, .. } =
-                Run::new(&ds, &cfg, &seeds).go().unwrap();
-            cfg.detector = crate::termination::DetectorKind::Frontier;
-            let RunOutput { report: rf, finished: ff, .. } =
-                Run::new(&ds, &cfg, &seeds).go().unwrap();
-            assert_eq!(fc, ff, "{algo:?}: detector changed streamlines");
-            assert_eq!(rc.wall, rf.wall, "{algo:?}");
-            assert_eq!(rc.msgs, rf.msgs, "{algo:?}");
-            assert_eq!(rc.bytes_sent, rf.bytes_sent, "{algo:?}");
-            assert_eq!(rc.events, rf.events, "{algo:?}");
-        }
-    }
-
-    #[test]
     fn open_loop_under_rank_chaos_still_conserves() {
         let mut dcfg = DatasetConfig::tiny();
         dcfg.blocks_per_axis = [2, 2, 2];
@@ -1283,7 +1229,6 @@ mod tests {
             let mut cfg = RunConfig::new(algo, 4);
             cfg.limits.max_steps = 300;
             cfg.memory = MemoryBudget::unlimited();
-            cfg.detector = crate::termination::DetectorKind::Frontier;
             cfg.rank_chaos = Some(crate::config::RankChaos::one_kill(3, 2e-4));
             let RunOutput { report: r, finished, .. } =
                 Run::new(&ds, &cfg, source.clone()).go().unwrap();

@@ -12,7 +12,7 @@ use crate::ingest::EpochMap;
 use crate::liveness::{Liveness, WAKE_BEAT};
 use crate::msg::{Command, Msg, SlaveStatus};
 use crate::rank::{Parked, RankCore, RankCoreSnapshot};
-use crate::termination::{AnyDetector, DetectorKind};
+use crate::termination::FrontierDetector;
 use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -93,13 +93,7 @@ impl SlaveProc {
         SlaveProc {
             rank,
             master,
-            core: RankCore::new(
-                ws,
-                memory,
-                h0,
-                AnyDetector::new(DetectorKind::ClosedSet),
-                EpochMap::default(),
-            ),
+            core: RankCore::new(ws, memory, h0, FrontierDetector::default(), EpochMap::default()),
             parked: Parked::new(),
             comm_geometry,
             last_status_terminated: 0,
@@ -117,8 +111,7 @@ impl SlaveProc {
 
     /// Switch this slave into open-loop mode: retirements are charged to
     /// ingest epochs recovered from streamline ids via `emap`.
-    pub fn with_ingest(mut self, kind: DetectorKind, emap: EpochMap) -> Self {
-        self.core.detector = AnyDetector::new(kind);
+    pub fn with_ingest(mut self, emap: EpochMap) -> Self {
         self.core.emap = emap;
         self
     }

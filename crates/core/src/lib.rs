@@ -70,7 +70,5 @@ pub use run::{Run, RunError, RunOutput};
 pub use runstats::{summarize, StreamlineStats};
 pub use static_alloc::StaticPartition;
 pub use steal::{lifeline_neighbors, StealProc, StealSnapshot};
-pub use termination::{
-    AnyDetector, ClosedSetDetector, DetectorKind, FrontierDetector, TerminationDetector,
-};
+pub use termination::FrontierDetector;
 pub use workspace::{BlockExit, Workspace};

@@ -15,7 +15,7 @@ use crate::ingest::EpochMap;
 use crate::liveness::{Liveness, WAKE_BEAT};
 use crate::msg::Msg;
 use crate::rank::{repark, Parked, RankCore, RankCoreSnapshot};
-use crate::termination::{AnyDetector, DetectorKind, TerminationDetector};
+use crate::termination::FrontierDetector;
 use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -89,7 +89,7 @@ impl LodProc {
         live: Option<Liveness>,
     ) -> Self {
         let seeds = all_seeds[rank].clone();
-        let mut detector = AnyDetector::new(DetectorKind::ClosedSet);
+        let mut detector = FrontierDetector::default();
         detector.seal(1);
         let emap = EpochMap::closed(seeds.len() as u32);
         LodProc {
@@ -104,13 +104,13 @@ impl LodProc {
         }
     }
 
-    /// Select the termination detector and ingest plan: `n_epochs` total
-    /// ingest epochs will be observed (epoch 0 at start, the rest as
-    /// [`Msg::Ingest`] events — one per epoch, even when this rank's share
-    /// is empty). Work opens as it is admitted.
-    pub fn with_ingest(mut self, kind: DetectorKind, n_epochs: u32, emap: EpochMap) -> Self {
+    /// Set the ingest plan: `n_epochs` total ingest epochs will be observed
+    /// (epoch 0 at start, the rest as [`Msg::Ingest`] events — one per
+    /// epoch, even when this rank's share is empty). Work opens as it is
+    /// admitted.
+    pub fn with_ingest(mut self, n_epochs: u32, emap: EpochMap) -> Self {
         self.core.emap = emap;
-        self.core.detector = AnyDetector::new(kind);
+        self.core.detector = FrontierDetector::default();
         self.core.detector.seal(n_epochs.max(1));
         self
     }

@@ -85,7 +85,7 @@ pub enum Msg {
     /// Static Allocation: `count` more streamlines terminated (sent to the
     /// count rank, which maintains the "globally communicated streamline
     /// count" of §4.1). `by_epoch` splits the same count per ingest epoch
-    /// for the frontier detector; empty (and free on the wire) means
+    /// for the frontier ledger; empty (and free on the wire) means
     /// "all in epoch 0" — exactly what every closed run sends, so closed
     /// traffic costs what it always did and old checkpoints still load.
     CountDelta {
@@ -279,7 +279,7 @@ mod tests {
     fn closed_run_messages_cost_what_they_always_did() {
         // The open-loop fields default to their closed-run values and add
         // zero wire bytes there — the invariant that keeps closed schedules
-        // bit-identical across detector kinds.
+        // bit-identical to the paper's count.
         assert_eq!(Msg::CountDelta { count: 5, by_epoch: vec![] }.wire_bytes(true), 12);
         assert_eq!(
             Msg::CountDelta { count: 5, by_epoch: vec![(0, 2), (1, 3)] }.wire_bytes(true),

@@ -12,7 +12,7 @@
 use crate::config::MemoryBudget;
 use crate::ingest::EpochMap;
 use crate::msg::Msg;
-use crate::termination::{AnyDetector, TerminationDetector};
+use crate::termination::FrontierDetector;
 use crate::workspace::{BlockExit, Workspace, WorkspaceSnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -46,7 +46,7 @@ pub struct RankCore {
     /// Per-epoch termination detector. Static Allocation's count rank holds
     /// the global count here; every other rank a retirement ledger that the
     /// driver folds into the run's frontier.
-    pub detector: AnyDetector,
+    pub detector: FrontierDetector,
     /// Streamline id → ingest epoch (identity for closed runs).
     pub(crate) emap: EpochMap,
     /// `finished` entries already retired into the detector.
@@ -66,7 +66,7 @@ pub struct RankCoreSnapshot {
     pub ws: WorkspaceSnapshot,
     pub finished: Vec<Streamline>,
     pub failed_oom: bool,
-    pub detector: AnyDetector,
+    pub detector: FrontierDetector,
     pub seen: Vec<u32>,
     pub pingponged: Vec<u32>,
     pub pingpong_times: Vec<f64>,
@@ -77,7 +77,7 @@ impl RankCore {
         ws: Workspace,
         memory: MemoryBudget,
         h0: f64,
-        detector: AnyDetector,
+        detector: FrontierDetector,
         emap: EpochMap,
     ) -> Self {
         RankCore {

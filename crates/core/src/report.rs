@@ -127,8 +127,7 @@ pub struct RunReport {
     #[serde(default)]
     pub ingest_epochs: u32,
     /// Epochs the folded per-rank frontier ledgers confirmed fully retired
-    /// — equals `ingest_epochs` on a completed frontier-detector run, 0
-    /// under the closed-set detector (no per-epoch ledger).
+    /// — equals `ingest_epochs` on a completed open run; 0 on closed runs.
     #[serde(default)]
     pub ingest_frontier_epochs: u32,
     /// Virtual arrival time of each ingest epoch.

@@ -17,7 +17,7 @@ use crate::ingest::EpochMap;
 use crate::liveness::{Liveness, WAKE_BEAT};
 use crate::msg::Msg;
 use crate::rank::{Parked, RankCore, RankCoreSnapshot};
-use crate::termination::{AnyDetector, DetectorKind, TerminationDetector};
+use crate::termination::FrontierDetector;
 use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -106,8 +106,8 @@ pub struct StaticProc {
     owners: Owners,
     /// Workspace, finished list, memory budget, ping-pong record, and the
     /// global termination detector — only meaningful on [`COUNT_RANK`],
-    /// where it holds the "globally communicated streamline count" of §4.1
-    /// (closed-set) or the per-epoch frontier ledger (open-loop).
+    /// where its frontier ledger is the "globally communicated streamline
+    /// count" of §4.1, split per ingest epoch on open runs.
     pub(crate) core: RankCore,
     /// Seeds assigned to this rank (they lie in its owned blocks).
     seeds: Vec<(StreamlineId, Vec3)>,
@@ -168,7 +168,7 @@ impl StaticProc {
                 ws,
                 memory,
                 h0,
-                Self::detector_for(rank, DetectorKind::ClosedSet, &[total_streamlines]),
+                Self::detector_for(rank, &[total_streamlines]),
                 EpochMap::closed(total_streamlines as u32),
             ),
             seeds: all_seeds[rank].clone(),
@@ -180,21 +180,20 @@ impl StaticProc {
     }
 
     /// The count rank's detector is pre-opened and sealed over the whole
-    /// plan (`epoch_totals[e]` seeds in epoch `e`); the others hold none.
-    fn detector_for(rank: usize, kind: DetectorKind, epoch_totals: &[u64]) -> AnyDetector {
+    /// plan (`epoch_totals[e]` seeds in epoch `e`); the others start empty.
+    fn detector_for(rank: usize, epoch_totals: &[u64]) -> FrontierDetector {
         if rank == COUNT_RANK {
-            AnyDetector::sealed_over(kind, epoch_totals)
+            FrontierDetector::sealed_over(epoch_totals)
         } else {
-            AnyDetector::new(kind)
+            FrontierDetector::default()
         }
     }
 
-    /// Select the termination detector and ingest plan for this rank. With
-    /// the default `ClosedSet` kind and a single epoch the count rank's
-    /// detector is exactly §4.1's global streamline count.
-    pub fn with_ingest(mut self, kind: DetectorKind, epoch_totals: &[u64], emap: EpochMap) -> Self {
+    /// Set the ingest plan for this rank. With a single epoch the count
+    /// rank's detector is exactly §4.1's global streamline count.
+    pub fn with_ingest(mut self, epoch_totals: &[u64], emap: EpochMap) -> Self {
         self.core.emap = emap;
-        self.core.detector = Self::detector_for(self.rank, kind, epoch_totals);
+        self.core.detector = Self::detector_for(self.rank, epoch_totals);
         self
     }
 

@@ -35,7 +35,7 @@ use crate::ingest::EpochMap;
 use crate::liveness::{Liveness, WAKE_BEAT};
 use crate::msg::Msg;
 use crate::rank::{repark, Parked, RankCore, RankCoreSnapshot};
-use crate::termination::{AnyDetector, DetectorKind};
+use crate::termination::FrontierDetector;
 use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
 use streamline_desim::{Context, Event, Process};
@@ -195,13 +195,7 @@ impl StealProc {
             params,
             comm_geometry,
             neighbors: lifeline_neighbors(rank, n_ranks, params.neighbor_degree),
-            core: RankCore::new(
-                ws,
-                memory,
-                h0,
-                AnyDetector::new(DetectorKind::ClosedSet),
-                EpochMap::default(),
-            ),
+            core: RankCore::new(ws, memory, h0, FrontierDetector::default(), EpochMap::default()),
             seeds,
             parked: Parked::new(),
             done: false,
@@ -232,8 +226,7 @@ impl StealProc {
     /// Switch this rank into open-loop mode: `n_epochs` ingest epochs will
     /// be observed (epoch 0 at start, the rest as [`Msg::Ingest`] events),
     /// with `emap` recovering any streamline's epoch from its id.
-    pub fn with_ingest(mut self, kind: DetectorKind, n_epochs: u32, emap: EpochMap) -> Self {
-        self.core.detector = AnyDetector::new(kind);
+    pub fn with_ingest(mut self, n_epochs: u32, emap: EpochMap) -> Self {
         self.core.emap = emap;
         self.n_epochs = n_epochs.max(1);
         self

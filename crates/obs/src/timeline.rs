@@ -248,7 +248,7 @@ pub struct ScheduleTrace {
     /// Cumulative ingest epochs the termination frontier has *confirmed
     /// complete* by the end of each bucket, aligned with the arrival
     /// staircase (always at or below it — an epoch cannot complete before
-    /// it arrives). Empty on closed runs and under the closed-set detector.
+    /// it arrives). Empty on closed runs.
     #[serde(default)]
     pub frontier_epochs_cumulative: Vec<u64>,
 }
