@@ -16,7 +16,6 @@ pub mod decomp;
 pub mod grid;
 pub mod group;
 pub mod interp;
-pub mod rectilinear;
 pub mod sample;
 pub mod sampler;
 pub mod seeds;
