@@ -14,9 +14,20 @@ fn main() {
     if args.out.is_none() {
         args.out = Some("EXPERIMENTS-data.md".into());
     }
-    let mut md = String::from(
+    // Name the flags that shape the data; `--out` only says where it goes.
+    let mut flags = String::new();
+    let mut argv = std::env::args().skip(1);
+    while let Some(a) = argv.next() {
+        if a == "--out" {
+            argv.next();
+        } else {
+            flags += &format!(" {a}");
+        }
+    }
+    let flags = if flags.is_empty() { flags } else { format!(" --{flags}") };
+    let mut md = format!(
         "# Regenerated evaluation data (Figures 5-16)\n\n\
-         Produced by `cargo run --release -p streamline-bench --bin all_figures`.\n\
+         Produced by `cargo run --release -p streamline-bench --bin all_figures{flags}`.\n\
          Virtual-time measurements from the deterministic simulated cluster;\n\
          see EXPERIMENTS.md for the paper-vs-measured analysis.\n\n",
     );
