@@ -40,6 +40,7 @@ pub mod checkpoint;
 pub mod classify;
 pub mod config;
 pub mod driver;
+mod fanout;
 pub mod hybrid;
 pub mod ingest;
 pub mod liveness;

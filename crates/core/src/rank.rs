@@ -10,6 +10,7 @@
 //! loaded, and their protocol state.
 
 use crate::config::MemoryBudget;
+use crate::fanout::fan_out;
 use crate::ingest::EpochMap;
 use crate::msg::Msg;
 use crate::termination::FrontierDetector;
@@ -25,6 +26,19 @@ use streamline_math::Vec3;
 /// Streamlines waiting per block, keyed by block for deterministic
 /// iteration.
 pub(crate) type Parked = BTreeMap<BlockId, Vec<Streamline>>;
+
+/// `list` split into batch chunks of at most `lanes`, in the order a scalar
+/// loop popping from the end would take them: the last `lanes` entries,
+/// reversed, first.
+fn chunks(mut list: Vec<Streamline>, lanes: usize) -> Vec<Vec<Streamline>> {
+    let mut chunks = Vec::with_capacity(list.len().div_ceil(lanes));
+    while !list.is_empty() {
+        let mut chunk = list.split_off(list.len().saturating_sub(lanes));
+        chunk.reverse();
+        chunks.push(chunk);
+    }
+    chunks
+}
 
 /// The plain [`RankCore::drain_resident`] rule: a lane that left its block
 /// waits at the next one.
@@ -182,11 +196,45 @@ impl RankCore {
     /// Advance `list` — lanes waiting in resident `block` — through the
     /// batch kernel in chunks of the batch width. Each chunk is the list's
     /// last entries reversed (the order a scalar loop popping from the end
-    /// would take); finished lanes join `finished` and every lane that
-    /// crossed into block `next` goes to `route(core, lane, next, ctx)`.
-    /// Returns false when the memory budget ran out (the world is
-    /// stopping).
+    /// would take). The chunks run on this thread and the advance helpers
+    /// ([`crate::fanout`]) and are committed here in chunk order: finished
+    /// lanes join `finished` and every lane that crossed into block `next`
+    /// goes to `route(core, lane, next, ctx)`. Returns false when the
+    /// memory budget ran out (the world is stopping); the chunks after that
+    /// point are dropped unbooked.
     pub(crate) fn advance_block<F>(
+        &mut self,
+        block: BlockId,
+        list: Vec<Streamline>,
+        ctx: &mut dyn Context<Msg>,
+        mut route: F,
+    ) -> bool
+    where
+        F: FnMut(&mut RankCore, Streamline, BlockId, &mut dyn Context<Msg>),
+    {
+        if list.is_empty() {
+            return true;
+        }
+        let chunks = chunks(list, self.ws.batch_lanes());
+        for (chunk, exits, stats) in fan_out(chunks, self.ws.kernel(block)) {
+            self.ws.commit_batch(block, &exits, stats, ctx);
+            for (sl, exit) in chunk.into_iter().zip(exits) {
+                match exit {
+                    BlockExit::MovedTo(next) => route(self, sl, next, ctx),
+                    BlockExit::Done(_) => self.finished.push(sl),
+                }
+            }
+            if self.check_memory(ctx) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The serial chunk loop [`Self::advance_block`] replaced: each chunk's
+    /// kernel, then its commit, on this thread. The fan-out tests' oracle.
+    #[cfg(test)]
+    pub(crate) fn advance_block_serial<F>(
         &mut self,
         block: BlockId,
         mut list: Vec<Streamline>,
@@ -286,5 +334,180 @@ impl RankCore {
         self.pingponged = snap.pingponged.iter().copied().collect();
         self.pingpong_times = snap.pingpong_times.clone();
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::NullCtx;
+    use proptest::prelude::*;
+    use std::sync::Arc;
+    use streamline_field::dataset::{Dataset, DatasetConfig};
+    use streamline_integrate::StepLimits;
+    use streamline_iosim::{BlockStore, DiskModel, MemoryStore};
+
+    fn limits() -> StepLimits {
+        StepLimits { h0: 1e-3, h_max: 0.02, max_steps: 25, ..StepLimits::default() }
+    }
+
+    /// The tiny thermal problem, with its store built once.
+    fn problem() -> (Dataset, Arc<dyn BlockStore>) {
+        let ds = Dataset::thermal_hydraulics(DatasetConfig::tiny());
+        let store: Arc<dyn BlockStore> = Arc::new(MemoryStore::build(&ds));
+        (ds, store)
+    }
+
+    /// A rank holding the block of the domain centre, with `n` lanes
+    /// seeded across it; returns the rank, the block and the lanes.
+    fn rank_with_lanes(
+        ds: &Dataset,
+        store: &Arc<dyn BlockStore>,
+        lanes: usize,
+        n: usize,
+        bytes: Option<f64>,
+    ) -> (RankCore, BlockId, Vec<Streamline>, NullCtx) {
+        let limits = limits();
+        // Geometry only, so resident bytes grow with every step.
+        let memory = MemoryBudget { bytes, vertex_bytes: 64.0, stream_bytes: 0.0 };
+        let mut ws =
+            Workspace::new(ds.decomp, Arc::clone(store), 4, DiskModel::paper_scale(), limits, 1e-6);
+        ws.set_batch_lanes(lanes);
+        ws.set_vertex_bytes(memory.vertex_bytes);
+        ws.set_stream_bytes(memory.stream_bytes);
+        let mut core = RankCore::new(ws, memory, limits.h0, Default::default(), Default::default());
+        let bounds = ds.decomp.domain;
+        let block = core.ws.locate(bounds.min + bounds.size() * 0.5).expect("inside");
+        let mut ctx = NullCtx::default();
+        core.ws.acquire(block, &mut ctx);
+        let b = ds.decomp.block_bounds(block);
+        let list = (0..n)
+            .map(|i| {
+                // A low-discrepancy spread over the block's interior.
+                let f = |k: f64| 0.05 + 0.9 * ((i as f64 + 0.5) * k).fract();
+                let p =
+                    b.min + b.size().mul_elem(Vec3::new(f(0.618_034), f(0.754_878), f(0.569_840)));
+                core.spawn(StreamlineId(i as u32), p)
+            })
+            .collect();
+        (core, block, list, ctx)
+    }
+
+    /// Everything an advance leaves behind that a run could observe.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        advanced: bool,
+        finished: Vec<Streamline>,
+        routed: Vec<(StreamlineId, BlockId)>,
+        log: Vec<String>,
+        sent: Vec<(usize, Msg, usize)>,
+        compute_bits: u64,
+        ws: WorkspaceSnapshot,
+        cache: streamline_iosim::CacheStats,
+        failed_oom: bool,
+    }
+
+    /// Movers into odd blocks go to a made-up owner rank, as a driver hands
+    /// off; the rest stay parked here, resident.
+    fn hand_off_odd(
+        core: &mut RankCore,
+        sl: Streamline,
+        next: BlockId,
+        ctx: &mut dyn Context<Msg>,
+    ) {
+        if next.0 % 2 == 1 {
+            core.ws.release(&sl);
+            let msg = Msg::Handoff { sl: Box::new(sl) };
+            let bytes = msg.wire_bytes(true);
+            ctx.send(next.0 as usize % 4, msg, bytes);
+        }
+    }
+
+    /// Advance the lanes with the fan-out (or the serial oracle), routing
+    /// movers with [`hand_off_odd`].
+    fn advance(lanes: usize, n: usize, bytes: Option<f64>, serial: bool) -> Outcome {
+        let (ds, store) = problem();
+        let (mut core, block, list, mut ctx) = rank_with_lanes(&ds, &store, lanes, n, bytes);
+        let mut routed = Vec::new();
+        let route =
+            |core: &mut RankCore, sl: Streamline, next: BlockId, ctx: &mut dyn Context<Msg>| {
+                routed.push((sl.id, next));
+                hand_off_odd(core, sl, next, ctx);
+            };
+        let advanced = if serial {
+            core.advance_block_serial(block, list, &mut ctx, route)
+        } else {
+            core.advance_block(block, list, &mut ctx, route)
+        };
+        Outcome {
+            advanced,
+            finished: core.finished.clone(),
+            routed,
+            log: ctx.log,
+            sent: ctx.sent,
+            compute_bits: ctx.compute.to_bits(),
+            ws: core.ws.snapshot(),
+            cache: core.ws.cache_stats(),
+            failed_oom: core.failed_oom,
+        }
+    }
+
+    #[test]
+    fn fan_out_commits_exactly_like_the_serial_loop() {
+        // 50 lanes at 16 per chunk: four chunks, the last one short.
+        let fanned = advance(16, 50, None, false);
+        let serial = advance(16, 50, None, true);
+        assert!(
+            !fanned.finished.is_empty() && !fanned.routed.is_empty(),
+            "both fates occur: {} {}",
+            fanned.finished.len(),
+            fanned.routed.len()
+        );
+        assert_eq!(fanned.ws.batch_calls, 4);
+        assert_eq!(fanned.ws.batched_lanes, 50);
+        // One load at set-up, then one cache hit per committed chunk.
+        assert_eq!((fanned.cache.loaded, fanned.cache.hits), (1, 4));
+        assert_eq!(fanned, serial);
+    }
+
+    /// The budget breaks at chunk `k` of four: the world stops there, and no
+    /// later chunk is booked (the serial loop never advanced them).
+    #[test]
+    fn oom_mid_list_books_nothing_after_the_breaking_chunk() {
+        let (lanes, n) = (16, 64);
+        // Resident bytes once the last `m` lanes (the first chunks) are in.
+        let bytes_after = |m: usize| {
+            let (ds, store) = problem();
+            let (mut core, block, list, mut ctx) = rank_with_lanes(&ds, &store, lanes, n, None);
+            core.advance_block_serial(block, list[n - m..].to_vec(), &mut ctx, hand_off_odd);
+            (core.ws.memory_bytes(), core.ws.total_steps)
+        };
+        for k in 0..3 {
+            // Fits through chunk k − 1 (or only the seeded lanes), not chunk k.
+            let budget = if k == 0 {
+                let (ds, store) = problem();
+                rank_with_lanes(&ds, &store, lanes, n, None).0.ws.memory_bytes()
+            } else {
+                bytes_after(k * lanes).0
+            };
+            let fanned = advance(lanes, n, Some(budget), false);
+            let serial = advance(lanes, n, Some(budget), true);
+            assert!(!fanned.advanced && fanned.failed_oom, "chunk {k} breaks the budget");
+            assert_eq!(fanned.ws.batch_calls, k as u64 + 1, "chunks after {k} are not booked");
+            assert_eq!(fanned.ws.total_steps, bytes_after((k + 1) * lanes).1);
+            assert_eq!(fanned.log.last().map(String::as_str), Some("stop"));
+            assert_eq!(fanned, serial);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn fan_out_matches_the_serial_loop_for_any_split(n in 1usize..65, lanes in 1usize..17) {
+            let fanned = advance(lanes, n, None, false);
+            let serial = advance(lanes, n, None, true);
+            prop_assert_eq!(fanned.ws.batch_calls, n.div_ceil(lanes) as u64);
+            prop_assert_eq!(fanned, serial);
+        }
     }
 }

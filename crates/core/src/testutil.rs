@@ -41,6 +41,8 @@ pub struct NullCtx {
     pub sent: Vec<(usize, Msg, usize)>,
     pub wakes: Vec<(f64, u64)>,
     pub stopped: bool,
+    /// Every charge, send and stop in call order (charges bit-exact).
+    pub log: Vec<String>,
 }
 
 impl NullCtx {
@@ -66,18 +68,22 @@ impl Context<Msg> for NullCtx {
         self.compute + self.io
     }
     fn charge_compute(&mut self, secs: f64) {
+        self.log.push(format!("compute {:#x}", secs.to_bits()));
         self.compute += secs;
     }
     fn charge_io(&mut self, secs: f64) {
+        self.log.push(format!("io {:#x}", secs.to_bits()));
         self.io += secs;
     }
     fn send(&mut self, to: usize, msg: Msg, bytes: usize) {
+        self.log.push(format!("send {to} {bytes}"));
         self.sent.push((to, msg, bytes));
     }
     fn wake_after(&mut self, delay: f64, token: u64) {
         self.wakes.push((delay, token));
     }
     fn stop_all(&mut self) {
+        self.log.push("stop".into());
         self.stopped = true;
     }
 }

@@ -1,10 +1,11 @@
 //! Per-rank machinery shared by all three algorithms: the block cache, the
 //! advection loop, and logical memory accounting.
 
-use crate::advance::StreamlineBatch;
+use crate::advance::{advance_batch_in_block, AdvanceStats, StreamlineBatch};
 use crate::config::BatchParams;
 use crate::msg::Msg;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::sync::Arc;
 use streamline_desim::Context;
 use streamline_field::block::{Block, BlockId};
@@ -87,12 +88,31 @@ pub struct Workspace {
     pub batched_lanes: u64,
     /// Batch-kernel invocations on this rank.
     pub batch_calls: u64,
-    /// Maximum lanes per [`Workspace::advance_batch_in`] group; the
-    /// driver's drain loops chunk their per-block queues to this.
+    /// Maximum lanes per batch-kernel chunk; the driver's drain loops
+    /// chunk their per-block queues to this.
     batch_lanes: usize,
-    /// Reusable SoA scratch for the batch kernel.
-    batch: StreamlineBatch,
 }
+
+thread_local! {
+    /// Reusable SoA scratch for the batch kernel, one per thread that runs
+    /// it (a rank's own thread or an advance helper). The kernel resets it
+    /// per call, so which thread's scratch a chunk uses never shows.
+    static SCRATCH: RefCell<StreamlineBatch> = RefCell::new(StreamlineBatch::new());
+}
+
+/// Advance `group` inside `block` with the batch kernel on this thread's
+/// scratch: a pure function of its arguments.
+fn batch_kernel(
+    group: &mut [Streamline],
+    block: &Block,
+    decomp: &BlockDecomposition,
+    limits: &StepLimits,
+) -> (Vec<BlockExit>, AdvanceStats) {
+    SCRATCH.with(|s| advance_batch_in_block(group, block, decomp, limits, &mut s.borrow_mut()))
+}
+
+/// One chunk after the kernel: its lanes, their exits, and the work done.
+pub(crate) type Advanced = (Vec<Streamline>, Vec<BlockExit>, AdvanceStats);
 
 impl Workspace {
     pub fn new(
@@ -124,7 +144,6 @@ impl Workspace {
             batched_lanes: 0,
             batch_calls: 0,
             batch_lanes: BatchParams::AUTO_LANES,
-            batch: StreamlineBatch::new(),
         }
     }
 
@@ -263,25 +282,34 @@ impl Workspace {
         exit
     }
 
-    /// Advance every streamline of `group` inside resident block `id` with
-    /// the batch kernel — bit-identical per streamline to calling
-    /// `Workspace::advance_in` on each in isolation, with the same
-    /// summed compute charge and accounting. Returns one exit per lane in
-    /// input order.
-    pub fn advance_batch_in(
-        &mut self,
-        group: &mut [Streamline],
+    /// The batch kernel over resident block `id`, as a pure function of one
+    /// chunk that any thread may run: it reads the block, the decomposition
+    /// and the limits, and books nothing. [`Self::commit_batch`] books the
+    /// result. Peeking the block moves no cache counter.
+    pub(crate) fn kernel(
+        &self,
         id: BlockId,
+    ) -> impl Fn(Vec<Streamline>) -> Advanced + Send + Sync + 'static {
+        let block = self.cache.peek(id).expect("a batch advance requires a resident block");
+        let (decomp, limits) = (self.decomp, self.limits);
+        move |mut chunk| {
+            let (exits, stats) = batch_kernel(&mut chunk, &block, &decomp, &limits);
+            (chunk, exits, stats)
+        }
+    }
+
+    /// Book one chunk's batch advance inside resident block `id`: one cache
+    /// get (a hit and an LRU tick), the summed compute charge, the counters
+    /// and the terminations — exactly what a scalar advance of each lane
+    /// would have booked.
+    pub(crate) fn commit_batch(
+        &mut self,
+        id: BlockId,
+        exits: &[BlockExit],
+        stats: AdvanceStats,
         ctx: &mut dyn Context<Msg>,
-    ) -> Vec<BlockExit> {
-        let block = self.cache.get(id).expect("advance_batch_in requires a resident block");
-        let (exits, stats) = crate::advance::advance_batch_in_block(
-            group,
-            &block,
-            &self.decomp,
-            &self.limits,
-            &mut self.batch,
-        );
+    ) {
+        self.cache.get(id).expect("a batch advance requires a resident block");
         ctx.charge_compute(stats.steps as f64 * self.sec_per_step);
         self.geom_vertices += stats.steps;
         self.total_steps += stats.steps;
@@ -289,12 +317,28 @@ impl Workspace {
         self.sampler_misses += stats.sampler_misses;
         self.batched_lanes += stats.batched_lanes;
         self.batch_calls += 1;
-        for exit in &exits {
+        for exit in exits {
             if let BlockExit::Done(_) = exit {
                 self.terminated += 1;
                 self.resident_streams = self.resident_streams.saturating_sub(1);
             }
         }
+    }
+
+    /// Kernel then commit for one group on the calling thread — bit-identical
+    /// per streamline to `Workspace::advance_in` on each lane in isolation,
+    /// with the same summed compute charge and accounting. Returns one exit
+    /// per lane in input order. The oracle of the fan-out tests.
+    #[cfg(test)]
+    pub fn advance_batch_in(
+        &mut self,
+        group: &mut [Streamline],
+        id: BlockId,
+        ctx: &mut dyn Context<Msg>,
+    ) -> Vec<BlockExit> {
+        let block = self.cache.peek(id).expect("advance_batch_in requires a resident block");
+        let (exits, stats) = batch_kernel(group, &block, &self.decomp, &self.limits);
+        self.commit_batch(id, &exits, stats, ctx);
         exits
     }
 

@@ -125,6 +125,11 @@ impl LruCache {
         self.entries.keys().copied().collect()
     }
 
+    /// A resident block, without touching its recency or the counters.
+    pub fn peek(&self, id: BlockId) -> Option<Arc<Block>> {
+        self.entries.get(&id).map(|e| Arc::clone(&e.block))
+    }
+
     /// Get a resident block, refreshing its recency. `None` on miss (the
     /// caller decides whether to load — loading costs I/O time that the
     /// algorithms account for explicitly).

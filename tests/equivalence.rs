@@ -97,3 +97,32 @@ fn dense_seeding_also_agrees() {
     assert_same_states(&results[0], &results[2], "static vs hybrid dense");
     assert_same_states(&results[0], &results[3], "static vs steal dense");
 }
+
+/// At batch width 2 nearly every parked list splits into several chunks,
+/// so nearly every block advance fans out across the host's cores. Every
+/// driver must still finish every streamline bit-identically: to the other
+/// drivers, and to itself at the 16-lane width.
+#[test]
+fn narrow_batches_fan_out_and_still_agree() {
+    let ds = Dataset::thermal_hydraulics(DatasetConfig::tiny());
+    let seeds = ds.seeds_with_count(Seeding::Dense, 96);
+    let run = |algo: Algorithm, lanes: usize| {
+        let mut cfg = RunConfig::new(algo, 4);
+        cfg.limits.max_steps = 300;
+        cfg.limits.max_arc_length = 1.0;
+        cfg.memory = MemoryBudget::unlimited();
+        cfg.batch.lanes = Some(lanes);
+        let RunOutput { report, finished, .. } = Run::new(&ds, &cfg, &seeds).go().unwrap();
+        assert!(report.outcome.completed(), "{algo:?} at {lanes} lanes");
+        (report.total_steps, finished)
+    };
+    let (ref_steps, reference) = run(Algorithm::LoadOnDemand, 2);
+    assert_eq!(reference.len(), 96);
+    for algo in Algorithm::ALL {
+        let (steps, narrow) = run(algo, 2);
+        let (wide_steps, wide) = run(algo, 16);
+        assert_same_states(&reference, &narrow, &format!("LOD vs {algo:?}, 2 lanes"));
+        assert_same_states(&narrow, &wide, &format!("{algo:?}: 2 vs 16 lanes"));
+        assert_eq!((steps, wide_steps), (ref_steps, ref_steps), "{algo:?} steps");
+    }
+}

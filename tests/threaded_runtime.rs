@@ -5,6 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use streamline_repro::core::{Algorithm, MemoryBudget, Run, RunConfig};
 use streamline_repro::field::dataset::{Dataset, DatasetConfig, Seeding};
+use streamline_repro::integrate::Streamline;
 use streamline_repro::iosim::{BlockStore, MemoryStore};
 
 fn dataset() -> Dataset {
@@ -54,4 +55,31 @@ fn threads_run_against_real_disk_store() {
     assert!(r.outcome.completed());
     assert_eq!(r.terminated, 24);
     assert!(r.wall > 0.0);
+}
+
+/// Under real threads, 2-lane batches make most block advances fan out to
+/// the advance helpers from several rank threads at once; every driver
+/// must still finish the same streamlines, bit for bit, as the simulation.
+#[test]
+fn threads_with_fanned_out_advances_match_simulation() {
+    let ds = dataset();
+    let seeds = ds.seeds_with_count(Seeding::Dense, 64);
+    let store: Arc<dyn BlockStore> = Arc::new(MemoryStore::build(&ds));
+    for algo in Algorithm::ALL {
+        let mut cfg = cfg(algo);
+        cfg.batch.lanes = Some(2);
+        let sim = Run::new(&ds, &cfg, &seeds).go().unwrap();
+        let thr = Run::new(&ds, &cfg, &seeds)
+            .store(Arc::clone(&store))
+            .threads(Duration::from_secs(60))
+            .go()
+            .unwrap();
+        assert!(thr.report.outcome.completed(), "{algo:?}");
+        let by_id = |mut v: Vec<Streamline>| {
+            v.sort_by_key(|sl| sl.id);
+            v
+        };
+        assert_eq!(by_id(thr.finished), by_id(sim.finished), "{algo:?}");
+        assert_eq!(thr.report.total_steps, sim.report.total_steps, "{algo:?}");
+    }
 }
