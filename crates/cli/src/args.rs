@@ -143,24 +143,17 @@ impl RunSpec {
         self.checkpoint.get_or_insert_with(|| CheckpointOptions::new("", 0.1))
     }
 
-    /// Validate every knob group once, with its typed error, and drop the
-    /// snapshot options when `--checkpoint` was not given.
+    /// Validate every knob group `Run` does not, with its typed error, and
+    /// drop the snapshot options when `--checkpoint` was not given.
     fn finish(&mut self, given: &[&str]) -> Result<(), String> {
-        let positive = |flag: &str, v: f64| {
-            if v > 0.0 && v.is_finite() {
-                Ok(())
-            } else {
-                Err(format!("--{flag} must be positive and finite, got {v}"))
-            }
-        };
-        positive("ingest-interval", self.ingest_interval)?;
+        let v = self.ingest_interval;
+        if !(v > 0.0 && v.is_finite()) {
+            return Err(format!("--ingest-interval must be positive and finite, got {v}"));
+        }
         if self.ingest_epochs > 0 && self.ingest_batch == 0 {
             return Err("--ingest-batch must be >= 1".into());
         }
-        positive("trace-bucket", self.trace_bucket)?;
-        if let Some(c) = &self.checkpoint {
-            positive("checkpoint-interval", c.interval)?;
-        }
+        // The trace bucket and snapshot interval are `Run`'s to validate.
         if !given.contains(&"checkpoint") {
             self.checkpoint = None;
         }
@@ -287,11 +280,11 @@ const RUN_OPTS: &[Opt<RunSpec>] = &[
     opt("seeding", "sparse|dense", "Seed layout (default sparse)",
         |s, v| parse_seeding(v).map(|d| s.seeding = d)),
     opt("seeds", "N", "Seed count (default: the paper's)", |s, v| put_some(&mut s.seeds, v)),
+    opt("cache", "BLOCKS", "Block cache per rank (default 64)",
+        |s, v| put(&mut s.cfg.cache_blocks, v)),
     opt("algorithm", "static|lod|hybrid|steal|auto", "Driver; auto asks the §6 advisor (default)",
         |s, v| AlgoChoice::parse(v).map(|a| s.algorithm = a)),
     opt("procs", "N", "Simulated ranks (default 64)", |s, v| put(&mut s.cfg.n_procs, v)),
-    opt("cache", "BLOCKS", "Block cache per rank (default 64)",
-        |s, v| put(&mut s.cfg.cache_blocks, v)),
     opt("batch", "N|auto", "Batch-kernel width (default auto); results are the same at any",
         |s, v| match v {
             "auto" => Ok(()), // the default
@@ -358,8 +351,9 @@ const RUN_OPTS: &[Opt<RunSpec>] = &[
         |s, v| put_some(&mut s.resume, v)),
 ];
 
-/// `classify` takes the run table's first three rows: the problem flags.
-const CLASSIFY_OPTS: &[Opt<RunSpec>] = RUN_OPTS.split_at(3).0;
+/// `classify` takes the run table's first four rows: the problem flags and
+/// the cache the advisor sizes one rank's memory by.
+const CLASSIFY_OPTS: &[Opt<RunSpec>] = RUN_OPTS.split_at(4).0;
 
 #[rustfmt::skip]
 const TRACE_OPTS: &[Opt<TraceSpec>] = &[
@@ -493,6 +487,14 @@ pub fn usage() -> String {
     section(&mut u, "ftle", FTLE_OPTS);
     section(&mut u, "obs-check", OBS_CHECK_OPTS);
     u + "  slrepro info\n"
+}
+
+/// Report a usage error with the help text; returns the exit code (64,
+/// `EX_USAGE`).
+pub fn usage_error(msg: &str) -> i32 {
+    eprintln!("error: {msg}\n");
+    eprintln!("{}", usage());
+    64
 }
 
 fn section<S>(u: &mut String, cmd: &str, rows: &[Opt<S>]) {
@@ -850,14 +852,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_and_checkpoint_values_are_typed_errors_not_panics() {
-        for bad in ["0", "-1", "nan", "inf"] {
-            let e = parse(&argv(&format!("run --trace t.json --trace-bucket {bad}"))).unwrap_err();
-            assert!(e.contains("--trace-bucket must be positive and finite"), "{bad}: {e}");
-            let e = parse(&argv(&format!("run --checkpoint ck --checkpoint-interval {bad}")))
-                .unwrap_err();
-            assert!(e.contains("--checkpoint-interval must be positive and finite"), "{bad}: {e}");
-        }
+    fn checkpoint_flags_are_gated_and_kept_only_with_snapshots() {
         // A kill count without snapshots is rejected, not silently ignored.
         let e = parse(&argv("run --kill-after-checkpoints 2")).unwrap_err();
         assert!(e.contains("only applies with --checkpoint"), "{e}");

@@ -3,10 +3,12 @@
 use crate::args::{AlgoChoice, Command, DatasetKind, FtleSpec, ObsCheckSpec, RunSpec, TraceSpec};
 use std::sync::Arc;
 use streamline_core::{
-    classify, latest_checkpoint, recommend, summarize, Algorithm, FlowKnowledge,
+    classify, latest_checkpoint, recommend, summarize, FlowKnowledge, ProblemProfile,
+    Recommendation,
 };
 use streamline_core::{Run, RunConfig, RunError, RunOutput, SeedSource};
 use streamline_field::dataset::{Dataset, DatasetConfig, Seeding};
+use streamline_field::seeds::SeedSet;
 use streamline_field::unsteady::UnsteadyDoubleGyre;
 use streamline_integrate::{advect, Dopri5, StepLimits, Streamline, StreamlineId};
 use streamline_iosim::{BlockStore, FaultPlan, FaultStore, FieldStore};
@@ -48,6 +50,23 @@ fn limits_for(kind: DatasetKind, seeding: Seeding) -> StepLimits {
     l
 }
 
+/// The dataset, seed count and seed set `spec`'s problem flags name, as
+/// `classify` and `run` both build them.
+fn problem(spec: &RunSpec) -> (Dataset, usize, SeedSet) {
+    let ds = build_dataset(spec.dataset);
+    let n = spec.seeds.unwrap_or_else(|| ds.paper_seed_count(spec.seeding));
+    let set = ds.seeds_with_count(spec.seeding, n);
+    (ds, n, set)
+}
+
+/// The §3.1 profile of a problem under `cfg`'s memory model (its cache
+/// size), and the §6 advisor's pick for it with the flow unknown — what
+/// both `classify` and `run --algorithm auto` ask.
+fn advise(ds: &Dataset, set: &SeedSet, cfg: &RunConfig) -> (ProblemProfile, Recommendation) {
+    let profile = classify(ds, set, cfg);
+    (profile, recommend(&profile, FlowKnowledge::Unknown))
+}
+
 /// Execute a parsed command; returns the process exit code.
 pub fn execute(cmd: Command) -> i32 {
     match cmd {
@@ -77,11 +96,8 @@ pub fn execute(cmd: Command) -> i32 {
             0
         }
         Command::Classify(spec) => {
-            let ds = build_dataset(spec.dataset);
-            let n = spec.seeds.unwrap_or_else(|| ds.paper_seed_count(spec.seeding));
-            let set = ds.seeds_with_count(spec.seeding, n);
-            let cfg = RunConfig::new(Algorithm::HybridMasterSlave, 64);
-            let profile = classify(&ds, &set, &cfg);
+            let (ds, n, set) = problem(&spec);
+            let (profile, rec) = advise(&ds, &set, &spec.cfg);
             println!(
                 "problem: {} / {} / {} seeds\n  data: {:.1} GB ({} blocks)\n  fits in one rank's cache: {}\n  seed set small: {}\n  seed extent fraction: {:.3} (dense: {})\n  seeded block fraction: {:.3}",
                 ds.name,
@@ -95,7 +111,6 @@ pub fn execute(cmd: Command) -> i32 {
                 profile.seeds_dense,
                 profile.seeded_block_fraction,
             );
-            let rec = recommend(&profile, FlowKnowledge::Unknown);
             println!("\nadvisor (§6, flow unknown): {} — {}", rec.algorithm.label(), rec.rationale);
             0
         }
@@ -203,9 +218,7 @@ pub fn execute(cmd: Command) -> i32 {
 
 /// `slrepro run`: one cell of the §5 matrix, with its run modes.
 fn run(spec: RunSpec) -> i32 {
-    let ds = build_dataset(spec.dataset);
-    let n = spec.seeds.unwrap_or_else(|| ds.paper_seed_count(spec.seeding));
-    let set = ds.seeds_with_count(spec.seeding, n);
+    let (ds, n, set) = problem(&spec);
     // Open-loop schedule: `--ingest-epochs` batches of dense-layout seeds
     // arriving every `--ingest-interval` virtual seconds (none: a closed
     // run). The schedule is a pure function of the flags, so a resume under
@@ -225,7 +238,7 @@ fn run(spec: RunSpec) -> i32 {
     cfg.algorithm = match spec.algorithm {
         AlgoChoice::Fixed(a) => a,
         AlgoChoice::Auto => {
-            let rec = recommend(&classify(&ds, &set, &cfg), FlowKnowledge::Unknown);
+            let (_, rec) = advise(&ds, &set, &cfg);
             eprintln!("advisor picked {}: {}", rec.algorithm.label(), rec.rationale);
             rec.algorithm
         }
@@ -291,9 +304,12 @@ fn run(spec: RunSpec) -> i32 {
     let RunOutput { report, finished, timeline, pingpong_times, checkpoints, checkpoint_bytes } =
         match run.go() {
             Ok(out) => out,
-            Err(e @ (RunError::Unsupported { .. } | RunError::BadValue { .. })) => {
+            Err(e @ RunError::Unsupported { .. }) => {
                 eprintln!("error: {e}");
                 return 64;
+            }
+            Err(RunError::BadValue { setting, value }) => {
+                return crate::args::usage_error(&bad_value(setting, value))
             }
             Err(RunError::Ckpt(e)) => match &spec.resume {
                 Some(from) => return fail(format!("cannot resume from {from}: {e}")),
@@ -409,6 +425,12 @@ fn run(spec: RunSpec) -> i32 {
     }
 }
 
+/// A setting `Run` refused, named as the flag that set it (`trace bucket`
+/// is `--trace-bucket`).
+fn bad_value(setting: &str, value: f64) -> String {
+    format!("--{} must be positive and finite, got {value}", setting.replace(' ', "-"))
+}
+
 /// Say `msg` on stderr; exit code 1.
 fn fail(msg: String) -> i32 {
     eprintln!("{msg}");
@@ -482,6 +504,7 @@ fn check_ckpt(path: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use streamline_core::Algorithm;
 
     /// Parse `args` as the binary would; paths may hold spaces.
     fn cmd(args: &[&str]) -> Command {
@@ -491,6 +514,68 @@ mod tests {
 
     fn obs_check(flag: &str, path: &str) -> i32 {
         execute(cmd(&["obs-check", flag, path]))
+    }
+
+    /// The algorithm `command` (`run` or `classify`) would have the advisor
+    /// pick from `flags`.
+    fn pick(command: &str, flags: &str) -> Algorithm {
+        let args = format!("{command} {flags}");
+        let (Command::Run(spec) | Command::Classify(spec)) =
+            cmd(&args.split_whitespace().collect::<Vec<_>>())
+        else {
+            unreachable!("{command} is a run or classify command")
+        };
+        let (ds, _, set) = problem(&spec);
+        advise(&ds, &set, &spec.cfg).1.algorithm
+    }
+
+    /// `classify` and `run --algorithm auto` read the same flags, `--cache`
+    /// and its default included, so they recommend the same driver.
+    #[test]
+    fn classify_and_auto_run_pick_the_same_algorithm() {
+        for flags in [
+            "",
+            "--dataset thermal --seeds 50",
+            "--dataset thermal --seeds 50 --cache 512",
+            "--dataset astro --seeding dense --seeds 400 --cache 8",
+            "--dataset fusion --seeds 2000 --cache 600",
+        ] {
+            assert_eq!(pick("classify", flags), pick("run", flags), "flags '{flags}'");
+        }
+        // The whole dataset fits a 512-block cache: load on demand.
+        assert_eq!(
+            pick("classify", "--dataset thermal --seeds 50 --cache 512"),
+            Algorithm::LoadOnDemand
+        );
+    }
+
+    /// `Run` validates the trace bucket and snapshot interval; the CLI names
+    /// the flag in its usage error.
+    #[test]
+    fn run_refusals_name_the_flag() {
+        let ds = Dataset::thermal_hydraulics(DatasetConfig::tiny());
+        let seeds = ds.seeds_with_count(Seeding::Sparse, 4);
+        let cfg = RunConfig::new(Algorithm::LoadOnDemand, 2);
+        let refused = [
+            Run::new(&ds, &cfg, &seeds).trace(0.0).go(),
+            Run::new(&ds, &cfg, &seeds)
+                .checkpoint(streamline_core::CheckpointOptions::new("ck", f64::NAN))
+                .go(),
+        ];
+        let texts: Vec<String> = refused
+            .into_iter()
+            .map(|r| match r {
+                Err(RunError::BadValue { setting, value }) => bad_value(setting, value),
+                _ => panic!("expected a refused value"),
+            })
+            .collect();
+        assert_eq!(
+            texts,
+            [
+                "--trace-bucket must be positive and finite, got 0",
+                "--checkpoint-interval must be positive and finite, got NaN"
+            ]
+        );
     }
 
     #[test]

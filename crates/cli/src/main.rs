@@ -4,10 +4,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match streamline_cli::parse(&args) {
         Ok(cli) => std::process::exit(streamline_cli::commands::execute(cli.command)),
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            eprintln!("{}", streamline_cli::args::usage());
-            std::process::exit(64);
-        }
+        Err(e) => std::process::exit(streamline_cli::args::usage_error(&e)),
     }
 }

@@ -149,6 +149,18 @@ fn run_flag_conflicts_are_usage_errors() {
     assert_eq!(run("--checkpoint ck --resume ck"), 64);
 }
 
+/// `Run` validates the trace bucket and the snapshot interval; a bad value
+/// is a usage error (exit 64) naming the flag.
+#[test]
+fn trace_and_checkpoint_values_are_usage_errors() {
+    let run =
+        |s: &str| execute(parse(&argv(&format!("run --seeds 8 --procs 2 {s}"))).unwrap().command);
+    for bad in ["0", "-1", "nan", "inf"] {
+        assert_eq!(run(&format!("--trace t.json --trace-bucket {bad}")), 64, "{bad}");
+        assert_eq!(run(&format!("--checkpoint ck --checkpoint-interval {bad}")), 64, "{bad}");
+    }
+}
+
 /// `--chaos` is a store choice, so it composes with every run mode: a
 /// traced chaos run emits a valid trace, and a chaos run killed after two
 /// snapshots resumes to the uninterrupted chaos run's report byte for byte.
