@@ -8,10 +8,12 @@
 
 use std::sync::Arc;
 use streamline_bench::experiments::{case_config, dataset_for, SweepScale, Workload};
-use streamline_core::{build_procs, Algorithm};
-use streamline_desim::Simulation;
+use streamline_core::{Algorithm, Run};
 use streamline_field::dataset::Seeding;
 use streamline_iosim::{BlockStore, MemoryStore};
+
+/// Virtual-second bucket width: ~200 columns before `render` merges them.
+const BUCKET: f64 = 0.005;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -32,9 +34,12 @@ fn main() {
     println!("(rows = ranks, columns = virtual time; '#' busy, ' ' idle)\n");
     for algo in Algorithm::ALL {
         let cfg = case_config(workload, seeding, algo, procs);
-        let ranks = build_procs(&dataset, &seeds, &cfg, Arc::clone(&store));
-        let (report, _, timeline) =
-            Simulation::new(cfg.cost.net, ranks).run_traced(report_bucket(&cfg));
+        let out = Run::new(&dataset, &cfg, &seeds)
+            .store(Arc::clone(&store))
+            .trace(BUCKET)
+            .go()
+            .expect("a traced simulated run");
+        let (report, timeline) = (out.report, out.timeline.expect("trace was set"));
         println!(
             "## {} — wall {:.3}s, idle fraction {:.1}%",
             algo.label(),
@@ -49,10 +54,4 @@ fn main() {
          owning popular blocks); Load On Demand is dense but long; the Hybrid \
          keeps most rows shaded until the coordinated wind-down."
     );
-}
-
-/// ~200 columns worth of buckets before merging.
-fn report_bucket(cfg: &streamline_core::RunConfig) -> f64 {
-    let _ = cfg;
-    0.005
 }

@@ -1,5 +1,5 @@
 //! Table-driven argument parsing (no external CLI dependency). Each
-//! command declares every option once, as an [`Opt`] row that parses its
+//! command declares every option once, as an `Opt` row that parses its
 //! value straight into the command's spec; [`parse`] walks the rows and
 //! [`usage`] prints them.
 

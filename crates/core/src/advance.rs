@@ -1,26 +1,26 @@
 //! The block-local advance step shared by every execution engine.
 //!
-//! The `streamline-serve` query service and the scalar oracle of this
-//! crate's bit-identity tests (`Workspace::advance_in`) both advance a
-//! streamline through one resident block with *exactly* this function, and
-//! the simulated-cluster ranks' batch kernel is bit-identical to it, so a
-//! streamline computed by the service is bit-identical to one computed by
-//! the single-shot drivers: same stepper, same limits, same shared-face
-//! nudge, same termination decisions.
+//! [`advance_batch_in_block`] is the one production path: the four
+//! drivers' ranks and the `streamline-serve` query service all advance
+//! streamlines through a resident block with it, so a streamline computed
+//! by the service is bit-identical to one computed by the single-shot
+//! drivers: same stepper, same limits, same shared-face nudge, same
+//! termination decisions. It runs the stage-major kernel in
+//! [`streamline_integrate::batch`] with one [`GroupSampler`] lane and one
+//! FSAL memo per streamline.
 //!
-//! [`advance_batch_in_block`] is the batched (SoA) counterpart: it advances
-//! a whole group of streamlines through one block with the stage-major
-//! kernel in [`streamline_integrate::batch`], one [`CellSampler`] and one
-//! FSAL memo per lane, and resolves each lane's exit with the identical
-//! shared-face nudge — bit-identical per streamline to the scalar path,
-//! stencil counters included.
+//! [`advance_in_block`] is its scalar counterpart over one [`CellSampler`],
+//! bit-identical per streamline, stencil counters included. It is the
+//! reference that batched and served answers are checked against (the
+//! scalar-vs-batch bit-identity tests and perfbench's serving gate), and
+//! both paths resolve exits with the same `resolve_exit`.
 
 use crate::workspace::BlockExit;
 use streamline_field::block::Block;
 use streamline_field::decomp::BlockDecomposition;
 use streamline_field::group::GroupSampler;
 use streamline_field::sampler::CellSampler;
-use streamline_integrate::batch::advect_batch_rounds;
+use streamline_integrate::batch::advect_batch;
 use streamline_integrate::tracer::{advect, AdvectOutcome};
 use streamline_integrate::{Dopri5, StepLimits, Streamline, Termination};
 
@@ -151,39 +151,17 @@ pub fn advance_batch_in_block(
     limits: &StepLimits,
     batch: &mut StreamlineBatch,
 ) -> (Vec<BlockExit>, AdvanceStats) {
-    let (exits, stats) =
-        advance_batch_in_block_rounds(group, block, decomp, limits, batch, u64::MAX);
-    (exits.into_iter().map(|e| e.expect("uncapped advance resolves every lane")).collect(), stats)
-}
-
-/// [`advance_batch_in_block`] with a round budget: lanes whose in-block fate
-/// is still undecided after `max_rounds` accepted steps report `None`
-/// instead of a [`BlockExit`]. A `None` lane is mid-flight inside `block`;
-/// re-advancing it later — alone or batched with other lanes — continues
-/// bit-identically (the round boundary is an accepted-step boundary and the
-/// per-lane caches are value-transparent, merely cold after re-entry).
-/// Schedulers use the cap to re-pack batches whose occupancy has decayed:
-/// survivors merge with newly arrived streamlines instead of draining a
-/// nearly-empty batch to the last straggler.
-pub fn advance_batch_in_block_rounds(
-    group: &mut [Streamline],
-    block: &Block,
-    decomp: &BlockDecomposition,
-    limits: &StepLimits,
-    batch: &mut StreamlineBatch,
-    max_rounds: u64,
-) -> (Vec<Option<BlockExit>>, AdvanceStats) {
     let id = block.id;
     let bounds = block.bounds;
     let mut sampler = GroupSampler::new(block, group.len());
     let r = {
         let region = move |p| bounds.contains(p);
-        advect_batch_rounds(group, batch, &mut sampler, &region, limits, max_rounds)
+        advect_batch(group, batch, &mut sampler, &region, limits)
     };
     let mut exits = Vec::with_capacity(group.len());
     for (lane, (sl, &outcome)) in group.iter_mut().zip(&r.outcomes).enumerate() {
         let mut nudge = |p| sampler.sample_lane(lane, p);
-        exits.push(outcome.map(|o| resolve_exit(sl, o, id, decomp, &mut nudge)));
+        exits.push(resolve_exit(sl, outcome, id, decomp, &mut nudge));
     }
     let totals = sampler.stats();
     (

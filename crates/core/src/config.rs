@@ -208,7 +208,7 @@ impl BatchParams {
 /// fault-free runs stay bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RankChaos {
-    /// Seed for the random death schedule ([`RankFaultPlan`] stream).
+    /// Seed for the random death schedule ([`RankFaultPlan`](streamline_iosim::fault::RankFaultPlan) stream).
     pub seed: u64,
     /// Probability each rank is killed at all.
     pub kill_prob: f64,

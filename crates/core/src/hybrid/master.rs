@@ -60,7 +60,7 @@ struct SlaveRecord {
     cmds_sent: u64,
 }
 
-/// Serializable image of one [`SlaveRecord`] (BTreeMap keys become pair
+/// Serializable image of one `SlaveRecord` (BTreeMap keys become pair
 /// vectors — the vendored serde only maps String-keyed maps).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SlaveRecordSnapshot {

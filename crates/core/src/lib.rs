@@ -17,7 +17,7 @@
 //!
 //! [`Run`] runs any of them on the deterministic simulated cluster (or
 //! real threads) and produces a [`report::RunReport`] carrying the paper's
-//! metrics; [`classify`] and [`advisor`] implement the §3.1 problem
+//! metrics; [`classify`](mod@classify) and [`advisor`] implement the §3.1 problem
 //! classification and the §6 selection heuristics.
 //!
 //! ```

@@ -45,6 +45,7 @@ pub enum StaticPartition {
 }
 
 impl StaticPartition {
+    /// The rank of `n_procs` that owns block `block` of `n_blocks`.
     pub fn owner_of(self, block: BlockId, n_blocks: usize, n_procs: usize) -> usize {
         debug_assert!(block.index() < n_blocks);
         match self {
@@ -52,12 +53,6 @@ impl StaticPartition {
             StaticPartition::RoundRobin => block.index() % n_procs,
         }
     }
-}
-
-/// Contiguous block ownership: block `b` of `n_blocks` belongs to this rank
-/// of `n_procs` (the paper's §4.1 scheme).
-pub fn owner_of(block: BlockId, n_blocks: usize, n_procs: usize) -> usize {
-    StaticPartition::Contiguous.owner_of(block, n_blocks, n_procs)
 }
 
 /// Serializable image of a [`StaticProc`] mid-run. Configuration fields
@@ -520,7 +515,7 @@ mod tests {
         let mut counts = vec![0usize; n_procs];
         let mut last_owner = 0;
         for b in 0..n_blocks {
-            let o = owner_of(BlockId(b as u32), n_blocks, n_procs);
+            let o = StaticPartition::Contiguous.owner_of(BlockId(b as u32), n_blocks, n_procs);
             assert!(o >= last_owner, "ownership must be monotone");
             last_owner = o;
             counts[o] += 1;
@@ -534,7 +529,7 @@ mod tests {
         let n_blocks = 10;
         let n_procs = 3;
         let counts = (0..n_blocks).fold(vec![0usize; n_procs], |mut acc, b| {
-            acc[owner_of(BlockId(b as u32), n_blocks, n_procs)] += 1;
+            acc[StaticPartition::Contiguous.owner_of(BlockId(b as u32), n_blocks, n_procs)] += 1;
             acc
         });
         assert_eq!(counts.iter().sum::<usize>(), n_blocks);
@@ -545,9 +540,9 @@ mod tests {
     fn first_processor_gets_first_blocks() {
         // §4.1: "the first of n processors is assigned the first 1/n of the
         // blocks".
-        assert_eq!(owner_of(BlockId(0), 512, 4), 0);
-        assert_eq!(owner_of(BlockId(127), 512, 4), 0);
-        assert_eq!(owner_of(BlockId(128), 512, 4), 1);
-        assert_eq!(owner_of(BlockId(511), 512, 4), 3);
+        assert_eq!(StaticPartition::Contiguous.owner_of(BlockId(0), 512, 4), 0);
+        assert_eq!(StaticPartition::Contiguous.owner_of(BlockId(127), 512, 4), 0);
+        assert_eq!(StaticPartition::Contiguous.owner_of(BlockId(128), 512, 4), 1);
+        assert_eq!(StaticPartition::Contiguous.owner_of(BlockId(511), 512, 4), 3);
     }
 }

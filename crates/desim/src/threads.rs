@@ -10,12 +10,10 @@ use crate::event::Event;
 use crate::metrics::{ProcMetrics, SimReport};
 use crate::net::NetModel;
 use crate::process::{Context, Process};
-use crate::trace::Timeline;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-use streamline_obs::{Phase, WallTimeline};
 
 enum Mail<M> {
     Msg { from: usize, bytes: usize, msg: M },
@@ -96,32 +94,6 @@ impl<M: Send, P: Process<M> + Send> ThreadRuntime<M, P> {
         timeout: Duration,
         finished: impl Fn(&P) -> bool + Sync,
     ) -> (SimReport, Vec<P>) {
-        self.run_inner(timeout, &finished, None)
-    }
-
-    /// [`Self::run_until_finished`] with a wall-clock phase [`Timeline`]
-    /// recorded at `bucket_width` resolution. Time blocked on the mailbox is
-    /// recorded as idle; each handler's wall time is split across
-    /// compute/I-O/comm proportionally to the virtual costs it charged (a
-    /// handler that charged nothing counts as compute).
-    pub fn run_until_finished_traced(
-        self,
-        timeout: Duration,
-        finished: impl Fn(&P) -> bool + Sync,
-        bucket_width: Duration,
-    ) -> (SimReport, Vec<P>, Timeline) {
-        let n = self.procs.len();
-        let timeline = WallTimeline::new(n, bucket_width);
-        let (report, procs) = self.run_inner(timeout, &finished, Some(&timeline));
-        (report, procs, timeline.snapshot())
-    }
-
-    fn run_inner(
-        self,
-        timeout: Duration,
-        finished: &(impl Fn(&P) -> bool + Sync),
-        trace: Option<&WallTimeline>,
-    ) -> (SimReport, Vec<P>) {
         let n = self.procs.len();
         let net = self.net;
         type Channels<M> = (Vec<Sender<Mail<M>>>, Vec<Receiver<Mail<M>>>);
@@ -149,17 +121,13 @@ impl<M: Send, P: Process<M> + Send> ThreadRuntime<M, P> {
                         let mut wakes: BinaryHeap<std::cmp::Reverse<(u128, u64)>> =
                             BinaryHeap::new();
                         // `extra_comm` is the model receive cost of the
-                        // message that triggered the event (0 otherwise); it
-                        // is folded into the handler's comm delta so traced
-                        // runs attribute the span consistently.
+                        // message that triggered the event (0 otherwise).
                         let handle = |proc: &mut P,
                                       metrics: &mut ProcMetrics,
                                       wakes: &mut BinaryHeap<std::cmp::Reverse<(u128, u64)>>,
                                       ev: Event<M>,
                                       extra_comm: f64| {
                             metrics.events += 1;
-                            let span_start = trace.map(|_| Instant::now());
-                            let before = (metrics.compute, metrics.io, metrics.comm);
                             metrics.comm += extra_comm;
                             let mut ctx = ThreadCtx {
                                 rank,
@@ -171,14 +139,6 @@ impl<M: Send, P: Process<M> + Send> ThreadRuntime<M, P> {
                                 stop: stop_ref,
                             };
                             proc.on_event(ev, &mut ctx);
-                            if let (Some(tl), Some(t0)) = (trace, span_start) {
-                                let weights = [
-                                    metrics.compute - before.0,
-                                    metrics.io - before.1,
-                                    metrics.comm - before.2,
-                                ];
-                                tl.record_weighted(rank, t0, t0.elapsed(), weights);
-                            }
                         };
                         handle(&mut proc, &mut metrics, &mut wakes, Event::Start, 0.0);
                         let mut has_retired = false;
@@ -217,13 +177,7 @@ impl<M: Send, P: Process<M> + Send> ThreadRuntime<M, P> {
                                     Duration::from_nanos((t - now_ns).min(u64::MAX as u128) as u64)
                                 })
                                 .unwrap_or(Duration::from_millis(5));
-                            let wait_start = trace.map(|_| Instant::now());
-                            let received = rx.recv_timeout(wait.min(Duration::from_millis(50)));
-                            if let (Some(tl), Some(ws)) = (trace, wait_start) {
-                                // Time blocked on the mailbox is starvation.
-                                tl.record(rank, Phase::Idle, ws, ws.elapsed());
-                            }
-                            match received {
+                            match rx.recv_timeout(wait.min(Duration::from_millis(50))) {
                                 Ok(Mail::Msg { from, bytes, msg }) => {
                                     metrics.msgs_recv += 1;
                                     metrics.bytes_recv += bytes as u64;
@@ -355,74 +309,6 @@ mod tests {
     fn wake_fires_on_threads() {
         let (_, procs) = ThreadRuntime::new(NetModel::free(), vec![WakeOnce { woke: false }]).run();
         assert!(procs[0].woke);
-    }
-
-    struct SleepyWorker {
-        done: bool,
-    }
-
-    impl Process<()> for SleepyWorker {
-        fn on_event(&mut self, ev: Event<()>, ctx: &mut dyn Context<()>) {
-            if matches!(ev, Event::Start) {
-                // Real wall time, attributed by the charges: 2/3 compute,
-                // 1/3 I/O.
-                std::thread::sleep(Duration::from_millis(15));
-                ctx.charge_compute(2.0);
-                ctx.charge_io(1.0);
-                self.done = true;
-            }
-        }
-    }
-
-    #[test]
-    fn traced_threads_split_wall_time_by_charge_weights() {
-        let procs = (0..2).map(|_| SleepyWorker { done: false }).collect::<Vec<_>>();
-        let (report, procs, timeline) = ThreadRuntime::new(NetModel::free(), procs)
-            .run_until_finished_traced(
-                Duration::from_secs(30),
-                |p: &SleepyWorker| p.done,
-                Duration::from_millis(5),
-            );
-        assert!(procs.iter().all(|p| p.done));
-        assert_eq!(timeline.n_ranks, 2);
-        let totals = timeline.totals();
-        // Each rank slept >= 15 ms inside its handler.
-        assert!(totals.busy() >= 0.025, "busy = {}", totals.busy());
-        // Weighted split: compute is twice io, comm untouched.
-        assert!(totals.compute > 1.9 * totals.io, "compute {} io {}", totals.compute, totals.io);
-        assert_eq!(totals.comm, 0.0);
-        // The untraced metrics are unaffected by tracing.
-        assert_eq!(report.ranks[0].compute, 2.0);
-        assert_eq!(report.ranks[0].io, 1.0);
-    }
-
-    #[test]
-    fn traced_threads_record_mailbox_waits_as_idle() {
-        struct WaitThenStop {
-            woke: bool,
-        }
-        impl Process<()> for WaitThenStop {
-            fn on_event(&mut self, ev: Event<()>, ctx: &mut dyn Context<()>) {
-                match ev {
-                    Event::Start => ctx.wake_after(30e-3, 1),
-                    Event::Wake(_) => {
-                        self.woke = true;
-                        ctx.stop_all();
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let (_, procs, timeline) =
-            ThreadRuntime::new(NetModel::free(), vec![WaitThenStop { woke: false }])
-                .run_until_finished_traced(
-                    Duration::from_secs(30),
-                    |_| false,
-                    Duration::from_millis(5),
-                );
-        assert!(procs[0].woke);
-        let idle = timeline.phase_total(0, Phase::Idle);
-        assert!(idle >= 0.020, "waiting ~30 ms for the wake should be idle, got {idle}");
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! (rank, time) — the direct visualization of load imbalance and of §8's
 //! "processor starvation".
 //!
-//! The implementation lives in `streamline-obs` so the threaded runtime and
-//! the serve stack can fill the same structure with wall-clock spans;
-//! these aliases keep the historical desim names working.
+//! The implementation lives in `streamline-obs` so the serve stack can
+//! fill the same structure with wall-clock spans; these aliases keep the
+//! historical desim names working.
 
 pub use streamline_obs::Phase as ChargeKind;
 pub use streamline_obs::PhaseTimeline as Timeline;

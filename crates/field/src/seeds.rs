@@ -84,20 +84,6 @@ pub fn dense_ball(center: Vec3, radius: f64, n: usize, seed: u64) -> SeedSet {
     SeedSet { label: format!("dense-ball-{n}"), points }
 }
 
-/// `n` seeds evenly spaced on the segment from `a` to `b` — the classic
-/// "rake" used to seed stream surfaces from a curve (§8's stream-surface
-/// scenario begins from exactly such a seeding curve).
-pub fn rake(a: Vec3, b: Vec3, n: usize) -> SeedSet {
-    assert!(n >= 1);
-    let points = (0..n)
-        .map(|i| {
-            let t = if n == 1 { 0.5 } else { i as f64 / (n - 1) as f64 };
-            a.lerp(b, t)
-        })
-        .collect();
-    SeedSet { label: format!("rake-{n}"), points }
-}
-
 /// `n` seeds on a circle of `radius` around `center` with the given `normal`,
 /// jittered slightly along the normal — the paper's stream-surface seeding
 /// around the thermal-hydraulics inlet.
@@ -168,19 +154,6 @@ mod tests {
             let radial = (p - c) - n * (p - c).dot(n);
             assert!((radial.norm() - 0.05).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn rake_spans_segment_evenly() {
-        let a = Vec3::ZERO;
-        let b = Vec3::new(2.0, 0.0, 0.0);
-        let s = rake(a, b, 5);
-        assert_eq!(s.len(), 5);
-        assert_eq!(s.points[0], a);
-        assert_eq!(s.points[4], b);
-        assert_eq!(s.points[2], Vec3::new(1.0, 0.0, 0.0));
-        // Single-seed rake sits at the midpoint.
-        assert_eq!(rake(a, b, 1).points[0], Vec3::new(1.0, 0.0, 0.0));
     }
 
     #[test]

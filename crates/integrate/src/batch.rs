@@ -18,7 +18,7 @@
 //! Step-size control is *per lane*: each lane carries its own adaptive `h`,
 //! its own [`FsalCache`], and makes its own accept/reject/shrink decisions
 //! with the identical arithmetic, in the identical order, as the scalar
-//! tracer (the stage loops in [`step_one`] are a transcription of
+//! tracer (the stage loops in `step_one` are a transcription of
 //! [`Dopri5::step_fsal`](crate::Dopri5), and the round structure transcribes
 //! the `advect` loop). Lanes never share field values or step decisions —
 //! batching only reorders *independent* work across lanes — so every lane's
@@ -26,8 +26,8 @@
 //! scalar path produces. Lanes whose shared attempt is rejected or hits a
 //! stage failure fall back to the scalar retry loop verbatim.
 //!
-//! The engine is specific to DOPRI5 (the stepper every driver and the query
-//! service use); fixed-step schemes keep the scalar path.
+//! The engine is specific to DOPRI5, the one stepper every driver and the
+//! query service use.
 
 use crate::dopri5::tableau;
 use crate::ode::{FsalCache, StageFail, StepResult, Tolerances};
@@ -183,17 +183,6 @@ pub struct BatchAdvected {
     pub steps: u64,
 }
 
-/// What [`advect_batch_rounds`] did: like [`BatchAdvected`], but a lane
-/// whose fate was still undecided when the round cap hit reports `None` —
-/// it is mid-flight, ready to be re-batched by the caller.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchPartial {
-    /// Outcome per lane, in input order; `None` = still advancing.
-    pub outcomes: Vec<Option<AdvectOutcome>>,
-    /// Accepted integration steps summed over all lanes.
-    pub steps: u64,
-}
-
 /// One DOPRI5 step attempt from `y` with memoized FSAL stages — a
 /// monomorphic transcription of [`Dopri5::step_fsal`](crate::Dopri5) used
 /// for the per-lane retry continuation. Same stage order, same skipped zero
@@ -250,6 +239,7 @@ fn step_one<F: FnMut(Vec3) -> Option<Vec3>>(
 /// region are compacted out of the active set; the call returns when every
 /// lane has an outcome. Terminated lanes have their status updated, like
 /// the scalar tracer.
+#[allow(clippy::needless_range_loop)] // index-coupled lane loops are the vectorization shape
 pub fn advect_batch<S, R>(
     lanes: &mut [Streamline],
     scratch: &mut StreamlineBatch,
@@ -261,38 +251,13 @@ where
     S: BatchSampler + ?Sized,
     R: Fn(Vec3) -> bool,
 {
-    let r = advect_batch_rounds(lanes, scratch, sample, region, limits, u64::MAX);
-    BatchAdvected {
-        outcomes: r.outcomes.into_iter().map(|o| o.expect("every lane resolves")).collect(),
-        steps: r.steps,
-    }
-}
-
-/// [`advect_batch`] with a round budget: stop after `max_rounds` rounds
-/// (one accepted step per surviving lane each) and report `None` for lanes
-/// still mid-flight. Rounds end on accepted-step boundaries, and the FSAL
-/// memo and stencil caches are value-transparent, so resuming a `None` lane
-/// in a later call — batched with different neighbours or alone — continues
-/// its trajectory bit-identically; only the caches restart cold. Callers
-/// use this to re-pack decaying batches: survivors of a capped call merge
-/// with newly arrived work instead of draining a raggedly-emptying batch.
-#[allow(clippy::needless_range_loop)] // index-coupled lane loops are the vectorization shape
-pub fn advect_batch_rounds<S, R>(
-    lanes: &mut [Streamline],
-    scratch: &mut StreamlineBatch,
-    sample: &mut S,
-    region: &R,
-    limits: &StepLimits,
-    max_rounds: u64,
-) -> BatchPartial
-where
-    S: BatchSampler + ?Sized,
-    R: Fn(Vec3) -> bool,
-{
     let n = lanes.len();
     scratch.reset(n);
     let (a, _b5, ew, _c) = tableau();
-    let mut outcomes: Vec<Option<AdvectOutcome>> = vec![None; n];
+    // Every lane leaves `active` exactly once, writing its outcome as it
+    // goes, and the loop runs until `active` is empty — so each placeholder
+    // is overwritten before the call returns.
+    let mut outcomes = vec![AdvectOutcome::LeftRegion; n];
     let mut total_steps = 0u64;
     let mut active: Vec<usize> = (0..n).collect();
     // Phase B row buffers, hoisted so the per-chunk loop never re-zeroes
@@ -305,9 +270,7 @@ where
     let mut wh = [0.0f64; W];
     let mut err: [[f64; W]; 3];
 
-    let mut rounds = 0u64;
-    while !active.is_empty() && rounds < max_rounds {
-        rounds += 1;
+    while !active.is_empty() {
         // Phase A — per-lane pre-step checks, in the scalar tracer's order:
         // region, step/arc/time budgets, velocity lookup, stagnation. Lanes
         // with a terminal outcome are compacted out before the shared step.
@@ -315,7 +278,7 @@ where
             let sl = &mut lanes[lane];
             let pos = sl.state.position;
             if !region(pos) {
-                outcomes[lane] = Some(AdvectOutcome::LeftRegion);
+                outcomes[lane] = AdvectOutcome::LeftRegion;
                 return false;
             }
             scratch.steps[lane] = sl.state.steps;
@@ -332,7 +295,7 @@ where
             };
             if let Some(why) = why {
                 sl.terminate(why);
-                outcomes[lane] = Some(AdvectOutcome::Terminated(why));
+                outcomes[lane] = AdvectOutcome::Terminated(why);
                 return false;
             }
             let v = match scratch.fsal[lane].lookup(pos) {
@@ -341,14 +304,14 @@ where
                     Some(v) => v,
                     None => {
                         sl.terminate(Termination::ExitedDomain);
-                        outcomes[lane] = Some(AdvectOutcome::Terminated(Termination::ExitedDomain));
+                        outcomes[lane] = AdvectOutcome::Terminated(Termination::ExitedDomain);
                         return false;
                     }
                 },
             };
             if v.norm() < limits.min_speed {
                 sl.terminate(Termination::ZeroVelocity);
-                outcomes[lane] = Some(AdvectOutcome::Terminated(Termination::ZeroVelocity));
+                outcomes[lane] = AdvectOutcome::Terminated(Termination::ZeroVelocity);
                 return false;
             }
             scratch.positions[lane] = pos;
@@ -590,7 +553,7 @@ where
                             if h < limits.h_min {
                                 lanes[lane].terminate(Termination::StepUnderflow);
                                 outcomes[lane] =
-                                    Some(AdvectOutcome::Terminated(Termination::StepUnderflow));
+                                    AdvectOutcome::Terminated(Termination::StepUnderflow);
                                 return false;
                             }
                             continue;
@@ -623,7 +586,7 @@ where
         });
     }
 
-    BatchPartial { outcomes, steps: total_steps }
+    BatchAdvected { outcomes, steps: total_steps }
 }
 
 #[cfg(test)]

@@ -103,18 +103,6 @@ impl Stepper for Dopri5 {
         }
         Ok(StepResult { y: y1, error: tol.error_norm(err, y, y1) })
     }
-
-    fn order(&self) -> usize {
-        5
-    }
-
-    fn adaptive(&self) -> bool {
-        true
-    }
-
-    fn name(&self) -> &'static str {
-        "dopri5"
-    }
 }
 
 #[cfg(test)]

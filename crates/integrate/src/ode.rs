@@ -1,4 +1,4 @@
-//! The stepper abstraction shared by all integration schemes.
+//! The stepper abstraction the tracer integrates through.
 //!
 //! A stepper advances the autonomous ODE `y' = f(y)` one step. The
 //! right-hand side is a *partial* function — sampling block data fails
@@ -85,12 +85,12 @@ pub struct StepResult {
     /// Solution at `t + h`.
     pub y: Vec3,
     /// Scaled error-norm estimate: `<= 1` means the step satisfies the
-    /// tolerances. Fixed-step schemes report `0.0` (always accepted).
+    /// tolerances.
     pub error: f64,
 }
 
-/// Absolute/relative error tolerances for adaptive schemes (§2.1's
-/// "adaptive stepsize control").
+/// Absolute/relative error tolerances for the adaptive step-size control
+/// (§2.1's "adaptive stepsize control").
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tolerances {
     pub abs: f64,
@@ -124,9 +124,10 @@ pub trait Stepper {
 
     /// Like [`Self::step`], consulting and maintaining `fsal`'s memo of
     /// known `(y, f(y))` pairs across invocations. The default clears the
-    /// memo and delegates to `step`, so non-FSAL schemes never leave stale
-    /// entries for the caller to trust; FSAL schemes override it to hand an
-    /// accepted step's last stage to the next step as its first.
+    /// memo and delegates to `step`, so a stepper without stage reuse never
+    /// leaves stale entries for the caller to trust; [`Dopri5`](crate::Dopri5)
+    /// overrides it to hand an accepted step's last stage to the next step
+    /// as its first.
     fn step_fsal(
         &self,
         f: Rhs<'_>,
@@ -138,17 +139,6 @@ pub trait Stepper {
         fsal.clear();
         self.step(f, y, h, tol)
     }
-
-    /// Classical convergence order of the scheme.
-    fn order(&self) -> usize;
-
-    /// Whether [`StepResult::error`] carries a usable embedded estimate.
-    fn adaptive(&self) -> bool {
-        false
-    }
-
-    /// Scheme name for reports.
-    fn name(&self) -> &'static str;
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ pub struct StepLimits {
     pub h_min: f64,
     /// Hard upper bound on the step size.
     pub h_max: f64,
-    /// Error tolerances for adaptive schemes.
+    /// Error tolerances of the adaptive step-size control.
     pub tol: Tolerances,
 }
 
@@ -83,7 +83,7 @@ pub struct Advected {
 /// ```
 ///
 /// Returns when the streamline leaves the region (hand-off point) or
-/// terminates. Adaptive schemes get PI-style step-size control; stage
+/// terminates. The step size is under PI-style adaptive control; stage
 /// failures (probe outside resident data) shrink the step and, as a last
 /// resort, fall back to a single Euler edge-step so the curve always makes
 /// progress toward the hand-off.
@@ -150,7 +150,7 @@ pub fn advect(
                     h *= 0.5;
                 }
                 Ok(res) => {
-                    if stepper.adaptive() && res.error > 1.0 {
+                    if res.error > 1.0 {
                         attempts += 1;
                         let fac = clamp(0.9 * res.error.powf(-0.2), 0.2, 0.9);
                         h *= fac;
@@ -169,13 +169,9 @@ pub fn advect(
                 sl.push_step(res.y, h);
                 steps_this += 1;
                 // Grow/shrink for the next step.
-                let next_h = if stepper.adaptive() {
-                    let err = res.error.max(1e-10);
-                    clamp(h * clamp(0.9 * err.powf(-0.2), 0.2, 5.0), limits.h_min, limits.h_max)
-                } else {
-                    h
-                };
-                sl.state.h = next_h;
+                let err = res.error.max(1e-10);
+                sl.state.h =
+                    clamp(h * clamp(0.9 * err.powf(-0.2), 0.2, 5.0), limits.h_min, limits.h_max);
             }
             None => {
                 // Euler edge-step fallback.
@@ -190,8 +186,6 @@ pub fn advect(
 mod tests {
     use super::*;
     use crate::dopri5::Dopri5;
-    use crate::euler::Euler;
-    use crate::rk4::Rk4;
     use crate::streamline::{StreamlineId, StreamlineStatus};
     use streamline_math::Aabb;
 
@@ -288,30 +282,18 @@ mod tests {
     }
 
     #[test]
-    fn fixed_step_schemes_also_work() {
-        let region_box = Aabb::unit();
-        let mut sample = |p: Vec3| Some(Vec3::new(1.0, 0.1 * p.x, 0.0));
-        let region = move |p: Vec3| region_box.contains(p);
-        for stepper in [&Euler as &dyn Stepper, &Rk4] {
-            let mut sl = fresh(Vec3::new(0.0, 0.5, 0.5));
-            let r = advect(&mut sl, &mut sample, &region, &StepLimits::default(), stepper);
-            assert_eq!(r.outcome, AdvectOutcome::LeftRegion, "{}", stepper.name());
-        }
-    }
-
-    #[test]
-    fn adaptive_takes_fewer_steps_in_smooth_field_than_euler() {
+    fn adaptive_takes_fewer_steps_in_smooth_field_than_fixed_h0() {
         let mut sample = |p: Vec3| Some(Vec3::new(1.0, (p.x).sin() * 0.1, 0.0));
         let region = |p: Vec3| p.x < 50.0;
         let limits = StepLimits { max_steps: 1_000_000, ..Default::default() };
         let mut a = fresh(Vec3::ZERO);
         let ra = advect(&mut a, &mut sample, &region, &limits, &Dopri5);
-        let mut b = fresh(Vec3::ZERO);
-        let rb = advect(&mut b, &mut sample, &region, &limits, &Euler);
         assert_eq!(ra.outcome, AdvectOutcome::LeftRegion);
-        assert_eq!(rb.outcome, AdvectOutcome::LeftRegion);
-        // Dopri5 grows its step toward h_max; Euler stays at h0.
-        assert!(ra.steps * 2 < rb.steps, "dopri {} vs euler {}", ra.steps, rb.steps);
+        // Dopri5 grows its step toward h_max: a fixed step of h0 would need
+        // distance / h0 steps (5,000 here) to cover the same x-distance.
+        let fixed_steps = (50.0 / limits.h0) as u64;
+        assert!(ra.steps * 2 < fixed_steps, "dopri {} vs fixed h0 {fixed_steps}", ra.steps);
+        assert!(a.state.h > limits.h0, "the step grew from h0 to {}", a.state.h);
     }
 
     #[test]

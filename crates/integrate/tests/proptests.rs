@@ -3,13 +3,12 @@
 use proptest::prelude::*;
 use streamline_integrate::tracer::{advect, AdvectOutcome, StepLimits};
 use streamline_integrate::{advect_batch, StreamlineBatch};
-use streamline_integrate::{euler::Euler, rk4::Rk4};
 use streamline_integrate::{Dopri5, Stepper, Streamline, StreamlineId, Termination, Tolerances};
 use streamline_math::{Aabb, Vec3};
 
 proptest! {
-    /// On a rigid rotation, every scheme conserves the orbit radius to its
-    /// order-appropriate tolerance over a quarter turn.
+    /// On a rigid rotation, DOPRI5 conserves the orbit radius to 1e-8
+    /// (relative) over a quarter turn of 200 fixed steps.
     #[test]
     fn rotation_radius_conservation(r0 in 0.1f64..5.0, omega in 0.1f64..3.0) {
         let mut f = move |p: Vec3| Some(Vec3::new(-omega * p.y, omega * p.x, 0.0));
@@ -17,39 +16,12 @@ proptest! {
         let n = 200usize;
         let h = quarter / n as f64;
         let tol = Tolerances::default();
-        for (stepper, budget) in [
-            (&Euler as &dyn Stepper, 0.2),
-            (&Rk4, 1e-6),
-            (&Dopri5, 1e-8),
-        ] {
-            let mut y = Vec3::new(r0, 0.0, 0.0);
-            for _ in 0..n {
-                y = stepper.step(&mut f, y, h, &tol).unwrap().y;
-            }
-            let drift = (y.norm() - r0).abs() / r0;
-            prop_assert!(drift < budget, "{}: relative drift {drift}", stepper.name());
+        let mut y = Vec3::new(r0, 0.0, 0.0);
+        for _ in 0..n {
+            y = Dopri5.step(&mut f, y, h, &tol).unwrap().y;
         }
-    }
-
-    /// Dopri5's solution is at least as accurate as RK4 at equal step size
-    /// on a smooth nonlinear field.
-    #[test]
-    fn dopri_beats_rk4(x0 in -0.5f64..0.5, y0 in -0.5f64..0.5) {
-        let mut f = |p: Vec3| Some(Vec3::new(p.y, -p.x.sin(), 0.1));
-        let start = Vec3::new(x0, y0, 0.0);
-        let tol = Tolerances::default();
-        let mut run = |s: &dyn Stepper, h: f64, n: usize| {
-            let mut y = start;
-            for _ in 0..n {
-                y = s.step(&mut f, y, h, &tol).unwrap().y;
-            }
-            y
-        };
-        // Reference: very fine Dopri5.
-        let reference = run(&Dopri5, 1e-3, 2000);
-        let d5 = run(&Dopri5, 0.1, 20).distance(reference);
-        let r4 = run(&Rk4, 0.1, 20).distance(reference);
-        prop_assert!(d5 <= r4 * 1.5 + 1e-12, "dopri {d5} vs rk4 {r4}");
+        let drift = (y.norm() - r0).abs() / r0;
+        prop_assert!(drift < 1e-8, "relative drift {drift}");
     }
 
     /// The tracer always terminates and always returns a sound outcome:

@@ -4,7 +4,7 @@
 //! same contract is provided three ways:
 //!
 //! * [`store::DiskStore`] — a real on-disk store with its own binary block
-//!   format ([`format`]), used by the thread runtime and the examples,
+//!   format ([`format`](mod@format)), used by the thread runtime and the examples,
 //! * [`store::MemoryStore`] / [`store::FieldStore`] — in-memory stores for
 //!   tests and for the simulated cluster (where I/O *time* is charged by the
 //!   [`model::DiskModel`] instead of spent),

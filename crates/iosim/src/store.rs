@@ -222,7 +222,7 @@ impl BlockStore for FieldStore {
     }
 }
 
-/// Real files on disk, one per block, in the [`format`] binary layout.
+/// Real files on disk, one per block, in the [`format`](mod@crate::format) binary layout.
 pub struct DiskStore {
     dir: PathBuf,
     num_blocks: usize,

@@ -6,13 +6,6 @@ pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol
 }
 
-/// Combined absolute/relative comparison, the form used by the adaptive
-/// integrator's error norm: `|a - b| <= atol + rtol * max(|a|, |b|)`.
-#[inline]
-pub fn approx_eq_rel(a: f64, b: f64, atol: f64, rtol: f64) -> bool {
-    (a - b).abs() <= atol + rtol * a.abs().max(b.abs())
-}
-
 /// Clamp `v` into `[lo, hi]`.
 ///
 /// Unlike `f64::clamp` this does not panic on `lo > hi`; it returns `lo`,
@@ -33,13 +26,6 @@ mod tests {
     fn approx_eq_basic() {
         assert!(approx_eq(1.0, 1.0 + 1e-12, 1e-10));
         assert!(!approx_eq(1.0, 1.1, 1e-10));
-    }
-
-    #[test]
-    fn approx_eq_rel_scales() {
-        // 1e6 vs 1e6+1 passes at rtol 1e-5 but fails at pure atol 1e-3.
-        assert!(approx_eq_rel(1.0e6, 1.0e6 + 1.0, 1e-3, 1e-5));
-        assert!(!approx_eq(1.0e6, 1.0e6 + 1.0, 1e-3));
     }
 
     #[test]

@@ -112,54 +112,6 @@ impl Histogram {
     }
 }
 
-/// Online mean/max accumulator (Welford), used for per-rank counters that are
-/// folded as events stream in.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct Accumulator {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    max: f64,
-    total: f64,
-}
-
-impl Accumulator {
-    pub fn push(&mut self, v: f64) {
-        self.count += 1;
-        self.total += v;
-        let d = v - self.mean;
-        self.mean += d / self.count as f64;
-        self.m2 += d * (v - self.mean);
-        if self.count == 1 || v > self.max {
-            self.max = v;
-        }
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,19 +191,5 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert_eq!(s[0], '█');
         assert!(s[1] < s[0]);
-    }
-
-    #[test]
-    fn accumulator_matches_batch() {
-        let data = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let mut acc = Accumulator::default();
-        for v in data {
-            acc.push(v);
-        }
-        let s = Summary::of(&data).unwrap();
-        assert!(approx_eq(acc.mean(), s.mean, 1e-12));
-        assert!(approx_eq(acc.variance().sqrt(), s.std_dev, 1e-12));
-        assert_eq!(acc.max(), 9.0);
-        assert_eq!(acc.total(), data.iter().sum::<f64>());
     }
 }

@@ -13,8 +13,8 @@
 //! - [`PhaseTimeline`]: per-rank, fixed-width-bucket accounting of the four
 //!   phases ([`Phase::Compute`], [`Phase::Io`], [`Phase::Comm`],
 //!   [`Phase::Idle`]). The desim drivers fill it with *virtual* seconds;
-//!   [`WallTimeline`] wraps it behind a mutex and an epoch so threaded and
-//!   serve runs can fill it with *wall* seconds. Either exports the same
+//!   [`WallTimeline`] wraps it behind a mutex and an epoch so serve runs
+//!   can fill it with *wall* seconds. Either exports the same
 //!   JSON [`TraceFile`] (schema [`TRACE_SCHEMA`]).
 //! - [`prom`]: Prometheus text exposition of a registry snapshot, plus a
 //!   parser for it so tests (and the CI smoke step) can reconcile the

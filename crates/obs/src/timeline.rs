@@ -611,31 +611,6 @@ impl WallTimeline {
         self.inner.lock().add(rank, phase, t0, dur.as_secs_f64());
     }
 
-    /// Record a span and split it across the busy phases proportionally to
-    /// `weights = [compute, io, comm]` (e.g. the virtual-cost deltas a
-    /// handler charged). A span with no weights is attributed to compute.
-    pub fn record_weighted(&self, rank: usize, start: Instant, dur: Duration, weights: [f64; 3]) {
-        let t0 = start.saturating_duration_since(self.epoch).as_secs_f64();
-        let dt = dur.as_secs_f64();
-        if dt <= 0.0 {
-            return;
-        }
-        let total: f64 = weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum();
-        let mut inner = self.inner.lock();
-        if total <= 0.0 {
-            inner.add(rank, Phase::Compute, t0, dt);
-            return;
-        }
-        let mut offset = 0.0;
-        for (phase, w) in [Phase::Compute, Phase::Io, Phase::Comm].into_iter().zip(weights) {
-            if w.is_finite() && w > 0.0 {
-                let share = dt * w / total;
-                inner.add(rank, phase, t0 + offset, share);
-                offset += share;
-            }
-        }
-    }
-
     /// Copy out the timeline accumulated so far.
     pub fn snapshot(&self) -> PhaseTimeline {
         self.inner.lock().clone()
@@ -897,19 +872,5 @@ mod tests {
         assert!((snap.phase_total(0, Phase::Io) - 0.025).abs() < 1e-9);
         assert!((snap.phase_total(1, Phase::Idle) - 0.010).abs() < 1e-9);
         assert!(snap.utilization(0, 0) > 0.99, "first 10ms bucket is all I/O");
-    }
-
-    #[test]
-    fn weighted_record_apportions_by_charge_deltas() {
-        let tl = WallTimeline::new(1, Duration::from_millis(100));
-        let e = tl.epoch();
-        tl.record_weighted(0, e, Duration::from_millis(90), [2.0, 1.0, 0.0]);
-        let snap = tl.snapshot();
-        assert!((snap.phase_total(0, Phase::Compute) - 0.060).abs() < 1e-9);
-        assert!((snap.phase_total(0, Phase::Io) - 0.030).abs() < 1e-9);
-        assert_eq!(snap.phase_total(0, Phase::Comm), 0.0);
-        // No weights at all -> compute.
-        tl.record_weighted(0, e, Duration::from_millis(10), [0.0, 0.0, 0.0]);
-        assert!((tl.snapshot().phase_total(0, Phase::Compute) - 0.070).abs() < 1e-9);
     }
 }

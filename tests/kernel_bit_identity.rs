@@ -4,16 +4,14 @@
 //! bit-identical to one advected through the reference path — plain
 //! per-call `trilinear` sampling and a no-reuse DOPRI5 that recomputes all
 //! seven stages every step. The batched SoA kernel must in turn match the
-//! scalar fast path at every batch width, round-capped or not.
+//! scalar fast path at every batch width.
 
 use std::collections::BTreeMap;
-use streamline_repro::core::advance::{
-    advance_batch_in_block, advance_batch_in_block_rounds, advance_in_block, StreamlineBatch,
-};
+use streamline_repro::core::advance::{advance_batch_in_block, advance_in_block, StreamlineBatch};
 use streamline_repro::core::BlockExit;
 use streamline_repro::field::dataset::{Dataset, DatasetConfig, Seeding};
 use streamline_repro::field::sampler::CellSampler;
-use streamline_repro::field::{Block, BlockId};
+use streamline_repro::field::BlockId;
 use streamline_repro::integrate::ode::Rhs;
 use streamline_repro::integrate::tracer::{advect, StepLimits};
 use streamline_repro::integrate::{
@@ -35,18 +33,6 @@ impl Stepper for Dopri5NoReuse {
 
     // The default `step_fsal` clears the memo and delegates here, so the
     // tracer's speed check cannot reuse stages either — a true baseline.
-
-    fn order(&self) -> usize {
-        5
-    }
-
-    fn adaptive(&self) -> bool {
-        true
-    }
-
-    fn name(&self) -> &'static str {
-        "dopri5-noreuse"
-    }
 }
 
 #[test]
@@ -57,9 +43,6 @@ fn noreuse_baseline_matches_dopri5() {
     let a = Dopri5.step(&mut f, y, 0.1, &tol).unwrap();
     let b = Dopri5NoReuse.step(&mut f, y, 0.1, &tol).unwrap();
     assert_eq!(a, b);
-    assert_eq!(Dopri5NoReuse.order(), 5);
-    assert!(Dopri5NoReuse.adaptive());
-    assert_eq!(Dopri5NoReuse.name(), "dopri5-noreuse");
 }
 
 fn assert_bit_identical(fast: &Streamline, reference: &Streamline, label: &str) {
@@ -190,73 +173,5 @@ fn batch_kernel_matches_scalar_at_every_width_on_dense_seeds() {
                 assert_bit_identical(got, want, &format!("{id:?} width {width} {:?}", got.id));
             }
         }
-    }
-}
-
-/// Chase every seed to termination, block by block, with the scalar path.
-fn chase_scalar(
-    ds: &Dataset,
-    blocks: &BTreeMap<BlockId, Block>,
-    mut sl: Streamline,
-    limits: &StepLimits,
-) -> Streamline {
-    let mut id = ds.decomp.locate(sl.state.position).expect("dense seeds lie in the domain");
-    while let (BlockExit::MovedTo(next), _) =
-        advance_in_block(&mut sl, &blocks[&id], &ds.decomp, limits, &Dopri5)
-    {
-        id = next;
-    }
-    sl
-}
-
-/// A round-capped batch returns its undecided lanes mid-block so they can
-/// re-bundle with newly arrived streamlines. Chasing dense seeds to
-/// termination through 64-lane batches capped at 32 accepted steps per call
-/// must end bit-identical to the scalar chase.
-#[test]
-fn round_capped_batched_chase_matches_scalar_chase() {
-    let (ds, lines, limits) = dense_thermal(128);
-    let blocks: BTreeMap<BlockId, Block> =
-        ds.decomp.all_blocks().map(|id| (id, ds.build_block(id))).collect();
-    let want: Vec<Streamline> =
-        lines.iter().map(|sl| chase_scalar(&ds, &blocks, sl.clone(), &limits)).collect();
-
-    let mut worklist: BTreeMap<BlockId, Vec<Streamline>> = BTreeMap::new();
-    for sl in lines {
-        let id = ds.decomp.locate(sl.state.position).expect("dense seeds lie in the domain");
-        worklist.entry(id).or_default().push(sl);
-    }
-    let mut done: Vec<Streamline> = Vec::new();
-    let mut capped = 0;
-    let mut scratch = StreamlineBatch::new();
-    while let Some((id, mut group)) = worklist.pop_first() {
-        let mut chunk = group.split_off(group.len().saturating_sub(64));
-        if !group.is_empty() {
-            worklist.insert(id, group);
-        }
-        let (exits, _) = advance_batch_in_block_rounds(
-            &mut chunk,
-            &blocks[&id],
-            &ds.decomp,
-            &limits,
-            &mut scratch,
-            32,
-        );
-        for (sl, exit) in chunk.into_iter().zip(exits) {
-            match exit {
-                Some(BlockExit::MovedTo(next)) => worklist.entry(next).or_default().push(sl),
-                Some(BlockExit::Done(_)) => done.push(sl),
-                None => {
-                    capped += 1;
-                    worklist.entry(id).or_default().push(sl);
-                }
-            }
-        }
-    }
-    assert!(capped > 0, "the round cap must interrupt some lanes");
-    done.sort_by_key(|sl| sl.id.0);
-    assert_eq!(done.len(), want.len());
-    for (got, want) in done.iter().zip(&want) {
-        assert_bit_identical(got, want, &format!("chase {:?}", got.id));
     }
 }
