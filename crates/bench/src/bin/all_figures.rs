@@ -1,16 +1,23 @@
-//! Run every figure sweep (Figures 5–16) and write the consolidated
+//! Run the figure sweeps (Figures 5–16) and write the consolidated
 //! markdown into `EXPERIMENTS-data.md` (or `--out PATH`), including the
-//! paper-vs-measured shape checklist.
+//! paper-vs-measured shape checklist. `--workload astro|fusion|thermal`
+//! runs one workload's quartet only (Figures 5–8, 9–12 or 13–16) and
+//! writes a file only when `--out` is given.
 //!
 //! ```sh
 //! cargo run --release -p streamline-bench --bin all_figures [-- --quick]
+//! cargo run --release -p streamline-bench --bin all_figures -- --workload astro
 //! ```
 
 use streamline_bench::experiments::Workload;
-use streamline_bench::harness::{parse_args, run_workload};
+use streamline_bench::harness::{emit, parse_args, run_workload};
 
 fn main() {
     let mut args = parse_args();
+    if let Some(w) = args.workload {
+        emit(&run_workload(w, &args), &args);
+        return;
+    }
     if args.out.is_none() {
         args.out = Some("EXPERIMENTS-data.md".into());
     }
@@ -34,9 +41,5 @@ fn main() {
     for w in Workload::ALL {
         md.push_str(&run_workload(w, &args));
     }
-    println!("{md}");
-    if let Some(path) = &args.out {
-        std::fs::write(path, &md).expect("writing output file");
-        eprintln!("wrote {}", path.display());
-    }
+    emit(&md, &args);
 }

@@ -1,10 +1,10 @@
-//! Shared command-line plumbing for the figure binaries.
-//!
-//! Each `fig_*` binary accepts:
+//! Command-line plumbing for the `all_figures` binary, which accepts:
 //!
 //! * `--quick`        — reduced seed counts and rank counts (smoke run)
 //! * `--procs a,b,c`  — override the processor-count sweep
 //! * `--seeds N`      — override the seed count
+//! * `--workload W`   — one workload's figures only (`astro`, `fusion` or
+//!   `thermal`)
 //! * `--out PATH`     — also write the markdown tables to a file
 
 use crate::experiments::{paper_proc_counts, run_sweep, SweepScale, Workload};
@@ -16,12 +16,19 @@ pub struct Args {
     pub scale: SweepScale,
     pub procs: Vec<usize>,
     pub seeds: Option<usize>,
+    pub workload: Option<Workload>,
     pub out: Option<std::path::PathBuf>,
 }
 
 impl Default for Args {
     fn default() -> Self {
-        Args { scale: SweepScale::Full, procs: paper_proc_counts(), seeds: None, out: None }
+        Args {
+            scale: SweepScale::Full,
+            procs: paper_proc_counts(),
+            seeds: None,
+            workload: None,
+            out: None,
+        }
     }
 }
 
@@ -47,10 +54,20 @@ pub fn parse_args() -> Args {
                     it.next().expect("--seeds needs N").parse().expect("N must be an integer"),
                 );
             }
+            "--workload" => {
+                out.workload = Some(match it.next().as_deref() {
+                    Some("astro") => Workload::Astro,
+                    Some("fusion") => Workload::Fusion,
+                    Some("thermal") => Workload::Thermal,
+                    _ => panic!("--workload needs astro, fusion or thermal"),
+                });
+            }
             "--out" => {
                 out.out = Some(it.next().expect("--out needs a path").into());
             }
-            other => panic!("unknown argument {other}; supported: --quick --procs --seeds --out"),
+            other => panic!(
+                "unknown argument {other}; supported: --quick --procs --seeds --workload --out"
+            ),
         }
     }
     out

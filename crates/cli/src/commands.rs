@@ -301,38 +301,45 @@ fn run(spec: RunSpec) -> i32 {
         eprintln!("resuming from {} ...", path.display());
         run = run.resume(path);
     }
-    let RunOutput { report, finished, timeline, pingpong_times, checkpoints, checkpoint_bytes } =
-        match run.go() {
-            Ok(out) => out,
-            Err(e @ RunError::Unsupported { .. }) => {
-                eprintln!("error: {e}");
-                return 64;
-            }
-            Err(RunError::BadValue { setting, value }) => {
-                return crate::args::usage_error(&bad_value(setting, value))
-            }
-            Err(RunError::Ckpt(e)) => match &spec.resume {
-                Some(from) => return fail(format!("cannot resume from {from}: {e}")),
-                None => return fail(format!("checkpoint error: {e}")),
-            },
-            Err(RunError::Killed { checkpoints, bytes_written }) => {
-                // The kill half of the crash/restart smoke test: abandoning
-                // after N snapshots is the requested outcome, not a failure.
-                let latest = checkpoints.last().map(|p| p.display().to_string());
-                eprintln!(
-                    "wrote {} snapshots ({bytes_written} bytes), latest {}",
-                    checkpoints.len(),
-                    latest.unwrap_or_default()
-                );
-                eprintln!(
-                    "run abandoned after {} snapshots as requested; continue with: \
+    let RunOutput {
+        report,
+        finished,
+        timeline,
+        pingpong_times,
+        checkpoints,
+        checkpoint_bytes,
+        oracle,
+    } = match run.go() {
+        Ok(out) => out,
+        Err(e @ RunError::Unsupported { .. }) => {
+            eprintln!("error: {e}");
+            return 64;
+        }
+        Err(RunError::BadValue { setting, value }) => {
+            return crate::args::usage_error(&bad_value(setting, value))
+        }
+        Err(RunError::Ckpt(e)) => match &spec.resume {
+            Some(from) => return fail(format!("cannot resume from {from}: {e}")),
+            None => return fail(format!("checkpoint error: {e}")),
+        },
+        Err(RunError::Killed { checkpoints, bytes_written }) => {
+            // The kill half of the crash/restart smoke test: abandoning
+            // after N snapshots is the requested outcome, not a failure.
+            let latest = checkpoints.last().map(|p| p.display().to_string());
+            eprintln!(
+                "wrote {} snapshots ({bytes_written} bytes), latest {}",
+                checkpoints.len(),
+                latest.unwrap_or_default()
+            );
+            eprintln!(
+                "run abandoned after {} snapshots as requested; continue with: \
                      slrepro run ... --resume {}",
-                    checkpoints.len(),
-                    checkpoint_dir.unwrap_or_default()
-                );
-                return 0;
-            }
-        };
+                checkpoints.len(),
+                checkpoint_dir.unwrap_or_default()
+            );
+            return 0;
+        }
+    };
     if let Some(last) = checkpoints.last() {
         eprintln!(
             "wrote {} snapshots ({checkpoint_bytes} bytes), latest {}",
@@ -414,6 +421,7 @@ fn run(spec: RunSpec) -> i32 {
         registry.set_counter(CKPT_SNAPSHOTS_TOTAL, checkpoints.len() as u64);
         registry.set_counter(CKPT_WRITE_BYTES_TOTAL, checkpoint_bytes);
         registry.set_counter(CKPT_RESTORES_TOTAL, u64::from(spec.resume.is_some()));
+        oracle.record(&registry);
         if !write_out(path, Ok(registry.render_prometheus())) {
             return 1;
         }
@@ -479,7 +487,38 @@ fn check_metrics(path: &str) -> Result<String, String> {
     if samples.is_empty() {
         return Err(format!("{path}: no metric samples"));
     }
+    check_oracle_books(&samples).map_err(|e| format!("{path}: {e}"))?;
     Ok(format!("{path}: valid Prometheus text, {} samples", samples.len()))
+}
+
+/// A run's segment oracle accounts for every lane the ranks committed:
+/// each was a helper segment (a hit or a wait) or computed inline. A
+/// resumed run's lane count includes the lanes committed before its
+/// snapshot, which its oracle never saw, so it is not checked.
+fn check_oracle_books(samples: &std::collections::BTreeMap<String, f64>) -> Result<(), String> {
+    use streamline_obs::names::{
+        CKPT_RESTORES_TOTAL, HOST_ORACLE_HITS_TOTAL, HOST_ORACLE_INLINE_SEGMENTS_TOTAL,
+        HOST_ORACLE_WAITS_TOTAL, RUN_BATCHED_LANES_TOTAL,
+    };
+    let get = |name: &str| samples.get(name).copied();
+    if get(CKPT_RESTORES_TOTAL).is_some_and(|n| n > 0.0) {
+        return Ok(());
+    }
+    let (Some(hits), Some(waits), Some(inline), Some(lanes)) = (
+        get(HOST_ORACLE_HITS_TOTAL),
+        get(HOST_ORACLE_WAITS_TOTAL),
+        get(HOST_ORACLE_INLINE_SEGMENTS_TOTAL),
+        get(RUN_BATCHED_LANES_TOTAL),
+    ) else {
+        return Ok(());
+    };
+    if hits + waits + inline != lanes {
+        return Err(format!(
+            "oracle books {hits} hits + {waits} waits + {inline} inline segments, \
+             but the ranks committed {lanes} lanes"
+        ));
+    }
+    Ok(())
 }
 
 fn check_ckpt(path: &str) -> Result<String, String> {
@@ -644,6 +683,28 @@ mod tests {
         let check =
             execute(cmd(&["obs-check", "--trace", &trace_path, "--metrics", &metrics_path]));
         assert_eq!(check, 0, "obs-check must accept what run emits");
+        // The oracle's host-side books are exported, and obs-check holds
+        // them to the lanes the ranks committed.
+        use streamline_obs::names::*;
+        let prom = std::fs::read_to_string(&metrics_path).unwrap();
+        let samples = streamline_obs::prom::parse_text(&prom).unwrap();
+        for name in [
+            HOST_ORACLE_HELPER_SEGMENTS_TOTAL,
+            HOST_ORACLE_INLINE_SEGMENTS_TOTAL,
+            HOST_ORACLE_HITS_TOTAL,
+            HOST_ORACLE_WAITS_TOTAL,
+            HOST_ORACLE_WASTED_SEGMENTS_TOTAL,
+            HOST_ORACLE_BATCH_OCCUPANCY,
+            HOST_ORACLE_PEAK_OUTSTANDING_BYTES,
+        ] {
+            assert!(samples.contains_key(name), "{name} missing from {prom}");
+        }
+        let inline = format!("{HOST_ORACLE_INLINE_SEGMENTS_TOTAL} ");
+        let line = prom.lines().find(|l| l.starts_with(&inline)).expect("inline count line");
+        let n: u64 = line[inline.len()..].trim().parse().unwrap();
+        let tampered = prom.replace(line, &format!("{inline}{}", n + 1));
+        std::fs::write(&metrics_path, tampered).unwrap();
+        assert_eq!(obs_check("--metrics", &metrics_path), 1, "a lane off the books is caught");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -19,7 +19,7 @@ use crate::workspace::BlockExit;
 use streamline_field::block::Block;
 use streamline_field::decomp::BlockDecomposition;
 use streamline_field::group::GroupSampler;
-use streamline_field::sampler::CellSampler;
+use streamline_field::sampler::{CellSampler, SamplerStats};
 use streamline_integrate::batch::advect_batch;
 use streamline_integrate::tracer::{advect, AdvectOutcome};
 use streamline_integrate::{Dopri5, StepLimits, Streamline, Termination};
@@ -151,6 +151,43 @@ pub fn advance_batch_in_block(
     limits: &StepLimits,
     batch: &mut StreamlineBatch,
 ) -> (Vec<BlockExit>, AdvanceStats) {
+    let (exits, steps, totals) =
+        advance_batch_with(group, block, decomp, limits, batch, GroupSampler::stats);
+    (
+        exits,
+        AdvanceStats {
+            steps,
+            sampler_hits: totals.hits,
+            sampler_misses: totals.misses,
+            batched_lanes: group.len() as u64,
+        },
+    )
+}
+
+/// [`advance_batch_in_block`] with each lane's own stencil counters, pushed
+/// to `lanes` in input order (the summed counters are their sum).
+pub(crate) fn advance_batch_lanes(
+    group: &mut [Streamline],
+    block: &Block,
+    decomp: &BlockDecomposition,
+    limits: &StepLimits,
+    batch: &mut StreamlineBatch,
+    lanes: &mut Vec<SamplerStats>,
+) -> Vec<BlockExit> {
+    let read = |s: &GroupSampler<'_>| lanes.extend((0..s.lanes()).map(|l| s.lane_stats(l)));
+    advance_batch_with(group, block, decomp, limits, batch, read).0
+}
+
+/// The batch advance, reading the group sampler's counters with `counters`
+/// before it is dropped. Returns the exits and the accepted steps.
+fn advance_batch_with<'b, T>(
+    group: &mut [Streamline],
+    block: &'b Block,
+    decomp: &BlockDecomposition,
+    limits: &StepLimits,
+    batch: &mut StreamlineBatch,
+    counters: impl FnOnce(&GroupSampler<'b>) -> T,
+) -> (Vec<BlockExit>, u64, T) {
     let id = block.id;
     let bounds = block.bounds;
     let mut sampler = GroupSampler::new(block, group.len());
@@ -163,16 +200,7 @@ pub fn advance_batch_in_block(
         let mut nudge = |p| sampler.sample_lane(lane, p);
         exits.push(resolve_exit(sl, outcome, id, decomp, &mut nudge));
     }
-    let totals = sampler.stats();
-    (
-        exits,
-        AdvanceStats {
-            steps: r.steps,
-            sampler_hits: totals.hits,
-            sampler_misses: totals.misses,
-            batched_lanes: group.len() as u64,
-        },
-    )
+    (exits, r.steps, counters(&sampler))
 }
 
 #[cfg(test)]

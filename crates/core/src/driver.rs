@@ -8,6 +8,7 @@ use crate::ingest::{EpochMap, SeedSource};
 use crate::liveness::Liveness;
 use crate::load_on_demand::LodProc;
 use crate::msg::Msg;
+use crate::oracle::Oracle;
 use crate::rank::RankCore;
 use crate::report::{RunOutcome, RunReport};
 use crate::static_alloc::StaticProc;
@@ -109,6 +110,7 @@ fn make_workspace(
     store: &Arc<dyn BlockStore>,
     cfg: &RunConfig,
     cache_blocks: usize,
+    oracle: Option<&Oracle>,
 ) -> Workspace {
     let mut ws = Workspace::new(
         dataset.decomp,
@@ -121,6 +123,9 @@ fn make_workspace(
     ws.set_vertex_bytes(cfg.memory.vertex_bytes);
     ws.set_stream_bytes(cfg.memory.stream_bytes);
     ws.set_batch_lanes(cfg.batch.resolve());
+    if let Some(oracle) = oracle {
+        ws.set_oracle(oracle.clone());
+    }
     ws
 }
 
@@ -191,18 +196,20 @@ pub fn build_procs(
     cfg: &RunConfig,
     store: Arc<dyn BlockStore>,
 ) -> Vec<AnyProc> {
-    build_procs_planned(dataset, seeds, cfg, store, &IngestPlan::closed(seeds.len()))
+    build_procs_planned(dataset, seeds, cfg, store, &IngestPlan::closed(seeds.len()), None)
 }
 
 /// [`build_procs`] over an explicit ingest plan: `seeds` is the epoch-0
 /// base set distributed at start; detectors are sealed over the whole
-/// plan. With a closed plan this is exactly the closed build.
+/// plan. With a closed plan this is exactly the closed build. Every
+/// integrating rank shares `oracle`, when given.
 pub(crate) fn build_procs_planned(
     dataset: &Dataset,
     seeds: &SeedSet,
     cfg: &RunConfig,
     store: Arc<dyn BlockStore>,
     plan: &IngestPlan,
+    oracle: Option<&Oracle>,
 ) -> Vec<AnyProc> {
     let n = cfg.n_procs;
     assert!(n >= 1, "need at least one rank");
@@ -243,7 +250,7 @@ pub(crate) fn build_procs_planned(
                             ) == rank
                         })
                         .count();
-                    let ws = make_workspace(dataset, &store, cfg, owned.max(1));
+                    let ws = make_workspace(dataset, &store, cfg, owned.max(1), oracle);
                     let proc = StaticProc::new(
                         rank,
                         ws,
@@ -264,7 +271,7 @@ pub(crate) fn build_procs_planned(
             let all_seeds = Arc::new(chunk_seeds_by_block(dataset, seeds, n));
             (0..n)
                 .map(|rank| {
-                    let ws = make_workspace(dataset, &store, cfg, cfg.cache_blocks);
+                    let ws = make_workspace(dataset, &store, cfg, cfg.cache_blocks, oracle);
                     let proc = LodProc::new(
                         rank,
                         ws,
@@ -298,7 +305,7 @@ pub(crate) fn build_procs_planned(
                         .with_ingest(plan.n_epochs());
                         AnyProc::Master(proc)
                     } else {
-                        let ws = make_workspace(dataset, &store, cfg, cfg.cache_blocks);
+                        let ws = make_workspace(dataset, &store, cfg, cfg.cache_blocks, oracle);
                         let proc = SlaveProc::new(
                             rank,
                             layout.master_of(rank),
@@ -320,7 +327,7 @@ pub(crate) fn build_procs_planned(
             let mut chunks = chunk_seeds_by_block(dataset, seeds, n);
             (0..n)
                 .map(|rank| {
-                    let ws = make_workspace(dataset, &store, cfg, cfg.cache_blocks);
+                    let ws = make_workspace(dataset, &store, cfg, cfg.cache_blocks, oracle);
                     let proc = StealProc::new(
                         rank,
                         n,

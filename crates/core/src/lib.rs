@@ -40,12 +40,12 @@ pub mod checkpoint;
 pub mod classify;
 pub mod config;
 pub mod driver;
-mod fanout;
 pub mod hybrid;
 pub mod ingest;
 pub mod liveness;
 pub mod load_on_demand;
 pub mod msg;
+mod oracle;
 pub mod rank;
 pub mod report;
 pub mod run;
@@ -66,6 +66,7 @@ pub use config::{
 pub use driver::{build_procs, run_simulated_detailed_with_store, AnyProc};
 pub use ingest::{EpochMap, IngestEpoch, IngestError, SeedSource};
 pub use msg::{Command, Msg, SlaveStatus};
+pub use oracle::OracleStats;
 pub use report::{RunOutcome, RunReport};
 pub use run::{Run, RunError, RunOutput};
 pub use runstats::{summarize, StreamlineStats};

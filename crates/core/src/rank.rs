@@ -10,7 +10,6 @@
 //! loaded, and their protocol state.
 
 use crate::config::MemoryBudget;
-use crate::fanout::fan_out;
 use crate::ingest::EpochMap;
 use crate::msg::Msg;
 use crate::termination::FrontierDetector;
@@ -150,6 +149,9 @@ impl RankCore {
         if self.memory.exceeded(self.ws.memory_bytes()) {
             self.failed_oom = true;
             ctx.stop_all();
+            if let Some(oracle) = self.ws.oracle() {
+                oracle.stop();
+            }
             return true;
         }
         false
@@ -162,11 +164,17 @@ impl RankCore {
         sl
     }
 
-    /// The block `sl` is in; outside the domain it terminates
-    /// `ExitedDomain` here instead (counted, its solver object freed).
+    /// The block `sl` is in, where the oracle queues it; outside the domain
+    /// it terminates `ExitedDomain` here instead (counted, its solver object
+    /// freed).
     pub(crate) fn place(&mut self, mut sl: Streamline) -> Option<(BlockId, Streamline)> {
         match self.ws.locate(sl.state.position) {
-            Some(b) => Some((b, sl)),
+            Some(b) => {
+                if let Some(oracle) = self.ws.oracle() {
+                    oracle.queue([(&sl, b)]);
+                }
+                Some((b, sl))
+            }
             None => {
                 sl.terminate(Termination::ExitedDomain);
                 self.ws.terminated += 1;
@@ -189,6 +197,9 @@ impl RankCore {
 
     /// Terminate `sl` because its block cannot be produced.
     pub(crate) fn fail_lane(&mut self, mut sl: Streamline) {
+        if let Some(oracle) = self.ws.oracle() {
+            oracle.forget(sl.id);
+        }
         self.ws.terminate_unavailable(&mut sl);
         self.finished.push(sl);
     }
@@ -196,12 +207,13 @@ impl RankCore {
     /// Advance `list` — lanes waiting in resident `block` — through the
     /// batch kernel in chunks of the batch width. Each chunk is the list's
     /// last entries reversed (the order a scalar loop popping from the end
-    /// would take). The chunks run on this thread and the advance helpers
-    /// ([`crate::fanout`]) and are committed here in chunk order: finished
-    /// lanes join `finished` and every lane that crossed into block `next`
-    /// goes to `route(core, lane, next, ctx)`. Returns false when the
-    /// memory budget ran out (the world is stopping); the chunks after that
-    /// point are dropped unbooked.
+    /// would take). Each lane's segment comes from the run's oracle
+    /// ([`crate::oracle`]) or is computed here, and the chunks are committed
+    /// here in chunk order: finished lanes join `finished`, every lane that
+    /// crossed into block `next` is queued there with the oracle and goes
+    /// to `route(core, lane, next, ctx)`. Returns false when the memory
+    /// budget ran out (the world is stopping); the chunks after that point
+    /// are dropped unbooked.
     pub(crate) fn advance_block<F>(
         &mut self,
         block: BlockId,
@@ -216,8 +228,16 @@ impl RankCore {
             return true;
         }
         let chunks = chunks(list, self.ws.batch_lanes());
-        for (chunk, exits, stats) in fan_out(chunks, self.ws.kernel(block)) {
+        let _advancing = self.ws.advancing(block, &chunks);
+        for mut chunk in chunks {
+            let (exits, stats) = self.ws.advance_chunk(block, &mut chunk);
             self.ws.commit_batch(block, &exits, stats, ctx);
+            if let Some(oracle) = self.ws.oracle() {
+                oracle.queue(chunk.iter().zip(&exits).filter_map(|(sl, exit)| match exit {
+                    BlockExit::MovedTo(next) => Some((sl, *next)),
+                    BlockExit::Done(_) => None,
+                }));
+            }
             for (sl, exit) in chunk.into_iter().zip(exits) {
                 match exit {
                     BlockExit::MovedTo(next) => route(self, sl, next, ctx),
@@ -232,7 +252,7 @@ impl RankCore {
     }
 
     /// The serial chunk loop [`Self::advance_block`] replaced: each chunk's
-    /// kernel, then its commit, on this thread. The fan-out tests' oracle.
+    /// kernel, then its commit, on this thread. The oracle tests' reference.
     #[cfg(test)]
     pub(crate) fn advance_block_serial<F>(
         &mut self,
@@ -423,11 +443,18 @@ mod tests {
         }
     }
 
-    /// Advance the lanes with the fan-out (or the serial oracle), routing
-    /// movers with [`hand_off_odd`].
+    /// Advance the lanes through the segment oracle, its helpers started on
+    /// them (or with the serial reference), routing movers with
+    /// [`hand_off_odd`].
     fn advance(lanes: usize, n: usize, bytes: Option<f64>, serial: bool) -> Outcome {
         let (ds, store) = problem();
         let (mut core, block, list, mut ctx) = rank_with_lanes(&ds, &store, lanes, n, bytes);
+        if !serial {
+            let oracle = crate::oracle::Oracle::helped(ds.decomp, limits(), lanes);
+            core.ws.set_oracle(oracle.clone());
+            oracle.note_block(&store.load(block));
+            oracle.queue(list.iter().map(|sl| (sl, block)));
+        }
         let mut routed = Vec::new();
         let route =
             |core: &mut RankCore, sl: Streamline, next: BlockId, ctx: &mut dyn Context<Msg>| {
@@ -453,7 +480,7 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_commits_exactly_like_the_serial_loop() {
+    fn oracle_commits_exactly_like_the_serial_loop() {
         // 50 lanes at 16 per chunk: four chunks, the last one short.
         let fanned = advance(16, 50, None, false);
         let serial = advance(16, 50, None, true);
@@ -503,7 +530,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
         #[test]
-        fn fan_out_matches_the_serial_loop_for_any_split(n in 1usize..65, lanes in 1usize..17) {
+        fn oracle_matches_the_serial_loop_for_any_split(n in 1usize..65, lanes in 1usize..17) {
             let fanned = advance(lanes, n, None, false);
             let serial = advance(lanes, n, None, true);
             prop_assert_eq!(fanned.ws.batch_calls, n.div_ceil(lanes) as u64);

@@ -20,6 +20,7 @@ use crate::driver::{
     collect_report, drain_finished, make_sim, AnyProc, IngestPlan,
 };
 use crate::ingest::SeedSource;
+use crate::oracle::{Oracle, OracleStats};
 use crate::report::RunReport;
 use std::fmt;
 use std::path::PathBuf;
@@ -56,6 +57,9 @@ pub struct Run<'a> {
     checkpoint: Option<CheckpointOptions>,
     resume: Option<PathBuf>,
     threads: Option<Duration>,
+    /// The segment oracle a test installs instead of the run's own.
+    #[cfg(test)]
+    oracle: Option<Oracle>,
 }
 
 /// What a completed run produced.
@@ -73,6 +77,9 @@ pub struct RunOutput {
     pub checkpoints: Vec<PathBuf>,
     /// Total snapshot bytes written.
     pub checkpoint_bytes: u64,
+    /// What the run's segment oracle did on the host. These numbers
+    /// depend on thread timing, so they are not part of the report.
+    pub oracle: OracleStats,
 }
 
 /// Why [`Run::go`] produced no [`RunOutput`].
@@ -134,7 +141,16 @@ impl<'a> Run<'a> {
             checkpoint: None,
             resume: None,
             threads: None,
+            #[cfg(test)]
+            oracle: None,
         }
+    }
+
+    /// Advance through `oracle` instead of the run's own.
+    #[cfg(test)]
+    pub(crate) fn oracle(mut self, oracle: Oracle) -> Self {
+        self.oracle = Some(oracle);
+        self
     }
 
     /// Serve blocks from `store` (e.g. a [`streamline_iosim::MemoryStore`]
@@ -171,6 +187,16 @@ impl<'a> Run<'a> {
     pub fn threads(mut self, timeout: Duration) -> Self {
         self.threads = Some(timeout);
         self
+    }
+
+    #[cfg(test)]
+    fn installed_oracle(&self) -> Option<Oracle> {
+        self.oracle.clone()
+    }
+
+    #[cfg(not(test))]
+    fn installed_oracle(&self) -> Option<Oracle> {
+        None
     }
 
     fn check(&self) -> Result<(), RunError> {
@@ -213,15 +239,20 @@ impl<'a> Run<'a> {
     /// Execute the run.
     pub fn go(self) -> Result<RunOutput, RunError> {
         self.check()?;
-        let Run { dataset, cfg, source, store, trace, checkpoint, resume, threads } = self;
+        let all = self.source.all_seeds();
+        let oracle = Stopping(self.installed_oracle().unwrap_or_else(|| {
+            let (decomp, limits) = (self.dataset.decomp, self.cfg.limits);
+            Oracle::new(decomp, limits, self.cfg.batch.resolve(), all.len())
+        }));
+        let Run { dataset, cfg, source, store, trace, checkpoint, resume, threads, .. } = self;
         let store = store.unwrap_or_else(|| Arc::new(FieldStore::new(dataset.clone())));
-        let all = source.all_seeds();
         let mut procs = build_procs_planned(
             dataset,
             &source.base(),
             cfg,
             Arc::clone(&store),
             &IngestPlan::of(&source),
+            Some(&oracle.0),
         );
         let mut timeline = None;
         let mut written = Written::default();
@@ -254,6 +285,7 @@ impl<'a> Run<'a> {
                 (None, None, None) => sim.run(),
             }
         };
+        oracle.0.stop();
         let mut report = collect_report(dataset, &all, cfg, sim_report, &procs);
         if !source.is_closed() {
             apply_ingest_stats(&mut report, &source, &procs);
@@ -267,7 +299,17 @@ impl<'a> Run<'a> {
             pingpong_times,
             checkpoints: written.paths,
             checkpoint_bytes: written.bytes,
+            oracle: oracle.0.stats(),
         })
+    }
+}
+
+/// Stops the run's oracle however [`Run::go`] returns.
+struct Stopping(Oracle);
+
+impl Drop for Stopping {
+    fn drop(&mut self) {
+        self.0.stop();
     }
 }
 

@@ -1,11 +1,11 @@
 //! Per-rank machinery shared by all three algorithms: the block cache, the
 //! advection loop, and logical memory accounting.
 
-use crate::advance::{advance_batch_in_block, AdvanceStats, StreamlineBatch};
+use crate::advance::AdvanceStats;
 use crate::config::BatchParams;
 use crate::msg::Msg;
+use crate::oracle::{batch_kernel, AdvancingGuard, Oracle};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::sync::Arc;
 use streamline_desim::Context;
 use streamline_field::block::{Block, BlockId};
@@ -91,28 +91,10 @@ pub struct Workspace {
     /// Maximum lanes per batch-kernel chunk; the driver's drain loops
     /// chunk their per-block queues to this.
     batch_lanes: usize,
+    /// The run's segment oracle ([`crate::oracle`]); without one every
+    /// chunk runs inline.
+    oracle: Option<Oracle>,
 }
-
-thread_local! {
-    /// Reusable SoA scratch for the batch kernel, one per thread that runs
-    /// it (a rank's own thread or an advance helper). The kernel resets it
-    /// per call, so which thread's scratch a chunk uses never shows.
-    static SCRATCH: RefCell<StreamlineBatch> = RefCell::new(StreamlineBatch::new());
-}
-
-/// Advance `group` inside `block` with the batch kernel on this thread's
-/// scratch: a pure function of its arguments.
-fn batch_kernel(
-    group: &mut [Streamline],
-    block: &Block,
-    decomp: &BlockDecomposition,
-    limits: &StepLimits,
-) -> (Vec<BlockExit>, AdvanceStats) {
-    SCRATCH.with(|s| advance_batch_in_block(group, block, decomp, limits, &mut s.borrow_mut()))
-}
-
-/// One chunk after the kernel: its lanes, their exits, and the work done.
-pub(crate) type Advanced = (Vec<Streamline>, Vec<BlockExit>, AdvanceStats);
 
 impl Workspace {
     pub fn new(
@@ -144,7 +126,18 @@ impl Workspace {
             batched_lanes: 0,
             batch_calls: 0,
             batch_lanes: BatchParams::AUTO_LANES,
+            oracle: None,
         }
+    }
+
+    /// Share the run's segment oracle.
+    pub(crate) fn set_oracle(&mut self, oracle: Oracle) {
+        self.oracle = Some(oracle);
+    }
+
+    /// The run's segment oracle, if it has one.
+    pub(crate) fn oracle(&self) -> Option<&Oracle> {
+        self.oracle.as_ref()
     }
 
     /// Override the batch-kernel lane bound (default
@@ -210,6 +203,9 @@ impl Workspace {
             match self.store.try_load(id) {
                 Ok(b) => {
                     self.cache.insert(Arc::clone(&b));
+                    if let Some(oracle) = &self.oracle {
+                        oracle.note_block(&b);
+                    }
                     return Ok(b);
                 }
                 Err(e) => {
@@ -282,19 +278,31 @@ impl Workspace {
         exit
     }
 
-    /// The batch kernel over resident block `id`, as a pure function of one
-    /// chunk that any thread may run: it reads the block, the decomposition
-    /// and the limits, and books nothing. [`Self::commit_batch`] books the
-    /// result. Peeking the block moves no cache counter.
-    pub(crate) fn kernel(
+    /// Tell the oracle this rank starts advancing `chunks` through resident
+    /// block `id`, so its helpers start on the later chunks.
+    pub(crate) fn advancing(
         &self,
         id: BlockId,
-    ) -> impl Fn(Vec<Streamline>) -> Advanced + Send + Sync + 'static {
+        chunks: &[Vec<Streamline>],
+    ) -> Option<AdvancingGuard> {
+        let oracle = self.oracle.as_ref()?;
         let block = self.cache.peek(id).expect("a batch advance requires a resident block");
-        let (decomp, limits) = (self.decomp, self.limits);
-        move |mut chunk| {
-            let (exits, stats) = batch_kernel(&mut chunk, &block, &decomp, &limits);
-            (chunk, exits, stats)
+        oracle.advancing(&block, chunks)
+    }
+
+    /// The batch kernel over resident block `id` for one chunk, through the
+    /// oracle when there is one: bit-identical per lane either way, and
+    /// books nothing. [`Self::commit_batch`] books the result. Peeking the
+    /// block moves no cache counter.
+    pub(crate) fn advance_chunk(
+        &self,
+        id: BlockId,
+        chunk: &mut [Streamline],
+    ) -> (Vec<BlockExit>, AdvanceStats) {
+        let block = self.cache.peek(id).expect("a batch advance requires a resident block");
+        match &self.oracle {
+            Some(oracle) => oracle.advance(chunk, &block),
+            None => batch_kernel(chunk, &block, &self.decomp, &self.limits),
         }
     }
 
@@ -328,7 +336,7 @@ impl Workspace {
     /// Kernel then commit for one group on the calling thread — bit-identical
     /// per streamline to `Workspace::advance_in` on each lane in isolation,
     /// with the same summed compute charge and accounting. Returns one exit
-    /// per lane in input order. The oracle of the fan-out tests.
+    /// per lane in input order. The reference of the oracle tests.
     #[cfg(test)]
     pub fn advance_batch_in(
         &mut self,

@@ -574,6 +574,55 @@ mod tests {
         assert_eq!(group.lane_stats(0), SamplerStats::default(), "unqueried lane stays cold");
     }
 
+    /// The per-lane counters the segment oracle books: after a mix of
+    /// staged rows and one-off lane samples, each lane's hits and misses
+    /// are its scalar sampler's, and the lanes sum to `stats()` field by
+    /// field.
+    #[test]
+    fn lane_counters_match_scalar_samplers_and_sum_to_the_total() {
+        let b = wavy_block();
+        let lanes = 2 * GROUP_WIDTH + 3;
+        let mut rng = ChaCha8Rng::seed_from_u64(0x1a4e);
+        let mut group = GroupSampler::new(&b, lanes);
+        let mut scalars: Vec<CellSampler> = (0..lanes).map(|_| CellSampler::new(&b)).collect();
+        let mut rows = [[0.0f64; GROUP_WIDTH]; 3];
+        let mut out = [[0.0f64; GROUP_WIDTH]; 3];
+        for _ in 0..200 {
+            for base in (0..lanes).step_by(GROUP_WIDTH) {
+                let mut mask = 0u8;
+                for slot in 0..GROUP_WIDTH.min(lanes - base) {
+                    if rng.gen_range(0..4) == 0 {
+                        continue;
+                    }
+                    // Small moves revisit cells (hits); some leave the lattice.
+                    let p = Vec3::new(
+                        rng.gen_range(-0.6f64..2.6),
+                        rng.gen_range(0.0f64..0.4),
+                        rng.gen_range(0.0f64..0.4),
+                    );
+                    rows[0][slot] = p.x;
+                    rows[1][slot] = p.y;
+                    rows[2][slot] = p.z;
+                    mask |= 1 << slot;
+                    scalars[base + slot].sample(p);
+                }
+                group.sample_rows(base, &rows, mask, &mut out);
+            }
+            let lane = rng.gen_range(0..lanes);
+            let p = Vec3::splat(rng.gen_range(0.0f64..2.0));
+            assert_eq!(group.sample_lane(lane, p).map(bits), scalars[lane].sample(p).map(bits));
+        }
+        let mut sum = SamplerStats::default();
+        for (lane, scalar) in scalars.iter().enumerate() {
+            let counted = group.lane_stats(lane);
+            assert_eq!(counted, scalar.stats(), "lane {lane}");
+            sum.hits += counted.hits;
+            sum.misses += counted.misses;
+        }
+        assert!(sum.hits > 0 && sum.misses > 0, "{sum:?}");
+        assert_eq!(sum, group.stats());
+    }
+
     #[test]
     fn isa_name_is_reported() {
         let isa = simd_isa();

@@ -109,6 +109,12 @@ impl Streamline {
         self.status == StreamlineStatus::Active
     }
 
+    /// Whether accepted steps append to [`Self::geometry`] (false for
+    /// [`Streamline::new_lean`]).
+    pub fn records_geometry(&self) -> bool {
+        self.record_geometry
+    }
+
     /// Record an accepted integration step.
     pub fn push_step(&mut self, new_pos: Vec3, dt: f64) {
         self.state.arc_length += new_pos.distance(self.state.position);

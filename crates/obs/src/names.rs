@@ -6,7 +6,7 @@
 //! suffix (`_seconds`, `_nanoseconds`, `_blocks`) for gauges and
 //! histograms.
 //!
-//! Three namespaces:
+//! The namespaces:
 //! - `streamline_run_*` — one batch run (any driver), mirrored from
 //!   `RunReport`. These are the paper's §5 quantities: wall-clock, total
 //!   I/O, total communication, block efficiency (Eq. 2), load imbalance.
@@ -17,6 +17,9 @@
 //!   scraping.
 //! - `streamline_ckpt_*` — the checkpoint/restart subsystem: snapshots
 //!   written and restored, bytes moved, and time spent doing it.
+//! - `streamline_host_*` — where a batch run's work ran on the host
+//!   (`RunOutput::oracle`). They depend on thread timing, so unlike
+//!   `streamline_run_*` they differ between runs of the same config.
 
 // One batch run (RunReport).
 pub const RUN_WALL_SECONDS: &str = "streamline_run_wall_seconds";
@@ -59,6 +62,18 @@ pub const RUN_INGEST_EPOCHS: &str = "streamline_run_ingest_epochs";
 pub const RUN_FRONTIER_EPOCHS: &str = "streamline_run_frontier_epochs";
 pub const RUN_FRONTIER_LAG_MEAN_SECONDS: &str = "streamline_run_frontier_lag_mean_seconds";
 pub const RUN_FRONTIER_LAG_MAX_SECONDS: &str = "streamline_run_frontier_lag_max_seconds";
+
+// The run's segment oracle (OracleStats): block advances computed on
+// helper threads versus inline by the advancing rank, how helper segments
+// were consumed, and what they cost.
+pub const HOST_ORACLE_HELPER_SEGMENTS_TOTAL: &str = "streamline_host_oracle_helper_segments_total";
+pub const HOST_ORACLE_INLINE_SEGMENTS_TOTAL: &str = "streamline_host_oracle_inline_segments_total";
+pub const HOST_ORACLE_HITS_TOTAL: &str = "streamline_host_oracle_hits_total";
+pub const HOST_ORACLE_WAITS_TOTAL: &str = "streamline_host_oracle_waits_total";
+pub const HOST_ORACLE_WASTED_SEGMENTS_TOTAL: &str = "streamline_host_oracle_wasted_segments_total";
+pub const HOST_ORACLE_BATCH_OCCUPANCY: &str = "streamline_host_oracle_batch_occupancy";
+pub const HOST_ORACLE_PEAK_OUTSTANDING_BYTES: &str =
+    "streamline_host_oracle_peak_outstanding_bytes";
 
 // Block cache (CacheStats).
 pub const CACHE_LOADED_TOTAL: &str = "streamline_cache_loaded_total";

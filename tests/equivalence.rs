@@ -99,9 +99,10 @@ fn dense_seeding_also_agrees() {
 }
 
 /// At batch width 2 nearly every parked list splits into several chunks,
-/// so nearly every block advance fans out across the host's cores. Every
-/// driver must still finish every streamline bit-identically: to the other
-/// drivers, and to itself at the 16-lane width.
+/// so the segment oracle's helpers take the later chunks of nearly every
+/// block advance. Every driver must still finish every streamline
+/// bit-identically: to the other drivers, and to itself at the 16-lane
+/// width.
 #[test]
 fn narrow_batches_fan_out_and_still_agree() {
     let ds = Dataset::thermal_hydraulics(DatasetConfig::tiny());

@@ -4,8 +4,7 @@
 
 use std::sync::Arc;
 use streamline_bench::experiments::{case_config, dataset_for, SweepScale, Workload};
-use streamline_core::{build_procs, Algorithm};
-use streamline_desim::Simulation;
+use streamline_core::{Algorithm, Run, RunOutput};
 use streamline_field::dataset::Seeding;
 use streamline_iosim::{BlockStore, MemoryStore};
 
@@ -16,18 +15,15 @@ fn tracing_does_not_change_the_run() {
     let store: Arc<dyn BlockStore> = Arc::new(MemoryStore::build(&dataset));
     for algo in Algorithm::ALL {
         let cfg = case_config(Workload::Thermal, Seeding::Sparse, algo, 6);
-        let plain =
-            Simulation::new(cfg.cost.net, build_procs(&dataset, &seeds, &cfg, Arc::clone(&store)))
-                .run()
-                .0;
-        let (traced, _, timeline) =
-            Simulation::new(cfg.cost.net, build_procs(&dataset, &seeds, &cfg, Arc::clone(&store)))
-                .run_traced(0.01);
+        let run = || Run::new(&dataset, &cfg, &seeds).store(Arc::clone(&store));
+        let plain = run().go().unwrap().report;
+        let RunOutput { report: traced, timeline, .. } = run().trace(0.01).go().unwrap();
+        let timeline = timeline.expect("a traced run records a timeline");
         assert_eq!(plain.wall, traced.wall, "{algo:?}");
         assert_eq!(plain.events, traced.events, "{algo:?}");
 
         // Timeline busy area equals the metrics' busy totals.
-        let metric_busy: f64 = traced.ranks.iter().map(|m| m.busy()).sum();
+        let metric_busy: f64 = traced.per_rank.iter().map(|m| m.busy()).sum();
         let timeline_busy: f64 = (0..timeline.n_ranks)
             .map(|r| {
                 (0..timeline.n_buckets())
@@ -55,8 +51,8 @@ fn idle_fraction_matches_imbalance_story() {
     let seeds = dataset.seeds_with_count(Seeding::Sparse, 32);
     let cfg = case_config(Workload::Thermal, Seeding::Sparse, Algorithm::LoadOnDemand, 1);
     let store: Arc<dyn BlockStore> = Arc::new(MemoryStore::build(&dataset));
-    let (_, _, timeline) =
-        Simulation::new(cfg.cost.net, build_procs(&dataset, &seeds, &cfg, store)).run_traced(0.01);
+    let timeline = Run::new(&dataset, &cfg, &seeds).store(store).trace(0.01).go().unwrap().timeline;
+    let timeline = timeline.expect("a traced run records a timeline");
     // One rank working continuously: idle fraction only from the trailing
     // partial bucket.
     assert!(timeline.idle_fraction() < 0.2, "{}", timeline.idle_fraction());
